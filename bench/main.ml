@@ -14,8 +14,8 @@
    throughput benchmark (pairs/sec, speedup vs a 1-worker pool, cache
    hit/miss counters, incremental-vs-scratch speedup and per-pair
    differential) to BENCH_<timestamp>.json so the perf trajectory is
-   tracked per PR.  --smoke drops the slow from-scratch Steiner/Maxcut
-   sweeps from the verify benches.  --json also switches on the Ch_obs
+   tracked per PR.  --smoke drops the slow from-scratch Maxcut sweep
+   from the verify benches.  --json also switches on the Ch_obs
    telemetry layer and embeds one report per bench entry in an "obs"
    section (schedule-independent counters, so identical across CH_JOBS);
    --no-obs keeps telemetry off to measure the disabled-path overhead. *)
@@ -671,8 +671,8 @@ let all_experiments =
    from-scratch counterpart's trace.  The workload is the registry's
    incremental slice — every family ported to the core/apply-inputs
    split is benched scratch-vs-incremental with no per-family wiring
-   here.  [--smoke] drops the slow from-scratch sweeps (so those -inc
-   entries carry no differential) for CI-sized runs. *)
+   here.  [--smoke] drops the slow from-scratch sweep (so that -inc
+   entry carries no differential) for CI-sized runs. *)
 type ventry = {
   vname : string;
   vpairs : int;
@@ -790,9 +790,9 @@ let verify_benches ~smoke () =
       failwith (Printf.sprintf "verify bench %s: %d failures" name failures);
     entry ~name ~pairs ~wall ~wall1 ()
   in
-  (* the from-scratch side of these exhaustive sweeps is too slow for a
-     CI smoke run; their -inc entries still run, without a differential *)
-  let slow_scratch = [ "steiner"; "maxcut"; "hampath" ] in
+  (* the from-scratch side of this exhaustive sweep is too slow for a CI
+     smoke run; its -inc entry still runs, without a differential *)
+  let slow_scratch = [ "maxcut" ] in
   let family_entries =
     (* concat_map evaluates left to right, and within a family the
        scratch binding precedes the -inc one — each -inc entry needs its

@@ -98,15 +98,22 @@ let exhaustive_arg =
   let doc = "Verify all 4^K input pairs (K must be small)." in
   Arg.(value & flag & info [ "exhaustive" ] ~doc)
 
+(* An engine that cannot run at this k (a power-of-two check, a pair
+   space or table too large to enumerate) raises [Invalid_argument]: one
+   stderr line and exit 1, like an unknown family. *)
+let engine_error ~name ~k msg =
+  Printf.eprintf "family %S at k=%d: %s\n" name k msg;
+  1
+
 let verify_cmd =
   let run k name samples exhaustive incremental profile obs_out =
     match Registry.find (catalog ()) name with
     | None ->
         Printf.eprintf "%s\n" (Registry.unknown_id_message (catalog ()) name);
         1
-    | Some s ->
-        let fam = s.Registry.scratch k in
+    | Some s -> (
         let work () =
+          let fam = s.Registry.scratch k in
           let failures, total =
             match (incremental, s.Registry.incremental) with
             | true, None ->
@@ -124,21 +131,23 @@ let verify_cmd =
                 else Framework.verify_random ~seed:11 ~samples fam
           in
           let sided = Framework.check_sidedness ~seed:3 ~samples:8 fam in
-          (failures, total, sided)
+          (fam, failures, total, sided)
         in
-        let failures, total, sided =
+        match
           if profile then profiled ~root:"verify" ~obs_out work else work ()
-        in
-        Printf.printf
-          "%s: property verified on %d/%d input pairs; Definition 1.1 side \
-           conditions: %b\n"
-          fam.Framework.name (total - failures) total sided;
-        let lb =
-          Framework.lower_bound_rounds ~input_bits:fam.Framework.input_bits
-            ~cut:(Framework.cut_size fam) ~n:fam.Framework.nvertices
-        in
-        Printf.printf "Theorem 1.1 bound at this scale: Ω(%.1f) rounds\n" lb;
-        if failures = 0 then 0 else 1
+        with
+        | exception Invalid_argument msg -> engine_error ~name ~k msg
+        | fam, failures, total, sided ->
+            Printf.printf
+              "%s: property verified on %d/%d input pairs; Definition 1.1 \
+               side conditions: %b\n"
+              fam.Framework.name (total - failures) total sided;
+            let lb =
+              Framework.lower_bound_rounds ~input_bits:fam.Framework.input_bits
+                ~cut:(Framework.cut_size fam) ~n:fam.Framework.nvertices
+            in
+            Printf.printf "Theorem 1.1 bound at this scale: Ω(%.1f) rounds\n" lb;
+            if failures = 0 then 0 else 1)
   in
   let incremental_arg =
     let doc = "Verify through the memoized incremental engine instead." in
@@ -622,12 +631,12 @@ let profile_cmd =
               Framework.verify_random ~seed:11 ~samples:32
                 (s.Registry.scratch k)
         in
-        let failures, total =
-          profiled ~root:("profile:" ^ s.Registry.id) ~obs_out work
-        in
-        Printf.printf "%s: %d/%d pairs verified\n" s.Registry.id
-          (total - failures) total;
-        if failures = 0 then 0 else 1)
+        match profiled ~root:("profile:" ^ s.Registry.id) ~obs_out work with
+        | exception Invalid_argument msg -> engine_error ~name ~k msg
+        | failures, total ->
+            Printf.printf "%s: %d/%d pairs verified\n" s.Registry.id
+              (total - failures) total;
+            if failures = 0 then 0 else 1)
   in
   let opt_family_arg =
     let doc = "Family id (omit with $(b,--from))." in

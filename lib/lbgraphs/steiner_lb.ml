@@ -52,6 +52,18 @@ let input_edges ~k x y =
     (fun (u, v) -> [ (n + u, v); (n + v, u) ])
     (Mds_lb.input_edges ~k x y)
 
+(* every MDS input edge joins two row vertices, and its transform joins
+   a row to a row copy: the 4k rows and their copies are the only
+   vertices input edges touch (8k of them) *)
+let volatile ~k =
+  let n = Mds_lb.Ix.n ~k in
+  let rows =
+    List.concat_map
+      (fun s -> List.init k (fun i -> Mds_lb.Ix.row ~k s i))
+      [ Mds_lb.A1; Mds_lb.A2; Mds_lb.B1; Mds_lb.B2 ]
+  in
+  rows @ List.map (fun v -> n + v) rows
+
 type core = {
   ck : int;
   cg : Graph.t;
@@ -103,7 +115,7 @@ let incremental ~k =
         let c = build_core ~k in
         let sc =
           Ch_solvers.Cache.steiner_prepare c.cg ~terminals:(terminals ~k)
-            ~cap:extra_budget
+            ~volatile:(volatile ~k) ~cap:extra_budget
         in
         {
           Framework.pbuild =

@@ -27,6 +27,10 @@ val input_edges : k:int -> Bits.t -> Bits.t -> (int * int) list
 (** The transformed input edges: each MDS input edge {u,v} becomes
     (ũ,v) and (ṽ,u). *)
 
+val volatile : k:int -> int list
+(** The 8k vertices input edges may touch: the 4k row vertices and their
+    copies (16 at k = 2). *)
+
 type core
 
 val build_core : k:int -> core
@@ -39,12 +43,14 @@ val apply_inputs : core -> Bits.t -> Bits.t -> Graph.t
 val family : k:int -> Ch_core.Framework.t
 
 val incremental : k:int -> Ch_core.Framework.incremental
-(** Incremental descriptor backed by the per-subset connectivity tables
-    of {!Ch_solvers.Cache.steiner_prepare}: core component ids for every
-    candidate extra-node set up to the budget are precomputed once, and
-    each pair only replays its ≤ 16 input edges over those ids.
-    Bit-identical to the scratch
-    {!Ch_solvers.Steiner.min_extra_nodes}-based predicate. *)
+(** Incremental descriptor backed by the conditioned connectivity table
+    of {!Ch_solvers.Cache.steiner_prepare} over {!volatile}: every
+    candidate connector set up to the budget is reduced once to the core
+    component ids of its volatile vertices — sets with a component no
+    input edge can reach are dropped, equal projections kept at their
+    smallest size (1 095 entries of 60 460 sets at k = 2) — and each pair
+    only replays its ≤ 16 input edges over those ids.  Bit-identical to
+    the scratch {!Ch_solvers.Steiner.min_extra_nodes}-based predicate. *)
 
 val specs : Ch_core.Registry.spec list
 (** Registry entry ["steiner"]: incremental. *)

@@ -122,23 +122,42 @@ module Memo = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Steiner: core connectivity tables for min_extra_nodes              *)
+(* Steiner: conditioned connectivity table over the volatile vertices *)
 (* ------------------------------------------------------------------ *)
 
 (* Steiner.min_extra_nodes enumerates candidate connector sets in size
-   order and only asks "is terminals ∪ extra connected?".  Connectivity
-   over the fixed core edges is precomputed here for every candidate set:
-   one byte per vertex per subset holds its core component id (0xff =
-   not selected).  A query then replays only the input-derived edges over
-   those component ids — a handful of tiny union-find operations per
-   subset instead of a fresh union-find over the whole edge list. *)
+   order and only asks "is terminals ∪ extra connected?".  Input edges
+   only ever touch the [volatile] vertices, so a candidate set's core
+   components matter only through the volatile vertices they hold:
+
+   - a class with no volatile vertex (a dead class) can never be joined
+     by an input edge, so a set with a dead class and more than one
+     class is connected under no input and is dropped;
+   - a set whose core alone connects is connected under every input, so
+     only the smallest such size is kept ([salone]);
+   - any other set is live: every class holds a volatile vertex, so it
+     is connected under [extra] iff the extra edges join the volatile
+     vertices' component ids into one class.  It is stored as that
+     projection — the canonical component id of each volatile vertex,
+     0xff when unselected — plus its class count, and since equal
+     projections answer every query alike, each is kept only at its
+     smallest size.
+
+   One DFS over the connector sets builds the table: each depth holds its
+   own union-find with a live flag per root and running class and
+   dead-class counts, so a step is one array copy plus the new vertex's
+   unions.  A query replays the extra edges over each entry's ids, in
+   size order. *)
 
 type steiner_tables = {
   sn : int;  (* vertices *)
   scap : int;
-  ssize_start : int array;  (* subset index range per size: [s .. s+1) *)
-  scomp : Bytes.t;  (* nsubsets × n component ids *)
-  sclasses : int array;  (* core components among selected, per subset *)
+  svol_index : int array;  (* vertex -> volatile slot, or -1 *)
+  snvol : int;
+  salone : int;  (* smallest size at which the core alone connects, or scap + 1 *)
+  ssizes : int array;  (* per entry, nondecreasing; every size < salone *)
+  sclasses : int array;  (* core classes among the selected, per entry *)
+  sproj : Bytes.t;  (* nentries × snvol canonical component ids *)
 }
 
 type steiner = {
@@ -166,82 +185,139 @@ let count_subsets ~no ~cap =
    with Exit -> invalid_arg "Cache.steiner_prepare: subset space too large");
   !total
 
-let build_steiner_tables g ~terminals ~cap =
+(* [terminals] and [volatile] arrive sorted and deduplicated *)
+let build_steiner_tables g ~terminals ~volatile ~cap =
   let n = Graph.n g in
-  if n = 0 || n > 250 then invalid_arg "Cache.steiner_prepare: need 1 <= n <= 250";
-  let terminals = List.sort_uniq compare terminals in
   if terminals = [] then invalid_arg "Cache.steiner_prepare: no terminals";
   List.iter
     (fun t -> if t < 0 || t >= n then invalid_arg "Cache.steiner_prepare: bad terminal")
     terminals;
-  let is_terminal = Array.make n false in
-  List.iter (fun t -> is_terminal.(t) <- true) terminals;
-  let others =
-    Array.of_list (List.filter (fun v -> not is_terminal.(v)) (List.init n Fun.id))
-  in
+  let vol = Array.of_list volatile in
+  let nvol = Array.length vol in
+  if nvol > 255 then invalid_arg "Cache.steiner_prepare: too many volatile vertices";
+  let vol_index = Array.make n (-1) in
+  Array.iteri
+    (fun i v ->
+      if v < 0 || v >= n then invalid_arg "Cache.steiner_prepare: bad volatile vertex";
+      vol_index.(v) <- i)
+    vol;
+  let sel = Array.make n false in
+  List.iter (fun t -> sel.(t) <- true) terminals;
+  let others = Array.of_list (List.filter (fun v -> not sel.(v)) (List.init n Fun.id)) in
   let no = Array.length others in
   if cap < 0 then invalid_arg "Cache.steiner_prepare: negative cap";
   let cap = min cap no in
   let nsubsets = count_subsets ~no ~cap in
-  if nsubsets * n > 64_000_000 then
+  if nsubsets * max 1 nvol > 64_000_000 then
     invalid_arg "Cache.steiner_prepare: tables too large";
-  let edges = Array.of_list (List.map (fun (u, v, _) -> (u, v)) (Graph.edges g)) in
-  let comp = Bytes.make (nsubsets * n) '\255' in
-  let classes = Array.make nsubsets 0 in
-  let size_start = Array.make (cap + 2) 0 in
-  let sel = Array.make n false in
-  List.iter (fun t -> sel.(t) <- true) terminals;
-  let root_id = Array.make n (-1) and root_stamp = Array.make n (-1) in
-  let idx = ref 0 in
-  let record () =
-    let uf = Union_find.create n in
+  let nbrs = Array.init n (fun v -> Array.of_list (Graph.neighbors g v)) in
+  let parent = Array.init (cap + 1) (fun _ -> Array.init n Fun.id) in
+  let live = Array.init (cap + 1) (fun _ -> Array.init n (fun v -> vol_index.(v) >= 0)) in
+  let classes = Array.make (cap + 1) 0 and dead = Array.make (cap + 1) 0 in
+  let rec find pr x =
+    let p = pr.(x) in
+    if p = x then x
+    else begin
+      let r = find pr p in
+      pr.(x) <- r;
+      r
+    end
+  in
+  (* select [v] at depth [d]: a new class, then its core edges to the
+     already-selected vertices *)
+  let add d v =
+    let pr = parent.(d) and lv = live.(d) in
+    sel.(v) <- true;
+    classes.(d) <- classes.(d) + 1;
+    if not lv.(v) then dead.(d) <- dead.(d) + 1;
     Array.iter
-      (fun (u, v) -> if sel.(u) && sel.(v) then ignore (Union_find.union uf u v))
-      edges;
-    let base = !idx * n in
-    let next = ref 0 in
-    for v = 0 to n - 1 do
-      if sel.(v) then begin
-        let r = Union_find.find uf v in
-        if root_stamp.(r) <> !idx then begin
-          root_stamp.(r) <- !idx;
-          root_id.(r) <- !next;
-          incr next
-        end;
-        Bytes.set comp (base + v) (Char.chr root_id.(r))
-      end
-    done;
-    classes.(!idx) <- !next;
-    incr idx
+      (fun u ->
+        if sel.(u) then begin
+          let ru = find pr u and rv = find pr v in
+          if ru <> rv then begin
+            pr.(ru) <- rv;
+            classes.(d) <- classes.(d) - 1;
+            if not (lv.(ru) && lv.(rv)) then dead.(d) <- dead.(d) - 1;
+            lv.(rv) <- lv.(ru) || lv.(rv)
+          end
+        end)
+      nbrs.(v)
   in
-  for s = 0 to cap do
-    size_start.(s) <- !idx;
-    (* lexicographic combinations of size s over the non-terminals; only
-       the grouping by size matters for min_extra_nodes equivalence *)
-    let rec go depth start =
-      if depth = s then record ()
-      else
-        for i = start to no - (s - depth) do
-          sel.(others.(i)) <- true;
-          go (depth + 1) (i + 1);
-          sel.(others.(i)) <- false
-        done
-    in
-    go 0 0
-  done;
-  size_start.(cap + 1) <- !idx;
-  { sn = n; scap = cap; ssize_start = size_start; scomp = comp; sclasses = classes }
+  let alone = ref (cap + 1) in
+  let best = Hashtbl.create 1024 in
+  let root_id = Array.make n 0 and root_stamp = Array.make n (-1) in
+  let stamp = ref 0 in
+  let record d =
+    if classes.(d) = 1 then alone := min !alone d
+    else if dead.(d) = 0 then begin
+      let pr = parent.(d) in
+      incr stamp;
+      let next = ref 0 in
+      let key = Bytes.make nvol '\255' in
+      Array.iteri
+        (fun i v ->
+          if sel.(v) then begin
+            let r = find pr v in
+            if root_stamp.(r) <> !stamp then begin
+              root_stamp.(r) <- !stamp;
+              root_id.(r) <- !next;
+              incr next
+            end;
+            Bytes.set key i (Char.chr root_id.(r))
+          end)
+        vol;
+      let key = Bytes.unsafe_to_string key in
+      match Hashtbl.find_opt best key with
+      | Some (s, _) when s <= d -> ()
+      | _ -> Hashtbl.replace best key (d, classes.(d))
+    end
+  in
+  List.iter (add 0) terminals;
+  record 0;
+  let rec go d start =
+    if d < cap then
+      for i = start to no - 1 do
+        Array.blit parent.(d) 0 parent.(d + 1) 0 n;
+        Array.blit live.(d) 0 live.(d + 1) 0 n;
+        classes.(d + 1) <- classes.(d);
+        dead.(d + 1) <- dead.(d);
+        add (d + 1) others.(i);
+        record (d + 1);
+        go (d + 1) (i + 1);
+        sel.(others.(i)) <- false
+      done
+  in
+  go 0 0;
+  (* sorted by (size, projection): a deterministic function of the
+     inputs, so snapshots of equal memos are byte-identical *)
+  let entries =
+    Hashtbl.fold
+      (fun key (s, cls) acc -> if s < !alone then (s, key, cls) :: acc else acc)
+      best []
+    |> List.sort compare |> Array.of_list
+  in
+  let proj = Bytes.create (Array.length entries * nvol) in
+  Array.iteri (fun i (_, key, _) -> Bytes.blit_string key 0 proj (i * nvol) nvol) entries;
+  {
+    sn = n;
+    scap = cap;
+    svol_index = vol_index;
+    snvol = nvol;
+    salone = !alone;
+    ssizes = Array.map (fun (s, _, _) -> s) entries;
+    sclasses = Array.map (fun (_, _, cls) -> cls) entries;
+    sproj = proj;
+  }
 
-let steiner_prepare g ~terminals ~cap =
-  let aux =
-    String.concat ","
-      (List.map string_of_int (List.sort_uniq compare terminals))
-    ^ ";" ^ string_of_int cap
-  in
+let steiner_prepare g ~terminals ~volatile ~cap =
+  let terminals = List.sort_uniq compare terminals
+  and volatile = List.sort_uniq compare volatile in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let aux = ints terminals ^ ";" ^ string_of_int cap ^ ";" ^ ints volatile in
   let tables, was_hit =
     Memo.find_or_build steiner_memo ~graph:g ~aux ~build:(fun () ->
         Tally.built steiner_kind;
-        build_steiner_tables g ~terminals ~cap)
+        build_steiner_tables g ~terminals ~volatile ~cap)
   in
   {
     st = tables;
@@ -254,12 +330,20 @@ let steiner_prepare g ~terminals ~cap =
 let steiner_min_extra c ~extra =
   Tally.query c.sc;
   let t = c.st in
-  let n = t.sn in
-  List.iter
-    (fun (u, v) ->
-      if u < 0 || u >= n || v < 0 || v >= n then
-        invalid_arg "Cache.steiner_min_extra: edge out of range")
-    extra;
+  let n = t.sn and nvol = t.snvol in
+  (* each extra edge as its two volatile slots *)
+  let slots =
+    Array.of_list
+      (List.map
+         (fun (u, v) ->
+           if u < 0 || u >= n || v < 0 || v >= n then
+             invalid_arg "Cache.steiner_min_extra: edge out of range";
+           let iu = t.svol_index.(u) and iv = t.svol_index.(v) in
+           if iu < 0 || iv < 0 then
+             invalid_arg "Cache.steiner_min_extra: extra edge endpoint not volatile";
+           (iu, iv))
+         extra)
+  in
   let parent = c.sparent and stamp = c.sstamp in
   let rec find x =
     if parent.(x) = x then x
@@ -276,34 +360,32 @@ let steiner_min_extra c ~extra =
     end
   in
   let exception Hit of int in
+  let nentries = Array.length t.ssizes in
   let scanned = ref 0 in
   let result =
     try
-      for s = 0 to t.scap do
-        for i = t.ssize_start.(s) to t.ssize_start.(s + 1) - 1 do
-          incr scanned;
-          let classes = ref t.sclasses.(i) in
-          if !classes = 1 then raise (Hit s);
-          c.sround <- c.sround + 1;
-          let base = i * n in
-          List.iter
-            (fun (u, v) ->
-              let cu = Char.code (Bytes.get t.scomp (base + u))
-              and cv = Char.code (Bytes.get t.scomp (base + v)) in
-              if cu <> 0xff && cv <> 0xff then begin
-                touch cu;
-                touch cv;
-                let ru = find cu and rv = find cv in
-                if ru <> rv then begin
-                  parent.(ru) <- rv;
-                  decr classes
-                end
-              end)
-            extra;
-          if !classes = 1 then raise (Hit s)
-        done
+      for i = 0 to nentries - 1 do
+        incr scanned;
+        let classes = ref t.sclasses.(i) in
+        c.sround <- c.sround + 1;
+        let base = i * nvol in
+        Array.iter
+          (fun (iu, iv) ->
+            let cu = Char.code (Bytes.get t.sproj (base + iu))
+            and cv = Char.code (Bytes.get t.sproj (base + iv)) in
+            if cu <> 0xff && cv <> 0xff then begin
+              touch cu;
+              touch cv;
+              let ru = find cu and rv = find cv in
+              if ru <> rv then begin
+                parent.(ru) <- rv;
+                decr classes
+              end
+            end)
+          slots;
+        if !classes = 1 then raise (Hit t.ssizes.(i))
       done;
-      None
+      if t.salone <= t.scap then Some t.salone else None
     with Hit s -> Some s
   in
   Obs.incr c_steiner_scanned !scanned;
@@ -977,10 +1059,12 @@ type dump = {
     ((int * (int * int * int) list * int * int list) * dsteiner_tables) list;
 }
 
-(* Bumped from "chcache1" when the MIS/MWIS projection joined the dump:
-   an old snapshot fails the tag check cleanly (reported corrupt by the
-   sweep store, recomputed) instead of being misparsed. *)
-let snapshot_tag = "chcache2"
+(* Bumped whenever a dumped table changes shape ("chcache2": the MIS/MWIS
+   projection joined the dump; "chcache3": the Steiner table became the
+   volatile projection): an old snapshot fails the tag check cleanly
+   (reported corrupt by the sweep store, recomputed) instead of being
+   misparsed into the new type. *)
+let snapshot_tag = "chcache3"
 
 (* The volatile list and weighted flag round-trip through the aux string
    the prepare functions key the memo with: ["w;"] marks MWIS, the rest

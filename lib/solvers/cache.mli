@@ -28,22 +28,39 @@ type stats = { hits : int; misses : int }
 
 type steiner
 
-val steiner_prepare : Graph.t -> terminals:int list -> cap:int -> steiner
-(** Enumerate, in size order, every candidate connector set of at most
-    [cap] non-terminals (the same candidate space as
-    {!Steiner.min_extra_nodes} with [~cap]) and store each vertex's core
-    component id.  @raise Invalid_argument when the graph has no or
-    out-of-range terminals, [n > 250], or the subset space is too large
-    to tabulate. *)
+val steiner_prepare :
+  Graph.t -> terminals:int list -> volatile:int list -> cap:int -> steiner
+(** Tabulate the candidate connector sets of at most [cap] non-terminals
+    (the same candidate space as {!Steiner.min_extra_nodes} with [~cap])
+    through the [volatile] vertices — the only vertices input edges may
+    touch.  One DFS over the sets keeps, per set, the core classes among
+    terminals ∪ set:
+    - a set with a class holding no volatile vertex and more than one
+      class is connected under no input, and is dropped;
+    - a set the core alone connects is kept only as the smallest such
+      size;
+    - every other set is stored as its projection: the canonical core
+      component id of each volatile vertex (0xff when unselected) and
+      its class count, each projection at its smallest size only.
+    The table is a deterministic function of (graph, terminals, volatile,
+    cap); the memo key includes all four.
+    @raise Invalid_argument when a terminal or volatile vertex is out of
+    range, there are no terminals or more than 255 volatile vertices, or
+    the subset space exceeds 4 M sets. *)
 
 val steiner_min_extra : steiner -> extra:(int * int) list -> int option
 (** The minimum number of non-terminal connector vertices making the
     terminals connected in [core + extra], i.e. exactly
-    [Steiner.min_extra_nodes ~cap core_with_extra terminals]: candidate
-    sets are replayed in the same size order, unioning only the [extra]
-    edges over the precomputed component ids.  [extra] edges must stay
-    within the core vertex range (endpoints outside the candidate set are
-    ignored, as in the from-scratch solver). *)
+    [Steiner.min_extra_nodes ~cap core_with_extra terminals]: table
+    entries are scanned in size order, unioning only the [extra] edges
+    over each entry's volatile component ids, and the first entry the
+    edges connect — or the smallest size the core connects alone —
+    answers.  Every [extra] edge must have both endpoints volatile
+    (endpoints outside an entry's set are ignored there, as in the
+    from-scratch solver); the counter [cache.steiner.subsets_scanned]
+    counts the table entries scanned.
+    @raise Invalid_argument on an out-of-range or non-volatile
+    endpoint. *)
 
 val steiner_stats : steiner -> stats
 

@@ -65,6 +65,10 @@ let () =
       "\"verify\":";
       "\"family\": \"mds-k2-exhaustive\"";
       "\"family\": \"mds-k2-exhaustive-inc\"";
+      (* --smoke still runs these two scratch sweeps, so their -inc
+         entries are differenced pair by pair *)
+      "\"family\": \"steiner-k2-exhaustive\"";
+      "\"family\": \"hampath-k2-exhaustive\"";
       "\"family\": \"steiner-k2-exhaustive-inc\"";
       "\"family\": \"maxcut-k2-exhaustive-inc\"";
       "\"family\": \"hampath-k2-exhaustive-inc\"";
@@ -188,6 +192,29 @@ let () =
           (Printf.sprintf "bench entry %S names unregistered family %S" entry
              (family_of_entry entry)))
     (string_values ~key:"family" body);
+  (* an engine that cannot run at this k fails with one stderr line
+     naming the family, k and reason, and exit 1 — not an uncaught
+     exception (exit 125) *)
+  List.iter
+    (fun args ->
+      let rc =
+        Sys.command
+          (Printf.sprintf "cd %s && %s %s > /dev/null 2> err.txt"
+             (Filename.quote dir) (Filename.quote hardness) args)
+      in
+      let ic = open_in (Filename.concat dir "err.txt") in
+      let err = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      if rc <> 1 then
+        failwith (Printf.sprintf "hardness %s exited with %d:\n%s" args rc err);
+      match List.filter (( <> ) "") (String.split_on_char '\n' err) with
+      | [ line ] when contains ~needle:"family \"steiner\" at k=4: " line -> ()
+      | _ ->
+          failwith
+            (Printf.sprintf
+               "hardness %s: expected one stderr line naming the family and k:\n%s"
+               args err))
+    [ "verify steiner -k 4 --incremental"; "profile steiner -k 4" ];
   (* cleanup *)
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir;

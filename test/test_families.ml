@@ -380,7 +380,7 @@ let registry_differential_case s =
   in
   let slow =
     (* the scratch side of these exhaustive sweeps dominates the suite *)
-    [ "hampath"; "maxcut"; "steiner"; "maxis-78-unweighted" ]
+    [ "maxcut"; "maxis-78-unweighted" ]
   in
   Alcotest.test_case
     (s.Registry.id ^ " k=2 exhaustive differential")

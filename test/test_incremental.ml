@@ -130,6 +130,27 @@ let check_sampled name inc pairs =
         (p.Framework.pverdict x y))
     pairs
 
+(* The transformed input edges join rows to row copies only, so the
+   volatile set the Steiner cache is keyed on covers every pair's input
+   edges. *)
+let test_steiner_volatile () =
+  let k = 2 in
+  let volatile = Steiner_lb.volatile ~k in
+  Alcotest.(check int) "8k distinct vertices" (8 * k)
+    (List.length (List.sort_uniq compare volatile));
+  let xs = Bits.all (k * k) in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          List.iter
+            (fun (u, v) ->
+              if not (List.mem u volatile && List.mem v volatile) then
+                Alcotest.failf "input edge (%d, %d) leaves the volatile set" u v)
+            (Steiner_lb.input_edges ~k x y))
+        xs)
+    xs
+
 let test_steiner_sampled () =
   Cache.clear ();
   check_sampled "steiner" (Steiner_lb.incremental ~k:2)
@@ -184,21 +205,49 @@ let random_extra ~seed g allowed =
   let st = Random.State.make [| seed |] in
   List.filter (fun _ -> Random.State.bool st) non_edges
 
+(* The table only sees the volatile vertices, so [extra] stays inside a
+   random volatile subset.  The draw's residue mod 3 picks the case:
+   any subset, a subset with no terminals (the projection then holds
+   connectors only), or a dense core, which often connects within [cap]
+   on its own.  Three queries share one prepared instance, so the
+   stamped query scratch is reused. *)
 let prop_steiner_cache =
-  QCheck.Test.make ~count:60 ~name:"Cache.steiner_min_extra = Steiner.min_extra_nodes"
+  QCheck.Test.make ~count:200 ~name:"Cache.steiner_min_extra = Steiner.min_extra_nodes"
     QCheck.(pair (int_range 3 9) (int_range 0 10_000))
     (fun (n, seed) ->
-      let g = Gen.gnp ~seed n 0.3 in
-      let nterm = 2 + (seed mod (n - 1)) in
-      let terminals = List.init (min nterm n) Fun.id in
+      let mode = seed mod 3 in
+      let g = Gen.gnp ~seed n (if mode = 2 then 0.6 else 0.3) in
+      let nterm = min n (2 + (seed mod (n - 1))) in
+      let terminals = List.init nterm Fun.id in
       let cap = seed mod 4 in
-      let extra = random_extra ~seed:(seed + 1) g (List.init n Fun.id) in
-      let g' = Graph.copy g in
-      List.iter (fun (u, v) -> Graph.add_edge g' u v) extra;
+      let st = Random.State.make [| seed; n |] in
+      let volatile =
+        List.filter
+          (fun v -> (mode <> 1 || v >= nterm) && Random.State.bool st)
+          (List.init n Fun.id)
+      in
       Cache.clear ();
-      let c = Cache.steiner_prepare g ~terminals ~cap in
-      Cache.steiner_min_extra c ~extra
-      = Ch_solvers.Steiner.min_extra_nodes ~cap g' terminals)
+      let c = Cache.steiner_prepare g ~terminals ~volatile ~cap in
+      List.for_all
+        (fun salt ->
+          let extra = random_extra ~seed:(seed + salt) g volatile in
+          let g' = Graph.copy g in
+          List.iter (fun (u, v) -> Graph.add_edge g' u v) extra;
+          Cache.steiner_min_extra c ~extra
+          = Ch_solvers.Steiner.min_extra_nodes ~cap g' terminals)
+        [ 1; 2; 3 ])
+
+let test_steiner_non_volatile () =
+  Cache.clear ();
+  let g = Graph.of_edges 5 [ (0, 1); (1, 2); (2, 3); (3, 4) ] in
+  let c = Cache.steiner_prepare g ~terminals:[ 0; 4 ] ~volatile:[ 1; 3 ] ~cap:3 in
+  Alcotest.(check (option int)) "core path" (Some 3) (Cache.steiner_min_extra c ~extra:[]);
+  Alcotest.(check (option int))
+    "volatile shortcut" (Some 2)
+    (Cache.steiner_min_extra c ~extra:[ (1, 3) ]);
+  Alcotest.check_raises "non-volatile endpoint"
+    (Invalid_argument "Cache.steiner_min_extra: extra edge endpoint not volatile")
+    (fun () -> ignore (Cache.steiner_min_extra c ~extra:[ (1, 3); (0, 2) ]))
 
 let prop_maxcut_cache =
   QCheck.Test.make ~count:60 ~name:"Cache.maxcut_max = Maxcut.max_cut"
@@ -274,18 +323,24 @@ let test_memo_counters () =
 let test_memo_aux_keying () =
   Cache.clear ();
   let g = Mds_lb.core_graph ~k:2 in
-  let _ = Cache.steiner_prepare g ~terminals:[ 0; 1 ] ~cap:1 in
+  let volatile = List.init (Graph.n g) Fun.id in
+  let _ = Cache.steiner_prepare g ~terminals:[ 0; 1 ] ~volatile ~cap:1 in
   (* same graph, different parameters: must rebuild, not hit *)
-  let c = Cache.steiner_prepare g ~terminals:[ 0; 1; 2 ] ~cap:1 in
+  let c = Cache.steiner_prepare g ~terminals:[ 0; 1; 2 ] ~volatile ~cap:1 in
   let s = Cache.steiner_stats c in
   Alcotest.(check (pair int int))
     "different terminals miss" (0, 1)
     (s.Cache.hits, s.Cache.misses);
-  let c' = Cache.steiner_prepare g ~terminals:[ 0; 1 ] ~cap:2 in
+  let c' = Cache.steiner_prepare g ~terminals:[ 0; 1 ] ~volatile ~cap:2 in
   let s' = Cache.steiner_stats c' in
   Alcotest.(check (pair int int))
     "different cap misses" (0, 1)
-    (s'.Cache.hits, s'.Cache.misses)
+    (s'.Cache.hits, s'.Cache.misses);
+  let c'' = Cache.steiner_prepare g ~terminals:[ 0; 1 ] ~volatile:[ 0; 1 ] ~cap:1 in
+  let s'' = Cache.steiner_stats c'' in
+  Alcotest.(check (pair int int))
+    "different volatile set misses" (0, 1)
+    (s''.Cache.hits, s''.Cache.misses)
 
 (* ---------------------------------------------------------------- *)
 (* Seed derivation: verify_random is schedule-independent           *)
@@ -345,6 +400,8 @@ let () =
             test_hampath_graphs;
           Alcotest.test_case "steiner core+inputs = build" `Quick
             test_steiner_graphs;
+          Alcotest.test_case "steiner volatile covers inputs" `Quick
+            test_steiner_volatile;
         ] );
       ( "verdict differentials",
         [
@@ -360,6 +417,8 @@ let () =
       ( "solver caches",
         [
           qt prop_steiner_cache;
+          Alcotest.test_case "steiner non-volatile endpoint" `Quick
+            test_steiner_non_volatile;
           qt prop_maxcut_cache;
           qt prop_mis_cache;
           qt prop_domset_cache;
