@@ -48,6 +48,7 @@ let log2 x = log (float_of_int x) /. log 2.0
 let pmap f xs = Pool.parallel_map (Pool.default ()) f xs
 
 module Obs = Ch_obs.Obs
+module Jsonx = Ch_json.Jsonx
 
 (* Monotonic clock: bench walls are immune to wall-clock adjustments. *)
 let timed f =
@@ -981,8 +982,8 @@ let sweep_benches ~smoke () =
         ~store:"resume" (fun ~store_dir ->
           Sweep.run ~store_dir fam2 ~mode:Shard.Exhaustive ~shards:4)
     in
-    if e.sresumed < 2 || e.srecomputed > 0 then
-      failwith "sweep bench resume: expected >= 2 resumed shards, 0 recomputed";
+    if e.sresumed <> 2 || e.srecomputed > 0 then
+      failwith "sweep bench resume: expected 2 resumed shards, 0 recomputed";
     e
   in
   let big =
@@ -1127,129 +1128,101 @@ let serve_benches ~smoke () =
   Server.stop server;
   entries
 
-let json_escape s =
-  String.concat ""
-    (List.map
-       (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
 let write_json ~experiment_times ~verify ~reduction ~sweep ~serve =
+  let open Jsonx in
   let ts = int_of_float (Unix.time ()) in
   let file = Printf.sprintf "BENCH_%d.json" ts in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"timestamp\": %d,\n" ts;
-  Printf.bprintf buf "  \"jobs\": %d,\n" (Pool.jobs (Pool.default ()));
-  Buffer.add_string buf "  \"experiments\": [\n";
-  List.iteri
-    (fun i (name, wall) ->
-      Printf.bprintf buf "    {\"name\": \"%s\", \"wall_s\": %.6f}%s\n"
-        (json_escape name) wall
-        (if i < List.length experiment_times - 1 then "," else ""))
-    experiment_times;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"verify\": [\n";
-  List.iteri
-    (fun i e ->
-      Printf.bprintf buf
-        "    {\"family\": \"%s\", \"pairs\": %d, \"wall_s\": %.6f, \
-         \"pairs_per_s\": %.1f, \"wall_s_jobs1\": %.6f, \
-         \"speedup_vs_jobs1\": %.3f, \"cache_hits\": %d, \
-         \"cache_misses\": %d%s%s}%s\n"
-        (json_escape e.vname) e.vpairs e.vwall
-        (float_of_int e.vpairs /. e.vwall)
-        e.vwall1
-        (e.vwall1 /. e.vwall)
-        e.vhits e.vmisses
-        (match e.vvs_scratch with
-        | Some s -> Printf.sprintf ", \"speedup_vs_scratch\": %.3f" s
-        | None -> "")
-        ((match e.vdiff_ok with
-         | Some ok -> Printf.sprintf ", \"differential_ok\": %b" ok
-         | None -> "")
-        ^ (match e.vnodes with
-          | Some n -> Printf.sprintf ", \"solver_nodes\": %d" n
-          | None -> "")
-        ^
-        match e.vpruned with
-        | Some p -> Printf.sprintf ", \"solver_pruned\": %d" p
-        | None -> "")
-        (if i < List.length verify - 1 then "," else ""))
-    verify;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"reduction\": [\n";
-  List.iteri
-    (fun i r ->
-      let rep = r.rrep in
-      let open Ch_reduction.Bound in
-      Printf.bprintf buf
-        "    {\"family\": \"%s\", \"pairs\": %d, \"pairs_skipped\": %d, \
-         \"wall_s\": %.6f, \"pairs_per_s\": %.1f, \"parties\": %d, \
-         \"cut\": %d, \
-         \"bandwidth\": %d, \"rounds_max\": %d, \"cut_bits_max\": %d, \
-         \"budget_max\": %d, \"bits_per_round\": %.2f, \"cc_bits\": %d, \
-         \"lb_rounds\": %.3f, \"transcript_differential_ok\": %b, \
-         \"decisions_ok\": %b, \"within_budget\": %b}%s\n"
-        (json_escape r.rname) rep.rep_pairs r.rskipped r.rwall
-        (float_of_int rep.rep_pairs /. r.rwall)
-        rep.rep_parties rep.rep_cut rep.rep_bandwidth rep.rep_rounds_max
-        rep.rep_cut_bits_max
-        rep.rep_budget_max rep.rep_bits_per_round rep.rep_cc_bits
-        rep.rep_lb_rounds rep.rep_all_match rep.rep_all_correct
-        rep.rep_all_within_budget
-        (if i < List.length reduction - 1 then "," else ""))
-    reduction;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"sweep\": [\n";
-  List.iteri
-    (fun i e ->
-      Printf.bprintf buf
-        "    {\"family\": \"%s\", \"pairs\": %d, \"shards\": %d, \
-         \"wall_s\": %.6f, \"pairs_per_s\": %.1f, \"shards_completed\": %d, \
-         \"shards_resumed\": %d, \"shards_recomputed\": %d, \
-         \"artifacts_corrupt\": %d, \"differential_ok\": %b}%s\n"
-        (json_escape e.sname) e.spairs e.snshards e.swall
-        (float_of_int e.spairs /. e.swall)
-        e.scompleted e.sresumed e.srecomputed e.scorrupt e.sdiff_ok
-        (if i < List.length sweep - 1 then "," else ""))
-    sweep;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"serve\": [\n";
-  List.iteri
-    (fun i e ->
-      Printf.bprintf buf
-        "    {\"name\": \"%s\", \"pairs\": %d, \"cold_s\": %.6f, \
-         \"warm_s\": %.6f, \"warm_speedup\": %.2f, \"warm_hit\": %b, \
-         \"digest_ok\": %b}%s\n"
-        (json_escape e.svname) e.svpairs e.svcold_s e.svwarm_s
-        (e.svcold_s /. e.svwarm_s)
-        e.svwarm_hit e.svdigest_ok
-        (if i < List.length serve - 1 then "," else ""))
-    serve;
-  Buffer.add_string buf "  ],\n";
-  (* one telemetry report per bench entry; the counter objects inside
-     each report sit one per line, so two runs' counter sets diff with
-     plain grep (the CH_JOBS determinism guard in CI does exactly that) *)
-  let obs_entries =
-    List.filter_map (fun e -> Option.map (fun r -> (e.vname, r)) e.vobs) verify
-    @ List.filter_map (fun r -> Option.map (fun o -> (r.rname, o)) r.robs)
-        reduction
-    @ List.filter_map (fun e -> Option.map (fun o -> (e.sname, o)) e.sobs) sweep
-    @ List.filter_map
-        (fun e -> Option.map (fun o -> (e.svname, o)) e.svobs)
-        serve
+  let opt name f = function Some v -> [ (name, f v) ] | None -> [] in
+  let rate pairs wall = Float (float_of_int pairs /. wall) in
+  let experiment (name, wall) =
+    Obj [ ("name", Str name); ("wall_s", Float wall) ]
   in
-  Buffer.add_string buf "  \"obs\": [\n";
-  List.iteri
-    (fun i (name, rep) ->
-      Printf.bprintf buf "    {\"family\": \"%s\", \"report\":\n%s    }%s\n"
-        (json_escape name)
-        (Obs.report_json rep)
-        (if i < List.length obs_entries - 1 then "," else ""))
-    obs_entries;
-  Buffer.add_string buf "  ]\n}\n";
+  let verify_entry e =
+    Obj
+      ([
+         ("family", Str e.vname); ("pairs", Int e.vpairs);
+         ("wall_s", Float e.vwall); ("pairs_per_s", rate e.vpairs e.vwall);
+         ("wall_s_jobs1", Float e.vwall1);
+         ("speedup_vs_jobs1", Float (e.vwall1 /. e.vwall));
+         ("cache_hits", Int e.vhits); ("cache_misses", Int e.vmisses);
+       ]
+      @ opt "speedup_vs_scratch" (fun s -> Float s) e.vvs_scratch
+      @ opt "differential_ok" (fun b -> Bool b) e.vdiff_ok
+      @ opt "solver_nodes" (fun n -> Int n) e.vnodes
+      @ opt "solver_pruned" (fun n -> Int n) e.vpruned)
+  in
+  let reduction_entry r =
+    let open Ch_reduction.Bound in
+    let rep = r.rrep in
+    Obj
+      [
+        ("family", Str r.rname); ("pairs", Int rep.rep_pairs);
+        ("pairs_skipped", Int r.rskipped); ("wall_s", Float r.rwall);
+        ("pairs_per_s", rate rep.rep_pairs r.rwall);
+        ("parties", Int rep.rep_parties); ("cut", Int rep.rep_cut);
+        ("bandwidth", Int rep.rep_bandwidth);
+        ("rounds_max", Int rep.rep_rounds_max);
+        ("cut_bits_max", Int rep.rep_cut_bits_max);
+        ("budget_max", Int rep.rep_budget_max);
+        ("bits_per_round", Float rep.rep_bits_per_round);
+        ("cc_bits", Int rep.rep_cc_bits);
+        ("lb_rounds", Float rep.rep_lb_rounds);
+        ("transcript_differential_ok", Bool rep.rep_all_match);
+        ("decisions_ok", Bool rep.rep_all_correct);
+        ("within_budget", Bool rep.rep_all_within_budget);
+      ]
+  in
+  let sweep_entry e =
+    Obj
+      [
+        ("family", Str e.sname); ("pairs", Int e.spairs);
+        ("shards", Int e.snshards); ("wall_s", Float e.swall);
+        ("pairs_per_s", rate e.spairs e.swall);
+        ("shards_completed", Int e.scompleted);
+        ("shards_resumed", Int e.sresumed);
+        ("shards_recomputed", Int e.srecomputed);
+        ("artifacts_corrupt", Int e.scorrupt);
+        ("differential_ok", Bool e.sdiff_ok);
+      ]
+  in
+  let serve_entry e =
+    Obj
+      [
+        ("name", Str e.svname); ("pairs", Int e.svpairs);
+        ("cold_s", Float e.svcold_s); ("warm_s", Float e.svwarm_s);
+        ("warm_speedup", Float (e.svcold_s /. e.svwarm_s));
+        ("warm_hit", Bool e.svwarm_hit); ("digest_ok", Bool e.svdigest_ok);
+      ]
+  in
+  (* one telemetry report per bench entry; printed as a document, each
+     counter object sits on its own line, so two runs' counter sets diff
+     with plain grep (the CH_JOBS determinism guard in CI does exactly
+     that) *)
+  let obs name o =
+    Option.map
+      (fun rep -> Obj [ ("family", Str name); ("report", Obs.report_json rep) ])
+      o
+  in
+  let obs_entries =
+    List.filter_map (fun e -> obs e.vname e.vobs) verify
+    @ List.filter_map (fun r -> obs r.rname r.robs) reduction
+    @ List.filter_map (fun e -> obs e.sname e.sobs) sweep
+    @ List.filter_map (fun e -> obs e.svname e.svobs) serve
+  in
+  let doc =
+    Obj
+      [
+        ("timestamp", Int ts); ("jobs", Int (Pool.jobs (Pool.default ())));
+        ("experiments", Arr (List.map experiment experiment_times));
+        ("verify", Arr (List.map verify_entry verify));
+        ("reduction", Arr (List.map reduction_entry reduction));
+        ("sweep", Arr (List.map sweep_entry sweep));
+        ("serve", Arr (List.map serve_entry serve));
+        ("obs", Arr obs_entries);
+      ]
+  in
   let oc = open_out file in
-  output_string oc (Buffer.contents buf);
+  output_string oc (to_document doc);
   close_out oc;
   Printf.printf "\nwrote %s\n" file
 

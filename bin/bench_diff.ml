@@ -8,7 +8,7 @@
    cannot block a merge, but the trajectory is visible in the log. *)
 
 open Cmdliner
-module Jsonx = Ch_serve.Jsonx
+module Jsonx = Ch_json.Jsonx
 
 let as_float = function
   | Jsonx.Int i -> Some (float_of_int i)

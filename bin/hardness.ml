@@ -14,6 +14,9 @@ open Ch_lbgraphs
 let catalog = Families.catalog
 
 module Obs = Ch_obs.Obs
+module Jsonx = Ch_json.Jsonx
+
+let read_lines file = In_channel.with_open_text file In_channel.input_lines
 
 let k_arg =
   let doc = "Construction parameter k (a power of two, at least 2)." in
@@ -58,26 +61,43 @@ let profiled ~root ~obs_out f =
   Format.printf "%a" (Obs.pp_profile ~wall_ns) (Obs.report ());
   r
 
+(* An engine that cannot run at this k (a power-of-two check, a pair
+   space or table too large to enumerate) raises [Invalid_argument]: one
+   stderr line and exit 1, like an unknown family. *)
+let engine_error ~name ~k msg =
+  Printf.eprintf "family %S at k=%d: %s\n" name k msg;
+  1
+
 let list_cmd =
   let run k json =
-    if json then print_string (Registry.to_json (catalog ()))
+    if json then begin
+      print_string (Jsonx.to_document (Registry.to_json (catalog ())));
+      0
+    end
     else begin
       Printf.printf "%-24s %8s %8s %6s  %-22s %s\n" "family" "n" "K" "cut"
         "paper" "engines";
-      List.iter
-        (fun s ->
-          let fam = s.Registry.scratch k in
-          let engines =
-            String.concat "+"
-              (("scratch" :: (if s.Registry.incremental <> None then [ "inc" ] else []))
-              @ (if s.Registry.reduction <> None then [ "red" ] else []))
-          in
-          Printf.printf "%-24s %8d %8d %6d  %-22s %s\n" s.Registry.id
-            fam.Framework.nvertices fam.Framework.input_bits
-            (Framework.cut_size fam) s.Registry.paper_ref engines)
-        (Registry.all (catalog ()))
-    end;
-    0
+      let rec rows = function
+        | [] -> 0
+        | s :: rest -> (
+            match s.Registry.scratch k with
+            | exception Invalid_argument msg ->
+                engine_error ~name:s.Registry.id ~k msg
+            | fam ->
+                let engines =
+                  String.concat "+"
+                    (("scratch"
+                     :: (if s.Registry.incremental <> None then [ "inc" ]
+                         else []))
+                    @ if s.Registry.reduction <> None then [ "red" ] else [])
+                in
+                Printf.printf "%-24s %8d %8d %6d  %-22s %s\n" s.Registry.id
+                  fam.Framework.nvertices fam.Framework.input_bits
+                  (Framework.cut_size fam) s.Registry.paper_ref engines;
+                rows rest)
+      in
+      rows (Registry.all (catalog ()))
+    end
   in
   let json_arg =
     let doc = "Dump the catalog as JSON (ids, paper refs, engine flags)." in
@@ -97,13 +117,6 @@ let samples_arg =
 let exhaustive_arg =
   let doc = "Verify all 4^K input pairs (K must be small)." in
   Arg.(value & flag & info [ "exhaustive" ] ~doc)
-
-(* An engine that cannot run at this k (a power-of-two check, a pair
-   space or table too large to enumerate) raises [Invalid_argument]: one
-   stderr line and exit 1, like an unknown family. *)
-let engine_error ~name ~k msg =
-  Printf.eprintf "family %S at k=%d: %s\n" name k msg;
-  1
 
 let verify_cmd =
   let run k name samples exhaustive incremental profile obs_out =
@@ -177,46 +190,50 @@ let simulate_cmd =
           "family %S has no reduction algorithm; families with one: %s\n" name
           (reduction_ids ());
         1
-    | Some ({ Registry.reduction = Some rd; _ } as s) ->
-        let fam = s.Registry.scratch k in
-        let rd = rd k in
-        let cut =
-          match rd.Registry.rd_partition with
-          | None -> Framework.cut_size fam
-          | Some partition ->
-              Array.length
-                (Framework.multicut_info fam ~partition).Framework.mc_edges
-        in
-        Printf.printf
-          "Simulating %s CONGEST on G_{x,y} (k=%d, n=%d, t=%d, cut=%d)\n"
-          s.Registry.id k fam.Framework.nvertices rd.Registry.rd_parties cut;
-        let connected x y =
-          match fam.Framework.build x y with
-          | Framework.Undirected g -> Ch_graph.Props.connected g
-          | Framework.Directed dg ->
-              Ch_graph.Props.connected (Ch_congest.Network.comm_graph dg)
-          | _ -> true
-        in
-        let all_ok = ref true in
-        for i = 0 to pairs - 1 do
-          let bits = fam.Framework.input_bits in
-          let x = Bits.random ~seed:(3 * i) ~density:0.7 bits in
-          let y = Bits.random ~seed:((3 * i) + 1) ~density:0.7 bits in
-          if not (connected x y) then
-            Printf.printf "  pair %2d: skipped (G_{x,y} disconnected)\n" i
-          else begin
-            let sim =
-              Framework.simulate_reduction ?partition:rd.Registry.rd_partition
-                fam ~solver:rd.Registry.rd_solver
-                ~accept:rd.Registry.rd_accept x y
+    | Some ({ Registry.reduction = Some rd; _ } as s) -> (
+        match (s.Registry.scratch k, rd k) with
+        | exception Invalid_argument msg -> engine_error ~name ~k msg
+        | fam, rd ->
+            let cut =
+              match rd.Registry.rd_partition with
+              | None -> Framework.cut_size fam
+              | Some partition ->
+                  Array.length
+                    (Framework.multicut_info fam ~partition).Framework.mc_edges
             in
-            if not sim.Framework.decision_correct then all_ok := false;
-            Printf.printf "  pair %2d: rounds=%4d  cut bits=%6d  %s\n" i
-              sim.Framework.rounds sim.Framework.cut_bits
-              (if sim.Framework.decision_correct then "correct" else "WRONG")
-          end
-        done;
-        if !all_ok then 0 else 1
+            Printf.printf
+              "Simulating %s CONGEST on G_{x,y} (k=%d, n=%d, t=%d, cut=%d)\n"
+              s.Registry.id k fam.Framework.nvertices rd.Registry.rd_parties
+              cut;
+            let connected x y =
+              match fam.Framework.build x y with
+              | Framework.Undirected g -> Ch_graph.Props.connected g
+              | Framework.Directed dg ->
+                  Ch_graph.Props.connected (Ch_congest.Network.comm_graph dg)
+              | _ -> true
+            in
+            let all_ok = ref true in
+            for i = 0 to pairs - 1 do
+              let bits = fam.Framework.input_bits in
+              let x = Bits.random ~seed:(3 * i) ~density:0.7 bits in
+              let y = Bits.random ~seed:((3 * i) + 1) ~density:0.7 bits in
+              if not (connected x y) then
+                Printf.printf "  pair %2d: skipped (G_{x,y} disconnected)\n" i
+              else begin
+                let sim =
+                  Framework.simulate_reduction
+                    ?partition:rd.Registry.rd_partition fam
+                    ~solver:rd.Registry.rd_solver ~accept:rd.Registry.rd_accept
+                    x y
+                in
+                if not sim.Framework.decision_correct then all_ok := false;
+                Printf.printf "  pair %2d: rounds=%4d  cut bits=%6d  %s\n" i
+                  sim.Framework.rounds sim.Framework.cut_bits
+                  (if sim.Framework.decision_correct then "correct"
+                   else "WRONG")
+              end
+            done;
+            if !all_ok then 0 else 1)
   in
   let sim_family_arg =
     let doc = "Family id (must carry a reduction algorithm)." in
@@ -329,7 +346,6 @@ let reduction_cmd =
    rule or stepper schedule — surfaces at the first differing round. *)
 let replay_cmd =
   let open Ch_reduction in
-  let open Ch_serve in
   let round_of line =
     match Jsonx.parse line with
     | Ok j -> Option.bind (Jsonx.mem "round" j) Jsonx.as_int
@@ -341,17 +357,7 @@ let replay_cmd =
         Printf.eprintf "%s\n" (Registry.unknown_id_message (catalog ()) name);
         1
     | Some s -> (
-        let recorded =
-          let ic = open_in trace_file in
-          let lines = ref [] in
-          (try
-             while true do
-               lines := input_line ic :: !lines
-             done
-           with End_of_file -> ());
-          close_in ic;
-          List.rev !lines
-        in
+        let recorded = read_lines trace_file in
         let sink, events = Trace.collector () in
         match
           Bound.sweep_registry ~trace:sink ~seed ~exhaustive ~samples:pairs s
@@ -363,7 +369,9 @@ let replay_cmd =
               name (reduction_ids ());
             1
         | Some _ -> (
-            let replayed = List.map Trace.to_json (events ()) in
+            let replayed =
+              List.map (fun e -> Jsonx.to_string (Trace.to_json e)) (events ())
+            in
             let rec diff i rec_lines rep_lines =
               match (rec_lines, rep_lines) with
               | [], [] ->
@@ -561,38 +569,14 @@ let sweep_cmd =
    and the trace id, so Spanview grafts the server's roots under the
    client span that contains them. *)
 let profile_from file =
-  let module Jsonx = Ch_serve.Jsonx in
-  let ic = open_in file in
-  let events = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       match Jsonx.parse line with
-       | Error _ -> ()
-       | Ok j -> (
-           let str n = Option.bind (Jsonx.mem n j) Jsonx.as_str in
-           let int n = Option.bind (Jsonx.mem n j) Jsonx.as_int in
-           match (str "ev", str "span", int "t_ns") with
-           | Some ("span_open" | "span_close"), Some sp, Some t ->
-               events :=
-                 {
-                   Ch_obs.Spanview.e_open = str "ev" = Some "span_open";
-                   e_span = sp;
-                   e_pid = Option.value (int "pid") ~default:0;
-                   e_domain = Option.value (int "domain") ~default:0;
-                   e_trace = str "trace";
-                   e_t_ns = Int64.of_int t;
-                 }
-                 :: !events
-           | _ -> ())
-     done
-   with End_of_file -> ());
-  close_in ic;
-  match List.rev !events with
-  | [] ->
+  match Ch_obs.Spanview.of_jsonl (read_lines file) with
+  | Error (lineno, msg) ->
+      Printf.eprintf "%s:%d: %s\n" file lineno msg;
+      1
+  | Ok [] ->
       Printf.eprintf "profile: %s holds no span events\n" file;
       1
-  | events ->
+  | Ok events ->
       let ts = List.map (fun e -> e.Ch_obs.Spanview.e_t_ns) events in
       let wall_ns =
         Int64.sub

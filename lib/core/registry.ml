@@ -84,33 +84,28 @@ let filter ?incremental ?reduction t =
       && flag reduction (s.reduction <> None))
     t.specs
 
-let json_escape s =
-  String.concat ""
-    (List.map
-       (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
 let to_json t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"families\": [\n";
-  List.iteri
-    (fun i s ->
-      let fam = s.scratch s.default_k in
-      let parties =
-        match s.reduction with
-        | None -> ""
-        | Some rd ->
-            Printf.sprintf ", \"parties\": %d" (rd s.default_k).rd_parties
-      in
-      Printf.bprintf buf
-        "    {\"id\": \"%s\", \"title\": \"%s\", \"paper_ref\": \"%s\", \
-         \"origin\": \"%s\", \"default_k\": %d, \"incremental\": %b, \
-         \"reduction\": %b%s, \"n\": %d, \"input_bits\": %d, \"cut\": %d}%s\n"
-        (json_escape s.id) (json_escape s.title) (json_escape s.paper_ref)
-        (json_escape s.origin) s.default_k (s.incremental <> None)
-        (s.reduction <> None) parties fam.Framework.nvertices
-        fam.Framework.input_bits (Framework.cut_size fam)
-        (if i < List.length t.specs - 1 then "," else ""))
-    t.specs;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+  let open Ch_json.Jsonx in
+  let family s =
+    let fam = s.scratch s.default_k in
+    let parties =
+      match s.reduction with
+      | None -> []
+      | Some rd -> [ ("parties", Int (rd s.default_k).rd_parties) ]
+    in
+    Obj
+      ([
+         ("id", Str s.id); ("title", Str s.title);
+         ("paper_ref", Str s.paper_ref); ("origin", Str s.origin);
+         ("default_k", Int s.default_k);
+         ("incremental", Bool (s.incremental <> None));
+         ("reduction", Bool (s.reduction <> None));
+       ]
+      @ parties
+      @ [
+          ("n", Int fam.Framework.nvertices);
+          ("input_bits", Int fam.Framework.input_bits);
+          ("cut", Int (Framework.cut_size fam));
+        ])
+  in
+  Obj [ ("families", Arr (List.map family t.specs)) ]

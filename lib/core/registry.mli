@@ -97,8 +97,9 @@ val unknown_id_message : t -> string -> string
 (** ["unknown family \"foo\"; valid ids: mds, maxis, ..."] — the error
     every consumer prints on a miss, so the valid ids are always shown. *)
 
-val to_json : t -> string
-(** The catalog dump behind [hardness list --json]: one object per spec
+val to_json : t -> Ch_json.Jsonx.t
+(** The catalog behind [hardness list --json] and the serve [catalog]
+    op: [{"families": [...]}] with one object per spec
     with [id], [title], [paper_ref], [origin], [default_k], [incremental]
     and [reduction] booleans (plus the reduction's [parties] when it has
     one), plus [n]/[input_bits]/[cut] measured on the scratch family at

@@ -27,44 +27,52 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
+(* the shorter of %.15g and %.17g that reads back equal; a decimal point
+   is forced so that a Float never reads back as an Int *)
 let float_repr f =
-  if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then
-    invalid_arg "Jsonx.to_string: nan/infinity";
-  let s = Printf.sprintf "%.17g" f in
-  (* keep Float distinct from Int on the wire: force a decimal point *)
-  if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
-  else s ^ ".0"
+  if not (Float.is_finite f) then invalid_arg "Jsonx: nan/infinity";
+  let s = Printf.sprintf "%.15g" f in
+  let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
+  if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
 
-let to_string v =
+let is_obj = function Obj _ -> true | _ -> false
+
+let render ~lines v =
   let buf = Buffer.create 256 in
+  let add = Buffer.add_string buf in
+  (* [f i x] prints element [i]; the commas go in between *)
+  let seq op cl xs f =
+    Buffer.add_char buf op;
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char buf ',';
+        f i x)
+      xs;
+    Buffer.add_char buf cl
+  in
   let rec go = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool true -> Buffer.add_string buf "true"
-    | Bool false -> Buffer.add_string buf "false"
-    | Int n -> Buffer.add_string buf (string_of_int n)
-    | Float f -> Buffer.add_string buf (float_repr f)
+    | Null -> add "null"
+    | Bool b -> add (string_of_bool b)
+    | Int n -> add (string_of_int n)
+    | Float f -> add (float_repr f)
     | Str s -> escape_string buf s
     | Arr xs ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_char buf ',';
+        seq '[' ']' xs (fun i x ->
+            if lines && is_obj x then add "\n" else if i > 0 then add " ";
             go x)
-          xs;
-        Buffer.add_char buf ']'
     | Obj fields ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, x) ->
-            if i > 0 then Buffer.add_char buf ',';
+        seq '{' '}' fields (fun i (k, x) ->
+            if i > 0 then add " ";
             escape_string buf k;
-            Buffer.add_char buf ':';
+            add ": ";
             go x)
-          fields;
-        Buffer.add_char buf '}'
   in
   go v;
+  if lines then add "\n";
   Buffer.contents buf
+
+let to_string v = render ~lines:false v
+let to_document v = render ~lines:true v
 
 (* ----------------------------------------------------------------- parse *)
 

@@ -8,6 +8,8 @@
      deterministic report (order-independent sums, name-sorted output).
    Hot paths touch only the enabled flag and domain-local state. *)
 
+module Jsonx = Ch_json.Jsonx
+
 let enabled_flag =
   ref
     (match Sys.getenv_opt "CH_OBS" with
@@ -215,16 +217,18 @@ let jsonl oc line =
    sweep workers would otherwise stamp their parent's pid. *)
 let emit_span_event ev sid st =
   if !sink <> None then
+    let open Jsonx in
+    let span = Str (locked_name span_names sid) in
+    let trace =
+      match st.dtrace with Some t -> [ ("trace", Str t) ] | None -> []
+    in
     emit
-      (Printf.sprintf
-         "{\"ev\": %S, \"span\": %S, \"domain\": %d, \"pid\": %d%s, \"t_ns\": %Ld}"
-         ev
-         (locked_name span_names sid)
-         st.ddomain (Unix.getpid ())
-         (match st.dtrace with
-         | Some t -> Printf.sprintf ", \"trace\": %S" t
-         | None -> "")
-         (Clock.now_ns ()))
+      (to_string
+         (Obj
+            ([ ("ev", Str ev); ("span", span); ("domain", Int st.ddomain);
+               ("pid", Int (Unix.getpid ())) ]
+            @ trace
+            @ [ ("t_ns", Int (Int64.to_int (Clock.now_ns ()))) ])))
 
 (* ---- spans ---- *)
 
@@ -573,58 +577,38 @@ end
 
 (* ---- rendering ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let report_json r =
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"enabled\": %b,\n\"counters\": [" r.r_enabled;
-  List.iteri
-    (fun i (name, v) ->
-      add "%s\n{\"name\": \"%s\", \"value\": %d}"
-        (if i = 0 then "" else ",")
-        (json_escape name) v)
-    r.r_counters;
-  add "\n],\n\"spans\": [";
-  let rec spans first = function
-    | [] -> ()
-    | sp :: rest ->
-        add "%s{\"name\": \"%s\", \"count\": %d, \"total_ns\": %Ld, \"children\": ["
-          (if first then "" else ", ")
-          (json_escape sp.sp_name) sp.sp_count sp.sp_ns;
-        spans true sp.sp_children;
-        add "]}";
-        spans false rest
+  let open Jsonx in
+  let rec span sp =
+    Obj
+      [
+        ("name", Str sp.sp_name); ("count", Int sp.sp_count);
+        ("total_ns", Int (Int64.to_int sp.sp_ns));
+        ("children", Arr (List.map span sp.sp_children));
+      ]
   in
-  spans true r.r_spans;
-  add "],\n\"histograms\": [";
-  List.iteri
-    (fun i h ->
-      add "%s\n{\"name\": \"%s\", \"count\": %d, \"sum\": %d, \"max\": %d, \"buckets\": ["
-        (if i = 0 then "" else ",")
-        (json_escape h.h_name) h.h_count h.h_sum h.h_max;
-      List.iteri
-        (fun j bk ->
-          add "%s{\"lo\": %d, \"hi\": %d, \"count\": %d}"
-            (if j = 0 then "" else ", ")
-            (max bk.b_lo 0) bk.b_hi bk.b_count)
-        h.h_buckets;
-      add "]}")
-    r.r_hists;
-  add "\n]}";
-  Buffer.contents b
+  let bucket bk =
+    Obj
+      [
+        ("lo", Int (max bk.b_lo 0)); ("hi", Int bk.b_hi);
+        ("count", Int bk.b_count);
+      ]
+  in
+  let hist h =
+    Obj
+      [
+        ("name", Str h.h_name); ("count", Int h.h_count); ("sum", Int h.h_sum);
+        ("max", Int h.h_max); ("buckets", Arr (List.map bucket h.h_buckets));
+      ]
+  in
+  let counter (name, v) = Obj [ ("name", Str name); ("value", Int v) ] in
+  Obj
+    [
+      ("enabled", Bool r.r_enabled);
+      ("counters", Arr (List.map counter r.r_counters));
+      ("spans", Arr (List.map span r.r_spans));
+      ("histograms", Arr (List.map hist r.r_hists));
+    ]
 
 let ms ns = Int64.to_float ns /. 1e6
 

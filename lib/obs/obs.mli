@@ -231,13 +231,14 @@ module Series : sig
       than two samples or an unknown name. *)
 end
 
-val report_json : report -> string
+val report_json : report -> Ch_json.Jsonx.t
 (** The report as one JSON object:
     [{"enabled": .., "counters": [{"name","value"}..],
       "spans": [{"name","count","total_ns","children"}..],
       "histograms": [{"name","count","sum","max","buckets"}..]}].
-    Each counter object is emitted on its own line so text tooling can
-    diff counter sets across runs. *)
+    Printed with {!Ch_json.Jsonx.to_document}, each counter object sits
+    on its own line, so text tooling can diff counter sets across
+    runs. *)
 
 val pp_profile : ?wall_ns:int64 -> Format.formatter -> report -> unit
 (** Render the span tree with durations and percentages (of [wall_ns]

@@ -1,10 +1,11 @@
 (* Span-tree reconstruction from a captured JSONL event stream.  The
    sink writes span_open/span_close events stamped with (pid, domain,
-   trace, t_ns); this module folds them back into the same shape
-   [Obs.report] produces live, including events from several processes
-   (a client and a daemon, a coordinator and its forked workers) in one
-   stream.  Parsing the JSONL itself is the caller's job — this module
-   only sees decoded events, so it stays free of any JSON dependency. *)
+   trace, t_ns); this module decodes them and folds them back into the
+   same shape [Obs.report] produces live, including events from several
+   processes (a client and a daemon, a coordinator and its forked
+   workers) in one stream. *)
+
+module Jsonx = Ch_json.Jsonx
 
 type event = {
   e_open : bool;
@@ -14,6 +15,36 @@ type event = {
   e_trace : string option;
   e_t_ns : int64;
 }
+
+(* ---- decoding: the inverse of Obs's span-event lines ---- *)
+
+let of_json j =
+  let str n = Option.bind (Jsonx.mem n j) Jsonx.as_str in
+  let int n = Option.bind (Jsonx.mem n j) Jsonx.as_int in
+  match (str "ev", str "span", int "t_ns") with
+  | Some (("span_open" | "span_close") as ev), Some sp, Some t ->
+      Some
+        {
+          e_open = ev = "span_open";
+          e_span = sp;
+          e_pid = Option.value (int "pid") ~default:0;
+          e_domain = Option.value (int "domain") ~default:0;
+          e_trace = str "trace";
+          e_t_ns = Int64.of_int t;
+        }
+  | _ -> None
+
+let of_jsonl lines =
+  let rec go lineno acc = function
+    | [] -> Ok (List.rev acc)
+    | line :: rest -> (
+        match Jsonx.parse line with
+        | Error msg -> Error (lineno, msg)
+        | Ok j ->
+            let acc = match of_json j with Some e -> e :: acc | None -> acc in
+            go (lineno + 1) acc rest)
+  in
+  go 1 [] lines
 
 (* completed span occurrence *)
 type tree = {

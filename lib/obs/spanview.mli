@@ -16,8 +16,9 @@
     One traced request therefore yields one tree spanning client,
     scheduler and engine.
 
-    Parsing JSON is the caller's job; this module has no JSON
-    dependency. *)
+    {!of_jsonl} is the one decoder of the span-event lines {!Obs}
+    writes; the CLI's [profile --from] and the tests read captures
+    through it. *)
 
 type event = {
   e_open : bool;  (** [span_open] vs [span_close] *)
@@ -27,6 +28,12 @@ type event = {
   e_trace : string option;
   e_t_ns : int64;
 }
+
+val of_jsonl : string list -> (event list, int * string) result
+(** The span events of a JSONL capture, in line order.  Lines that parse
+    but are not span events (a [serve_request] event, a reduction trace
+    event) are skipped.  [Error (lineno, msg)] names the first line
+    (1-based) that is not JSON, with {!Ch_json.Jsonx.parse}'s message. *)
 
 val forest : event list -> Obs.span_report list
 (** Aggregated span forest: same-name siblings merge (summed counts and

@@ -32,50 +32,32 @@ let tee a b e =
   a e;
   b e
 
-let to_json = function
-  | Msg
-      {
-        round;
-        sender;
-        target;
-        sender_part;
-        target_part;
-        bits;
-        cut;
-        edge;
-        cum_cut_bits;
-      } ->
-      Printf.sprintf
-        "{\"type\": \"msg\", \"round\": %d, \"sender\": %d, \"target\": %d, \
-         \"parts\": \"%d-%d\", \"bits\": %d, \"cut\": %b%s, \
-         \"cum_cut_bits\": %d}"
-        round sender target sender_part target_part bits cut
-        (match edge with
-        | Some i -> Printf.sprintf ", \"cut_edge\": %d" i
-        | None -> "")
-        cum_cut_bits
-  | Round
-      {
-        round;
-        cut_bits;
-        cut_messages;
-        internal_bits;
-        cum_cut_bits;
-        budget;
-        pair_bits;
-      } ->
-      Printf.sprintf
-        "{\"type\": \"round\", \"round\": %d, \"cut_bits\": %d, \
-         \"cut_messages\": %d, \"internal_bits\": %d, \"cum_cut_bits\": %d, \
-         \"budget\": %d, \"pair_bits\": {%s}}"
-        round cut_bits cut_messages internal_bits cum_cut_bits budget
-        (String.concat ", "
-           (List.map
-              (fun ((p, q), b) -> Printf.sprintf "\"%d-%d\": %d" p q b)
-              pair_bits))
+let to_json =
+  let open Ch_json.Jsonx in
+  function
+  | Msg m ->
+      let parts = Printf.sprintf "%d-%d" m.sender_part m.target_part in
+      Obj
+        ([
+           ("type", Str "msg"); ("round", Int m.round);
+           ("sender", Int m.sender); ("target", Int m.target);
+           ("parts", Str parts); ("bits", Int m.bits); ("cut", Bool m.cut);
+         ]
+        @ (match m.edge with Some i -> [ ("cut_edge", Int i) ] | None -> [])
+        @ [ ("cum_cut_bits", Int m.cum_cut_bits) ])
+  | Round r ->
+      let pair ((p, q), b) = (Printf.sprintf "%d-%d" p q, Int b) in
+      Obj
+        [
+          ("type", Str "round"); ("round", Int r.round);
+          ("cut_bits", Int r.cut_bits); ("cut_messages", Int r.cut_messages);
+          ("internal_bits", Int r.internal_bits);
+          ("cum_cut_bits", Int r.cum_cut_bits); ("budget", Int r.budget);
+          ("pair_bits", Obj (List.map pair r.pair_bits));
+        ]
 
 let jsonl oc e =
-  output_string oc (to_json e);
+  output_string oc (Ch_json.Jsonx.to_string (to_json e));
   output_char oc '\n'
 
 (* Retarget the trace onto the shared telemetry layer: counters and
@@ -103,4 +85,5 @@ let obs_sink e =
       Obs.observe h_round_cut_bits cut_bits);
   (* rendering the JSON line costs more than the counters above — skip
      it entirely unless an event stream is actually attached *)
-  if Obs.sink_installed () then Obs.emit (to_json e)
+  if Obs.sink_installed () then
+    Obs.emit (Ch_json.Jsonx.to_string (to_json e))

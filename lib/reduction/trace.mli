@@ -44,7 +44,10 @@ val collector : unit -> sink * (unit -> event list)
 
 val tee : sink -> sink -> sink
 
-val to_json : event -> string
+val to_json : event -> Ch_json.Jsonx.t
+(** Fields in a fixed order: [type], [round], then the event's own
+    fields as declared above, with [parts] and [pair_bits] keys spelled
+    ["p-q"]. *)
 
 val jsonl : out_channel -> sink
 (** One JSON object per line. *)

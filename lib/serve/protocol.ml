@@ -1,3 +1,5 @@
+open Ch_json
+
 type engine = Auto | Incremental | Scratch
 
 type vmode = Exhaustive | Sampled of { seed : int; samples : int }

@@ -21,6 +21,8 @@
     [message].  A frame that fails to parse at all yields a single
     response with [id: -1] and code [bad_request]. *)
 
+open Ch_json
+
 type engine = Auto | Incremental | Scratch
 
 type vmode = Exhaustive | Sampled of { seed : int; samples : int }

@@ -1,6 +1,7 @@
 (* no [open Ch_cc]: it exports its own [Protocol], which would shadow
    the serve wire protocol *)
 module Bits = Ch_cc.Bits
+module Jsonx = Ch_json.Jsonx
 module Framework = Ch_core.Framework
 module Registry = Ch_core.Registry
 module Families = Ch_lbgraphs.Families
@@ -306,27 +307,7 @@ let exec_sweep_status t ~family ~k ~shards ~vmode =
             ("snapshots", Jsonx.Int (List.length (Store.snapshot_slots st)));
           ] )
 
-let exec_catalog () =
-  let specs = Registry.all (Families.catalog ()) in
-  ( false,
-    Jsonx.Obj
-      [
-        ( "families",
-          Jsonx.Arr
-            (List.map
-               (fun s ->
-                 Jsonx.Obj
-                   [
-                     ("id", Jsonx.Str s.Registry.id);
-                     ("title", Jsonx.Str s.Registry.title);
-                     ("paper_ref", Jsonx.Str s.Registry.paper_ref);
-                     ("default_k", Jsonx.Int s.Registry.default_k);
-                     ( "incremental",
-                       Jsonx.Bool (s.Registry.incremental <> None) );
-                     ("reduction", Jsonx.Bool (s.Registry.reduction <> None));
-                   ])
-               specs) );
-      ] )
+let exec_catalog () = (false, Registry.to_json (Families.catalog ()))
 
 let exec_stats t =
   ( false,

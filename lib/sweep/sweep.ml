@@ -145,34 +145,28 @@ let run ?pool ?(procs = 1) ?store_dir ?fault_after
   in
   (* Compute pass. *)
   (if procs = 1 then begin
-     (* Fault injection must not abort the pool batch: [Pool.run] drains
-        every task even when one raises, so a raising task would still
-        let the remaining shards compute.  Instead the fault trips an
-        atomic flag and later tasks skip — in-flight shards finish and
-        persist, exactly like workers outliving a coordinator. *)
-     let interrupted = Atomic.make (fault_after = Some 0) in
-     let ncomputed = Atomic.make 0 in
+     (* Fault injection skips tasks by their position in the plan-ordered
+        pending list, so exactly the first [fault_after] pending shards
+        compute on any pool width.  [should_stop] (the CLI's signal flag)
+        trips an atomic instead: in-flight shards finish and persist,
+        later ones are skipped, and the run raises [Interrupted] — a
+        SIGTERM stops the sweep where it lands. *)
+     let skip pos =
+       match fault_after with Some f -> pos >= f | None -> false
+     in
+     let interrupted = Atomic.make false in
      Pool.run (pool ())
-       (List.map
-          (fun i _task ->
-            (* [should_stop] (the CLI's signal flag) trips the same
-               atomic as fault injection: in-flight shards finish and
-               persist, pending ones are skipped, the run raises
-               [Interrupted] — a SIGTERM behaves exactly like
-               --fault-after at the moment it lands. *)
+       (List.mapi
+          (fun pos i _task ->
             if (not (Atomic.get interrupted)) && should_stop () then
               Atomic.set interrupted true;
-            if not (Atomic.get interrupted) then begin
+            if not (skip pos || Atomic.get interrupted) then begin
               let v = compute_shard gen fam plan.(i) in
               blocks.(i) <- Some v;
               computed.(i) <- true;
-              (match store with
+              match store with
               | Some st -> Store.write_block st ~index:(Shard.index plan.(i)) v
-              | None -> ());
-              let n = 1 + Atomic.fetch_and_add ncomputed 1 in
-              match fault_after with
-              | Some f when n >= f -> Atomic.set interrupted true
-              | _ -> ()
+              | None -> ()
             end)
           pending)
    end

@@ -77,18 +77,19 @@ val run :
     its process; [run] itself only touches a pool on the [procs = 1]
     path.
 
-    [fault_after:s] is the crash-injection hook: the run stops once [s]
-    shards have been computed this run — in-flight shards still finish
-    and persist, pending ones are skipped — and raises {!Interrupted}.
-    Under [procs > 1] each worker stops after [s] shards and the parent
-    skips its recompute fallback, simulating killed workers.
+    [fault_after:s] is the crash-injection hook: the run computes (and
+    persists) exactly the first [s] pending shards in plan order, skips
+    the rest, and raises {!Interrupted} — on a pool of any width, since
+    a shard is skipped by its position, not by a count of finished
+    shards.  Under [procs > 1] each worker stops after [s] shards and
+    the parent skips its recompute fallback, simulating killed workers.
 
     [should_stop] is the cooperative-interrupt hook (the CLI points it
     at its SIGINT/SIGTERM flag): polled before each shard on the
-    single-process path and before each parent-side recompute, it trips
-    the same stop mechanism as [fault_after] — in-flight shards finish
-    and persist, the run raises {!Interrupted}, and a rerun against the
-    same store resumes where the signal landed.
+    single-process path and before each parent-side recompute — in-flight
+    shards finish and persist, later ones are skipped, the run raises
+    {!Interrupted}, and a rerun against the same store resumes where the
+    signal landed.
 
     @raise Invalid_argument on [procs < 1], [procs > 1] without
     [store_dir], or a plan outside the {!Shard} limits. *)

@@ -1,30 +1,41 @@
 (* Schema regression for the --json bench artifact: run a tiny smoke
-   experiment in a temp directory and check the BENCH_<ts>.json it
-   writes carries every field the perf-trajectory tooling reads,
-   including the cache counters and the incremental entries.  Then
-   cross-check it against the `hardness list --json` catalog dump:
-   the catalog's ids must be unique with non-empty paper refs, and
-   every verify/reduction bench entry must name a registered family. *)
+   experiment in a temp directory, parse the BENCH_<ts>.json it writes,
+   and look up the entries and fields the perf-trajectory tooling reads,
+   by section and entry name, including the cache counters and the
+   incremental entries.  Then cross-check it against the
+   `hardness list --json` catalog: the catalog's ids must be unique with
+   non-empty paper refs, and every verify/reduction/sweep bench entry
+   must name a registered family. *)
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
+module Jsonx = Ch_json.Jsonx
 
-(* every string value of ["key": "..."] occurrences, in order *)
-let string_values ~key body =
-  let marker = Printf.sprintf "\"%s\": \"" key in
-  let ml = String.length marker and bl = String.length body in
-  let rec go i acc =
-    if i + ml > bl then List.rev acc
-    else if String.sub body i ml = marker then begin
-      let start = i + ml in
-      let stop = String.index_from body start '"' in
-      go stop (String.sub body start (stop - start) :: acc)
-    end
-    else go (i + 1) acc
-  in
-  go 0 []
+let fail fmt = Printf.ksprintf failwith fmt
+let read_file file = In_channel.with_open_bin file In_channel.input_all
+
+let parse_file file =
+  match Jsonx.parse (read_file file) with
+  | Ok j -> j
+  | Error e -> fail "%s is not JSON: %s" file e
+
+let field name j =
+  match Jsonx.mem name j with
+  | Some v -> v
+  | None -> fail "missing %S in %s" name (Jsonx.to_string j)
+
+let get conv name j =
+  match conv (field name j) with
+  | Some v -> v
+  | None -> fail "%S has the wrong type in %s" name (Jsonx.to_string j)
+
+let arr = get Jsonx.as_arr
+let str = get Jsonx.as_str
+let has_fields j names = List.iter (fun n -> ignore (field n j)) names
+
+(* the entry of [section] whose [key] field is [name] *)
+let entry ?(key = "family") doc section name =
+  match List.find_opt (fun e -> str key e = name) (arr section doc) with
+  | Some e -> e
+  | None -> fail "section %S has no entry %s=%S" section key name
 
 let () =
   let exe = Filename.concat (Sys.getcwd ()) Sys.argv.(1) in
@@ -38,183 +49,172 @@ let () =
       (Filename.quote dir) (Filename.quote exe)
   in
   let rc = Sys.command cmd in
-  if rc <> 0 then failwith (Printf.sprintf "bench exited with %d" rc);
-  let json_files =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f ->
-           String.length f > 6
-           && String.sub f 0 6 = "BENCH_"
-           && Filename.check_suffix f ".json")
+  if rc <> 0 then fail "bench exited with %d" rc;
+  let doc =
+    match
+      List.filter
+        (fun f ->
+          String.starts_with ~prefix:"BENCH_" f
+          && Filename.check_suffix f ".json")
+        (Array.to_list (Sys.readdir dir))
+    with
+    | [ f ] -> parse_file (Filename.concat dir f)
+    | l -> fail "expected 1 BENCH_*.json, found %d" (List.length l)
   in
-  let file =
-    match json_files with
-    | [ f ] -> Filename.concat dir f
-    | l -> failwith (Printf.sprintf "expected 1 BENCH_*.json, found %d" (List.length l))
-  in
-  let ic = open_in file in
-  let len = in_channel_length ic in
-  let body = really_input_string ic len in
-  close_in ic;
-  let required =
-    [
-      "\"timestamp\":";
-      "\"jobs\":";
-      "\"experiments\":";
-      "\"name\": \"e17\"";
-      "\"wall_s\":";
-      "\"verify\":";
-      "\"family\": \"mds-k2-exhaustive\"";
-      "\"family\": \"mds-k2-exhaustive-inc\"";
-      (* --smoke still runs these two scratch sweeps, so their -inc
-         entries are differenced pair by pair *)
-      "\"family\": \"steiner-k2-exhaustive\"";
-      "\"family\": \"hampath-k2-exhaustive\"";
-      "\"family\": \"steiner-k2-exhaustive-inc\"";
-      "\"family\": \"maxcut-k2-exhaustive-inc\"";
-      "\"family\": \"hampath-k2-exhaustive-inc\"";
-      "\"pairs\":";
-      "\"pairs_per_s\":";
-      "\"wall_s_jobs1\":";
-      "\"speedup_vs_jobs1\":";
-      "\"cache_hits\":";
-      "\"cache_misses\":";
-      "\"speedup_vs_scratch\":";
-      "\"differential_ok\": true";
-      (* first-class search-effort totals, folded from the obs counters *)
-      "\"solver_nodes\":";
-      "\"solver_pruned\":";
-      "\"reduction\":";
-      "\"family\": \"mds-k2-reduction\"";
-      "\"family\": \"maxis-k2-reduction\"";
-      "\"family\": \"maxcut-k2-reduction\"";
-      (* the directed and multiparty reduction entries *)
-      "\"family\": \"hampath-k2-reduction\"";
-      "\"family\": \"bitgadget-k4-reduction\"";
-      "\"parties\": 2";
-      "\"parties\": 4";
-      "\"pairs_skipped\":";
-      "\"bits_per_round\":";
-      "\"cc_bits\":";
-      "\"lb_rounds\":";
-      "\"transcript_differential_ok\": true";
-      "\"decisions_ok\": true";
-      "\"within_budget\": true";
-      (* the sharded sweep-engine section *)
-      "\"sweep\":";
-      "\"family\": \"mds-k2-sweep-x4\"";
-      "\"family\": \"mds-k2-sweep-resume4\"";
-      "\"shards_completed\":";
-      "\"shards_resumed\":";
-      "\"shards_recomputed\":";
-      "\"artifacts_corrupt\":";
-      "\"name\": \"sweep.shards.completed\"";
-      (* the serve-daemon section: cold vs warm over a localhost socket *)
-      "\"serve\":";
-      "\"name\": \"serve-nwsteiner-k2-x\"";
-      "\"cold_s\":";
-      "\"warm_s\":";
-      "\"warm_speedup\":";
-      "\"warm_hit\": true";
-      "\"digest_ok\": true";
-      "\"name\": \"serve.requests\"";
-      (* the telemetry section: one report per bench entry, enabled by
-         default under --json *)
-      "\"obs\":";
-      "\"enabled\": true";
-      "\"counters\":";
-      "\"spans\":";
-      "\"histograms\":";
-      "\"name\": \"cache.domset.queries\"";
-      "\"name\": \"solver.domset.nodes\"";
-      "\"name\": \"reduction.rounds\"";
-      "\"name\": \"congest.bits\"";
-      "\"name\": \"core_build\"";
-      "\"total_ns\":";
-    ]
+  has_fields doc [ "timestamp"; "jobs" ];
+  has_fields (entry ~key:"name" doc "experiments" "e17") [ "wall_s" ];
+  (* solver_nodes/solver_pruned: first-class search-effort totals,
+     folded from the obs counters *)
+  List.iter
+    (fun name ->
+      has_fields (entry doc "verify" name)
+        [ "pairs"; "wall_s"; "pairs_per_s"; "wall_s_jobs1"; "speedup_vs_jobs1";
+          "cache_hits"; "cache_misses"; "solver_nodes"; "solver_pruned" ])
+    [ "mds-k2-exhaustive"; "mds-k2-exhaustive-inc"; "steiner-k2-exhaustive";
+      "hampath-k2-exhaustive"; "steiner-k2-exhaustive-inc";
+      "maxcut-k2-exhaustive-inc"; "hampath-k2-exhaustive-inc" ];
+  (* --smoke still runs these two scratch sweeps, so their -inc entries
+     are differenced pair by pair *)
+  List.iter
+    (fun name ->
+      has_fields (entry doc "verify" name)
+        [ "speedup_vs_scratch"; "differential_ok" ])
+    [ "steiner-k2-exhaustive-inc"; "hampath-k2-exhaustive-inc" ];
+  (* the reduction section, with the directed and multiparty entries *)
+  List.iter
+    (fun (name, parties) ->
+      let e = entry doc "reduction" name in
+      has_fields e
+        [ "pairs_skipped"; "bits_per_round"; "cc_bits"; "lb_rounds";
+          "transcript_differential_ok"; "decisions_ok"; "within_budget" ];
+      if get Jsonx.as_int "parties" e <> parties then
+        fail "%s: expected parties %d" name parties)
+    [ ("mds-k2-reduction", 2); ("maxis-k2-reduction", 2);
+      ("maxcut-k2-reduction", 2); ("hampath-k2-reduction", 2);
+      ("bitgadget-k4-reduction", 4) ];
+  (* the sharded sweep-engine section *)
+  List.iter
+    (fun name ->
+      has_fields (entry doc "sweep" name)
+        [ "shards_completed"; "shards_resumed"; "shards_recomputed";
+          "artifacts_corrupt" ])
+    [ "mds-k2-sweep-x4"; "mds-k2-sweep-resume4" ];
+  (* the serve-daemon section: cold vs warm over a localhost socket *)
+  has_fields
+    (entry ~key:"name" doc "serve" "serve-nwsteiner-k2-x")
+    [ "cold_s"; "warm_s"; "warm_speedup"; "warm_hit"; "digest_ok" ];
+  (* every differential, decision, budget and warm-hit flag of every
+     entry is true *)
+  List.iter
+    (fun section ->
+      List.iter
+        (function
+          | Jsonx.Obj fields as e ->
+              List.iter
+                (fun (k, v) ->
+                  if
+                    (String.ends_with ~suffix:"_ok" k
+                    || k = "within_budget" || k = "warm_hit")
+                    && v <> Jsonx.Bool true
+                  then fail "%s: %s is not true in %s" section k
+                      (Jsonx.to_string e))
+                fields
+          | _ -> fail "%s holds a non-object entry" section)
+        (arr section doc))
+    [ "verify"; "reduction"; "sweep"; "serve" ];
+  (* the telemetry section: one report per bench entry, enabled by
+     default under --json, whose counters show the entry's own work *)
+  let report name =
+    let r = field "report" (entry doc "obs" name) in
+    if field "enabled" r <> Jsonx.Bool true then
+      fail "obs report of %s is not enabled" name;
+    has_fields r [ "counters"; "spans"; "histograms" ];
+    r
   in
   List.iter
-    (fun needle ->
-      if not (contains ~needle body) then
-        failwith (Printf.sprintf "missing %s in %s:\n%s" needle file body))
-    required;
-  if contains ~needle:"\"differential_ok\": false" body then
-    failwith "differential mismatch reported in bench JSON";
-  if contains ~needle:"\"transcript_differential_ok\": false" body then
-    failwith "reduction transcript mismatch reported in bench JSON";
+    (fun (name, counters) ->
+      let cs = arr "counters" (report name) in
+      List.iter
+        (fun c ->
+          match List.find_opt (fun o -> str "name" o = c) cs with
+          | Some o when get Jsonx.as_int "value" o > 0 -> ()
+          | _ -> fail "%s: counter %s is missing or zero" name c)
+        counters)
+    [ ("mds-k2-exhaustive-inc",
+       [ "cache.domset.queries"; "solver.domset.nodes" ]);
+      ("mds-k2-reduction", [ "reduction.rounds"; "congest.bits" ]);
+      ("mds-k2-sweep-x4", [ "sweep.shards.completed" ]);
+      ("serve-nwsteiner-k2-x", [ "serve.requests" ]) ];
+  let rec has_span name sp =
+    has_fields sp [ "count"; "total_ns" ];
+    str "name" sp = name || List.exists (has_span name) (arr "children" sp)
+  in
+  if
+    not
+      (List.exists (has_span "core_build")
+         (arr "spans" (report "mds-k2-exhaustive-inc")))
+  then fail "mds-k2-exhaustive-inc: no core_build span";
   (* the registry catalog round-trip: `hardness list --json` *)
   let hardness = Filename.concat (Sys.getcwd ()) Sys.argv.(2) in
-  let cat_cmd =
-    Printf.sprintf "cd %s && %s list --json > catalog.json 2>> log.txt"
-      (Filename.quote dir) (Filename.quote hardness)
+  let rc =
+    Sys.command
+      (Printf.sprintf "cd %s && %s list --json > catalog.json 2>> log.txt"
+         (Filename.quote dir) (Filename.quote hardness))
   in
-  let rc = Sys.command cat_cmd in
-  if rc <> 0 then failwith (Printf.sprintf "hardness list --json exited with %d" rc);
-  let ic = open_in (Filename.concat dir "catalog.json") in
-  let cat = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  if not (contains ~needle:"\"families\":" cat) then
-    failwith "catalog missing \"families\"";
-  let ids = string_values ~key:"id" cat in
-  if ids = [] then failwith "catalog lists no families";
+  if rc <> 0 then fail "hardness list --json exited with %d" rc;
+  let families =
+    arr "families" (parse_file (Filename.concat dir "catalog.json"))
+  in
+  let ids = List.map (str "id") families in
+  if ids = [] then fail "catalog lists no families";
   if List.length (List.sort_uniq compare ids) <> List.length ids then
-    failwith "catalog ids are not unique";
-  let refs = string_values ~key:"paper_ref" cat in
-  if List.length refs <> List.length ids then
-    failwith "catalog: paper_ref count differs from id count";
-  List.iter (fun r -> if r = "" then failwith "catalog: empty paper_ref") refs;
-  (* every bench verify/reduction entry names a registered family: the
-     entry names are "<id>-k<k>-exhaustive[-inc]" / "<id>-k<k>-reduction" *)
+    fail "catalog ids are not unique";
+  List.iter
+    (fun f -> if str "paper_ref" f = "" then fail "catalog: empty paper_ref")
+    families;
+  (* every bench verify/reduction/sweep entry names a registered family:
+     the entry names are "<id>-k<k>-<workload>" *)
   let family_of_entry name =
     let rec strip i =
       if i < 0 then name
       else if
-        i + 2 <= String.length name
-        && String.sub name i 2 = "-k"
-        && i + 2 < String.length name
-        && name.[i + 2] >= '0'
-        && name.[i + 2] <= '9'
+        String.sub name i 2 = "-k" && name.[i + 2] >= '0' && name.[i + 2] <= '9'
       then String.sub name 0 i
       else strip (i - 1)
     in
-    strip (String.length name - 2)
-  in
-  let is_serve_entry name =
-    String.length name > 6 && String.sub name 0 6 = "serve-"
+    strip (String.length name - 3)
   in
   List.iter
-    (fun entry ->
-      if
-        entry <> ""
-        && (not (is_serve_entry entry))
-        && not (List.mem (family_of_entry entry) ids)
-      then
-        failwith
-          (Printf.sprintf "bench entry %S names unregistered family %S" entry
-             (family_of_entry entry)))
-    (string_values ~key:"family" body);
+    (fun section ->
+      List.iter
+        (fun e ->
+          let name = str "family" e in
+          if not (List.mem (family_of_entry name) ids) then
+            fail "bench entry %S names unregistered family %S" name
+              (family_of_entry name))
+        (arr section doc))
+    [ "verify"; "reduction"; "sweep" ];
   (* an engine that cannot run at this k fails with one stderr line
      naming the family, k and reason, and exit 1 — not an uncaught
      exception (exit 125) *)
   List.iter
-    (fun args ->
+    (fun (args, family, k) ->
       let rc =
         Sys.command
           (Printf.sprintf "cd %s && %s %s > /dev/null 2> err.txt"
              (Filename.quote dir) (Filename.quote hardness) args)
       in
-      let ic = open_in (Filename.concat dir "err.txt") in
-      let err = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      if rc <> 1 then
-        failwith (Printf.sprintf "hardness %s exited with %d:\n%s" args rc err);
+      let err = read_file (Filename.concat dir "err.txt") in
+      if rc <> 1 then fail "hardness %s exited with %d:\n%s" args rc err;
+      let prefix = Printf.sprintf "family %S at k=%d: " family k in
       match List.filter (( <> ) "") (String.split_on_char '\n' err) with
-      | [ line ] when contains ~needle:"family \"steiner\" at k=4: " line -> ()
+      | [ line ] when String.starts_with ~prefix line -> ()
       | _ ->
-          failwith
-            (Printf.sprintf
-               "hardness %s: expected one stderr line naming the family and k:\n%s"
-               args err))
-    [ "verify steiner -k 4 --incremental"; "profile steiner -k 4" ];
+          fail "hardness %s: expected one stderr line naming %s at k=%d:\n%s"
+            args family k err)
+    [ ("verify steiner -k 4 --incremental", "steiner", 4);
+      ("profile steiner -k 4", "steiner", 4); ("list -k 3", "mds", 3);
+      ("simulate mds -k 3", "mds", 3) ];
   (* cleanup *)
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir;

@@ -295,6 +295,43 @@ let test_spanview_join () =
       Alcotest.(check string) "inner kept" "inner" i.Obs.sp_name
   | _ -> Alcotest.fail "dangling opens not closed at stream end"
 
+(* The span-event decoder reads back what the sink wrote: the trace id
+   survives byte for byte, a line that is JSON but no span event is
+   skipped, and a corrupted line is reported by its line number. *)
+let test_spanview_decode () =
+  let trace = "t-caf\xc3\xa9\001\"\\" in
+  let lines = ref [] in
+  Obs.set_enabled true;
+  Obs.set_sink (Some (fun l -> lines := l :: !lines));
+  Obs.with_trace (Some trace) (fun () ->
+      Obs.with_span sp_outer (fun () -> Obs.with_span sp_inner ignore));
+  Obs.set_sink None;
+  let lines = List.rev !lines in
+  let decode lines =
+    match Ch_obs.Spanview.of_jsonl lines with
+    | Ok evs ->
+        List.map (fun e -> Ch_obs.Spanview.(e.e_open, e.e_span, e.e_trace)) evs
+    | Error (n, e) -> Alcotest.failf "line %d: %s" n e
+  in
+  let expected =
+    List.map
+      (fun (opened, span) -> (opened, span, Some trace))
+      [ (true, "test.outer"); (true, "test.inner"); (false, "test.inner");
+        (false, "test.outer") ]
+  in
+  let pp = Alcotest.(list (triple bool string (option string))) in
+  Alcotest.check pp "sink lines decode to the spans" expected (decode lines);
+  let other = {|{"ev": "serve_request", "op": "verify", "id": 1}|} in
+  Alcotest.check pp "non-span lines are skipped" expected
+    (decode (other :: lines));
+  let cut l = String.sub l 0 (String.length l / 2) in
+  match
+    Ch_obs.Spanview.of_jsonl
+      (List.mapi (fun i l -> if i = 2 then cut l else l) lines)
+  with
+  | Error (3, _) -> ()
+  | _ -> Alcotest.fail "the corrupted third line is not reported"
+
 let () =
   Alcotest.run "obs"
     [
@@ -324,5 +361,6 @@ let () =
         [
           Alcotest.test_case "cross-stream trace join" `Quick
             test_spanview_join;
+          Alcotest.test_case "jsonl decoder" `Quick test_spanview_decode;
         ] );
     ]

@@ -4,6 +4,7 @@ open Ch_congest
 open Ch_lbgraphs
 open Ch_solvers
 open Ch_reduction
+module Jsonx = Ch_json.Jsonx
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -102,9 +103,12 @@ let test_trace_json () =
   let _ = spec.Simulate.srun ~trace:sink (Bits.ones 4) (Bits.zeros 4) in
   List.iter
     (fun ev ->
-      let s = Trace.to_json ev in
-      check "json object" true
-        (String.length s > 2 && s.[0] = '{' && s.[String.length s - 1] = '}'))
+      let j = Trace.to_json ev in
+      let line = Jsonx.to_string j in
+      check "one line" false (String.contains line '\n');
+      check "line parses back" true (Jsonx.parse line = Ok j);
+      check "typed object" true
+        (Option.bind (Jsonx.mem "type" j) Jsonx.as_str <> None))
     (events ())
 
 (* ---- bandwidth accounting: msg_bits is honest for every algorithm ---- *)
@@ -346,8 +350,8 @@ let test_t2_wrapper_trace_identity () =
       check_int "same cut bits" t2.Simulate.cut_bits tp.Simulate.cut_bits;
       Alcotest.(check (list string))
         "identical event streams"
-        (List.map Trace.to_json (events2 ()))
-        (List.map Trace.to_json (eventsp ())))
+        (List.map (fun e -> Jsonx.to_string (Trace.to_json e)) (events2 ()))
+        (List.map (fun e -> Jsonx.to_string (Trace.to_json e)) (eventsp ())))
     [ 71; 72; 73 ]
 
 (* ---- the first genuinely multiparty workload ------------------------- *)

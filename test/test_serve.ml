@@ -8,6 +8,7 @@
 open Ch_core
 open Ch_sweep
 open Ch_serve
+module Jsonx = Ch_json.Jsonx
 module Cache = Ch_solvers.Cache
 module Obs = Ch_obs.Obs
 
@@ -131,7 +132,8 @@ let json_gen =
 let prop_json_roundtrip =
   QCheck.Test.make ~count:500 ~name:"jsonx print/parse roundtrip"
     (QCheck.make ~print:Jsonx.to_string json_gen) (fun j ->
-      Jsonx.parse (Jsonx.to_string j) = Ok j)
+      Jsonx.parse (Jsonx.to_string j) = Ok j
+      && Jsonx.parse (Jsonx.to_document j) = Ok j)
 
 (* strings that exercise every escape class, including the \uXXXX
    decoder with a surrogate pair *)
@@ -833,87 +835,74 @@ let test_http_get () =
    captured stream folds back into a tree rooted at serve_request. *)
 let test_trace_propagation () =
   Cache.clear ();
-  with_temp_dir (fun dir ->
-      let sock = Filename.concat dir "serve.sock" in
-      let obs_file = Filename.concat dir "obs.jsonl" in
-      let t =
-        Server.start
-          {
-            Server.cfg_addr = Server.Unix_socket sock;
-            cfg_workers = 1;
-            cfg_queue_depth = 8;
-            cfg_store_dir = None;
-            cfg_obs_out = Some obs_file;
-            cfg_sample_period_s = 0.;
-          }
-      in
-      (match Server.serve_batch t [ verify ~id:1 ~trace:"t-123" "mds" 2 ] with
-      | [ r ] -> ignore (body_exn r)
-      | _ -> Alcotest.fail "expected 1 response");
-      Server.stop t;
-      Obs.set_enabled false;
-      let lines =
-        let ic = open_in obs_file in
-        let ls = ref [] in
-        (try
-           while true do
-             ls := input_line ic :: !ls
-           done
-         with End_of_file -> ());
-        close_in ic;
-        List.rev !ls
-      in
-      let jmem name j = Jsonx.mem name j in
-      let jstr name j = Option.bind (jmem name j) Jsonx.as_str in
-      let jint name j = Option.bind (jmem name j) Jsonx.as_int in
-      let parsed =
-        List.filter_map
-          (fun l -> match Jsonx.parse l with Ok j -> Some j | Error _ -> None)
-          lines
-      in
-      (* the serve_request event carries the trace *)
-      Alcotest.(check bool)
-        "serve_request JSONL carries trace" true
-        (List.exists
-           (fun j ->
-             jstr "ev" j = Some "serve_request"
-             && jstr "trace" j = Some "t-123"
-             && jmem "queue_us" j <> None
-             && jmem "exec_us" j <> None)
-           parsed);
-      (* span events carry it too, and fold into a serve_request tree *)
-      let events =
-        List.filter_map
-          (fun j ->
-            match (jstr "ev" j, jstr "span" j, jint "t_ns" j) with
-            | Some (("span_open" | "span_close") as ev), Some sp, Some t ->
-                Some
-                  {
-                    Ch_obs.Spanview.e_open = ev = "span_open";
-                    e_span = sp;
-                    e_pid = Option.value (jint "pid" j) ~default:0;
-                    e_domain = Option.value (jint "domain" j) ~default:0;
-                    e_trace = jstr "trace" j;
-                    e_t_ns = Int64.of_int t;
-                  }
-            | _ -> None)
-          parsed
-      in
-      Alcotest.(check bool)
-        "a traced serve_request span_open exists" true
-        (List.exists
-           (fun e ->
-             e.Ch_obs.Spanview.e_open
-             && e.Ch_obs.Spanview.e_span = "serve_request"
-             && e.Ch_obs.Spanview.e_trace = Some "t-123")
-           events);
-      let report = Ch_obs.Spanview.to_report events in
-      let rec has_span name (sp : Obs.span_report) =
-        sp.Obs.sp_name = name || List.exists (has_span name) sp.Obs.sp_children
-      in
-      Alcotest.(check bool)
-        "stream folds into a serve_request tree" true
-        (List.exists (has_span "serve_request") report.Obs.r_spans))
+  (* a plain id, and one holding a UTF-8 pair, a control byte, a quote
+     and a backslash: every captured line must still be JSON *)
+  List.iter
+    (fun trace ->
+      with_temp_dir (fun dir ->
+          let sock = Filename.concat dir "serve.sock" in
+          let obs_file = Filename.concat dir "obs.jsonl" in
+          let t =
+            Server.start
+              {
+                Server.cfg_addr = Server.Unix_socket sock;
+                cfg_workers = 1;
+                cfg_queue_depth = 8;
+                cfg_store_dir = None;
+                cfg_obs_out = Some obs_file;
+                cfg_sample_period_s = 0.;
+              }
+          in
+          (match Server.serve_batch t [ verify ~id:1 ~trace "mds" 2 ] with
+          | [ r ] -> ignore (body_exn r)
+          | _ -> Alcotest.fail "expected 1 response");
+          Server.stop t;
+          Obs.set_enabled false;
+          let lines =
+            In_channel.with_open_text obs_file In_channel.input_lines
+          in
+          let jstr name j = Option.bind (Jsonx.mem name j) Jsonx.as_str in
+          let parsed =
+            List.map
+              (fun l ->
+                match Jsonx.parse l with
+                | Ok j -> j
+                | Error e -> Alcotest.failf "invalid JSONL line (%s): %s" e l)
+              lines
+          in
+          (* the serve_request event carries the trace *)
+          Alcotest.(check bool)
+            "serve_request JSONL carries trace" true
+            (List.exists
+               (fun j ->
+                 jstr "ev" j = Some "serve_request"
+                 && jstr "trace" j = Some trace
+                 && Jsonx.mem "queue_us" j <> None
+                 && Jsonx.mem "exec_us" j <> None)
+               parsed);
+          (* span events carry it too, and fold into a serve_request tree *)
+          let events =
+            match Ch_obs.Spanview.of_jsonl lines with
+            | Ok events -> events
+            | Error (n, e) -> Alcotest.failf "line %d: %s" n e
+          in
+          Alcotest.(check bool)
+            "a traced serve_request span_open exists" true
+            (List.exists
+               (fun e ->
+                 e.Ch_obs.Spanview.e_open
+                 && e.Ch_obs.Spanview.e_span = "serve_request"
+                 && e.Ch_obs.Spanview.e_trace = Some trace)
+               events);
+          let report = Ch_obs.Spanview.to_report events in
+          let rec has_span name (sp : Obs.span_report) =
+            sp.Obs.sp_name = name
+            || List.exists (has_span name) sp.Obs.sp_children
+          in
+          Alcotest.(check bool)
+            "stream folds into a serve_request tree" true
+            (List.exists (has_span "serve_request") report.Obs.r_spans)))
+    [ "t-123"; "t-caf\xc3\xa9\001\"\\" ]
 
 (* ---------------------------------------------------------------- *)
 

@@ -45,10 +45,10 @@ let dummy_fam k : Framework.t =
     f = (fun x y -> (Bits.popcount x + Bits.popcount y) mod 2 = 0);
   }
 
-(* Fault-injection counts are only exact under a serial schedule: with
-   a wider pool, shards already in flight when the fault trips still
-   finish (by design).  The determinism tests pin jobs=1. *)
+(* A jobs=1 pool spawns no domains, so tests on it stay legal before the
+   fork in the fanout suite; fault injection is exact on either pool. *)
 let serial = lazy (Pool.create ~jobs:1 ())
+let two_workers = lazy (Pool.create ~jobs:2 ())
 
 let tmp_counter = ref 0
 
@@ -177,16 +177,17 @@ let prop_permuted_merge =
         order;
       verdicts = Framework.exhaustive_verdicts fam)
 
-(* Interrupt a store-backed sweep after a random number of shards, then
-   resume: the merged stream is bit-identical to the one-shot oracle and
-   nothing already persisted is recomputed. *)
+(* Interrupt a store-backed sweep after a random number of shards, on a
+   one- or a two-worker pool, then resume: exactly [fault] shards were
+   persisted, the merged stream is bit-identical to the one-shot oracle
+   and nothing already persisted is recomputed. *)
 let prop_resume_any_point =
   QCheck.Test.make ~count:25 ~name:"resume from any fault point = oracle"
-    QCheck.(triple (int_range 1 4) (int_range 1 8) (int_range 0 8))
-    (fun (k, shards, fault) ->
+    QCheck.(quad (int_range 1 4) (int_range 1 8) (int_range 0 8) bool)
+    (fun (k, shards, fault, wide) ->
       let fam = dummy_fam k in
       let mode = Shard.Exhaustive in
-      let pool = Lazy.force serial in
+      let pool = Lazy.force (if wide then two_workers else serial) in
       with_temp_dir (fun dir ->
           let interrupted =
             match
