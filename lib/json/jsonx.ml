@@ -9,22 +9,34 @@ type t =
 
 (* ---------------------------------------------------------------- render *)
 
+(* ASCII is escaped as JSON requires.  Above it, a valid UTF-8 sequence
+   is copied (it re-encodes to the same bytes) and each byte that starts
+   no valid sequence becomes U+FFFD, so every printed document is valid
+   UTF-8. *)
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let rec go i =
+    if i < String.length s then
+      match s.[i] with
+      | '\x80' .. '\xff' ->
+          let d = String.get_utf_8_uchar s i in
+          Buffer.add_utf_8_uchar buf (Uchar.utf_decode_uchar d);
+          go (i + if Uchar.utf_decode_is_valid d then Uchar.utf_decode_length d else 1)
+      | c ->
+          (match c with
+          | '"' -> Buffer.add_string buf "\\\""
+          | '\\' -> Buffer.add_string buf "\\\\"
+          | '\n' -> Buffer.add_string buf "\\n"
+          | '\r' -> Buffer.add_string buf "\\r"
+          | '\t' -> Buffer.add_string buf "\\t"
+          | '\b' -> Buffer.add_string buf "\\b"
+          | '\012' -> Buffer.add_string buf "\\f"
+          | c when Char.code c < 0x20 ->
+              Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+          | c -> Buffer.add_char buf c);
+          go (i + 1)
+  in
+  go 0;
   Buffer.add_char buf '"'
 
 (* the shorter of %.15g and %.17g that reads back equal; a decimal point
@@ -185,6 +197,12 @@ let parse s =
            | _ -> fail "bad escape");
           loop ()
       | c when Char.code c < 0x20 -> fail "control character in string"
+      | '\x80' .. '\xff' ->
+          let d = String.get_utf_8_uchar s !pos in
+          if not (Uchar.utf_decode_is_valid d) then fail "invalid UTF-8 in string";
+          Buffer.add_utf_8_uchar buf (Uchar.utf_decode_uchar d);
+          pos := !pos + Uchar.utf_decode_length d;
+          loop ()
       | c ->
           Buffer.add_char buf c;
           advance ();

@@ -6,12 +6,15 @@
 
     It implements just enough of RFC 8259: the seven value forms, string
     escapes (including [\uXXXX], decoded to UTF-8), and integer/float
-    numbers.  The codec round-trips: [parse (to_string v)] returns
-    [Ok v] for every value this module can construct, with [Int]/[Float]
-    kept distinct ([Float] renders with a decimal point or exponent even
-    when integral).  Parsing is total — malformed input yields [Error],
-    never an exception — because the bytes may come straight off a
-    socket. *)
+    numbers.  Strings are UTF-8 on both sides: the printer writes each
+    byte that starts no valid UTF-8 sequence as U+FFFD, so every
+    document it prints is valid UTF-8, and the parser rejects invalid
+    UTF-8 inside a string.  The codec round-trips: [parse (to_string v)]
+    returns [Ok v] for every value whose strings are valid UTF-8, with
+    [Int]/[Float] kept distinct ([Float] renders with a decimal point or
+    exponent even when integral).  Parsing is total — malformed input
+    yields [Error], never an exception — because the bytes may come
+    straight off a socket. *)
 
 type t =
   | Null

@@ -251,8 +251,12 @@ let incremental ~k =
     prepare =
       (fun () ->
         let c = build_core ~k in
-        (* bitsets snapshot of the unpatched core *)
-        let hp = Ch_solvers.Cache.hampath_prepare c.cdg in
+        (* the pattern table of the unpatched core, over every arc an
+           input may add *)
+        let all = Bits.ones (k * k) in
+        let hp =
+          Ch_solvers.Cache.hampath_prepare c.cdg ~candidates:(input_arcs ~k all all)
+        in
         {
           Framework.pbuild = (fun x y -> Framework.Directed (apply_inputs c x y));
           pverdict =

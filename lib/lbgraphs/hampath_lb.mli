@@ -82,10 +82,16 @@ val path_family : k:int -> Ch_core.Framework.t
 (** Directed Hamiltonian path (Theorem 2.2). *)
 
 val incremental : k:int -> Ch_core.Framework.incremental
-(** Incremental descriptor for {!path_family}: shared core adjacency
-    bitsets ({!Ch_solvers.Cache.hampath_prepare}) patched copy-on-write
-    with the pair's {!input_arcs} instead of a fresh digraph build per
-    pair. *)
+(** Incremental descriptor for {!path_family}.  [prepare] builds the
+    pattern table of {!Ch_solvers.Cache.hampath_prepare} over the core
+    digraph, with the 2k² arcs of {!input_arcs} at every bit set as
+    candidates; each verdict is then a scan of the minimal patterns for
+    one inside the pair's {!input_arcs}, with no search.  At k = 2 the
+    table has 4 minimal patterns, one per (i, j): the arcs (a₁^i, a₂^j)
+    and (b₁^i, b₂^j), which is Claim 2.1.  At k ≥ 4 the pattern count is
+    over the cache's cap and [prepare] raises [Invalid_argument]; the
+    scratch family, a full search per pair, stays the oracle at every
+    k. *)
 
 val cycle_family : k:int -> Ch_core.Framework.t
 (** Directed Hamiltonian cycle: adds [middle] (Theorem 2.3). *)

@@ -44,57 +44,55 @@ module Tally = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Structural-hash memo                                               *)
+(* Memo                                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* Core tables are immutable once published, so concurrent verification
    chunks (one prepared instance per chunk) can share one computation.
-   Entries keep a snapshot of the keyed graph: a structural-hash
-   collision can then never serve wrong tables, and later in-place
+   A memo is generic in its key: [hash] picks the bucket, [equal]
+   re-checks the key in full, so a hash collision can never serve wrong
+   tables, and [freeze] copies it on insertion, so later in-place
    patching of the caller's graph cannot corrupt the key. *)
 module Memo = struct
-  type 'a entry = { eg : Graph.t; eaux : string; etables : 'a }
+  type ('k, 'a) t = {
+    lock : Mutex.t;
+    tbl : (int, ('k * 'a) list) Hashtbl.t;
+    hash : 'k -> int;
+    equal : 'k -> 'k -> bool;
+    freeze : 'k -> 'k;
+  }
 
-  type 'a t = { lock : Mutex.t; tbl : (int, 'a entry list) Hashtbl.t }
+  let create ~hash ~equal ~freeze =
+    { lock = Mutex.create (); tbl = Hashtbl.create 16; hash; equal; freeze }
 
-  let create () = { lock = Mutex.create (); tbl = Hashtbl.create 16 }
+  (* [Fun.protect] keeps the lock exception-safe: builders raise
+     [Invalid_argument] on oversized cores *)
+  let locked memo f =
+    Mutex.lock memo.lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock memo.lock) f
 
-  let probe memo ~graph ~aux ~hash =
-    List.find_opt
-      (fun e -> e.eaux = aux && Graph.equal_structure e.eg graph)
-      (Option.value ~default:[] (Hashtbl.find_opt memo.tbl hash))
+  let bucket memo h = Option.value ~default:[] (Hashtbl.find_opt memo.tbl h)
+  let probe memo h key = List.find_opt (fun (k, _) -> memo.equal k key) (bucket memo h)
+  let add memo h entry = Hashtbl.replace memo.tbl h (entry :: bucket memo h)
 
   (* [(tables, true)] on a memo hit, [(tables, false)] when this call
      computed them.  The build runs under the memo lock, so each unique
-     (graph, aux) key is built exactly once: racing domains would
-     otherwise duplicate the (expensive) build, and the duplicated
-     solver work would make the telemetry counters schedule-dependent.
-     Contention is negligible — builds are per-core, queries never take
-     this path.  [Fun.protect] keeps the lock exception-safe (builders
-     raise [Invalid_argument] on oversized cores). *)
-  let find_or_build memo ~graph ~aux ~build =
-    let hash = Props.structural_hash graph in
+     key is built exactly once: racing domains would otherwise duplicate
+     the (expensive) build, and the duplicated solver work would make
+     the telemetry counters schedule-dependent.  Contention is
+     negligible — builds are per-core, queries never take this path. *)
+  let find_or_build memo key ~build =
+    let h = memo.hash key in
     Obs.with_span sp_lookup (fun () ->
-        Mutex.lock memo.lock;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock memo.lock)
-          (fun () ->
-            match probe memo ~graph ~aux ~hash with
-            | Some e -> (e.etables, true)
+        locked memo (fun () ->
+            match probe memo h key with
+            | Some (_, tables) -> (tables, true)
             | None ->
                 let tables = Obs.with_span sp_build build in
-                let entry =
-                  { eg = Graph.copy graph; eaux = aux; etables = tables }
-                in
-                Hashtbl.replace memo.tbl hash
-                  (entry
-                  :: Option.value ~default:[] (Hashtbl.find_opt memo.tbl hash));
+                add memo h (memo.freeze key, tables);
                 (tables, false)))
 
-  let clear memo =
-    Mutex.lock memo.lock;
-    Hashtbl.reset memo.tbl;
-    Mutex.unlock memo.lock
+  let clear memo = locked memo (fun () -> Hashtbl.reset memo.tbl)
 
   (* Dump/merge hooks for [Cache.snapshot]/[Cache.restore].  [entries]
      orders buckets by hash so the dump bytes are a deterministic
@@ -102,24 +100,32 @@ module Memo = struct
      lock so restoring never shadows a table the process already built
      (nor duplicates one restored twice). *)
   let entries memo =
-    Mutex.lock memo.lock;
-    let l = Hashtbl.fold (fun h es acc -> (h, es) :: acc) memo.tbl [] in
-    Mutex.unlock memo.lock;
-    List.sort (fun (a, _) (b, _) -> compare (a : int) b) l
+    locked memo (fun () -> Hashtbl.fold (fun h es acc -> (h, es) :: acc) memo.tbl [])
+    |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
+    |> List.concat_map snd
 
-  let add_if_absent memo ~hash entry =
-    Mutex.lock memo.lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock memo.lock)
-      (fun () ->
-        match probe memo ~graph:entry.eg ~aux:entry.eaux ~hash with
+  let add_if_absent memo (key, tables) =
+    let h = memo.hash key in
+    locked memo (fun () ->
+        match probe memo h key with
         | Some _ -> false
         | None ->
-            Hashtbl.replace memo.tbl hash
-              (entry
-              :: Option.value ~default:[] (Hashtbl.find_opt memo.tbl hash));
+            add memo h (key, tables);
             true)
 end
+
+(* Graph cores key on their structure plus a string of the query
+   parameters; digraph cores key on an immutable value (vertex count,
+   sorted arcs, parameters), which needs no copy. *)
+type graph_key = Graph.t * string
+
+let graph_memo () : (graph_key, 'a) Memo.t =
+  Memo.create
+    ~hash:(fun (g, _) -> Props.structural_hash g)
+    ~equal:(fun (g, aux) (g', aux') -> aux = aux' && Graph.equal_structure g g')
+    ~freeze:(fun (g, aux) -> (Graph.copy g, aux))
+
+let value_memo () = Memo.create ~hash:Hashtbl.hash ~equal:( = ) ~freeze:Fun.id
 
 (* ------------------------------------------------------------------ *)
 (* Steiner: conditioned connectivity table over the volatile vertices *)
@@ -169,7 +175,7 @@ type steiner = {
   sc : Tally.t;
 }
 
-let steiner_memo : steiner_tables Memo.t = Memo.create ()
+let steiner_memo : (graph_key, steiner_tables) Memo.t = graph_memo ()
 let steiner_kind = Tally.kind "steiner"
 let c_steiner_scanned = Obs.counter "cache.steiner.subsets_scanned"
 let h_steiner_scanned = Obs.histogram "cache.steiner.subsets_scanned_per_query"
@@ -315,7 +321,7 @@ let steiner_prepare g ~terminals ~volatile ~cap =
   let ints l = String.concat "," (List.map string_of_int l) in
   let aux = ints terminals ^ ";" ^ string_of_int cap ^ ";" ^ ints volatile in
   let tables, was_hit =
-    Memo.find_or_build steiner_memo ~graph:g ~aux ~build:(fun () ->
+    Memo.find_or_build steiner_memo (g, aux) ~build:(fun () ->
         Tally.built steiner_kind;
         build_steiner_tables g ~terminals ~volatile ~cap)
   in
@@ -407,7 +413,7 @@ type maxcut_tables = {
 
 type maxcut = { mt : maxcut_tables; mc : Tally.t }
 
-let maxcut_memo : maxcut_tables Memo.t = Memo.create ()
+let maxcut_memo : (graph_key, maxcut_tables) Memo.t = graph_memo ()
 let maxcut_kind = Tally.kind "maxcut"
 
 let build_maxcut_tables g ~volatile =
@@ -428,7 +434,7 @@ let build_maxcut_tables g ~volatile =
 let maxcut_prepare g ~volatile =
   let aux = String.concat "," (List.map string_of_int volatile) in
   let tables, was_hit =
-    Memo.find_or_build maxcut_memo ~graph:g ~aux ~build:(fun () ->
+    Memo.find_or_build maxcut_memo (g, aux) ~build:(fun () ->
         Tally.built maxcut_kind;
         build_maxcut_tables g ~volatile)
   in
@@ -482,80 +488,144 @@ let maxcut_max ?stop_at c ~extra =
 let maxcut_stats c = Tally.stats c.mc
 
 (* ------------------------------------------------------------------ *)
-(* Hamiltonian paths: shared adjacency bitsets for one digraph core   *)
+(* Hamiltonian paths: minimal arc patterns over the candidate arcs    *)
 (* ------------------------------------------------------------------ *)
 
-(* The Theorem 2.2 digraph is ~97% fixed: input pairs add at most k²+k²
-   row-to-row arcs.  The snapshot here is the core's succ/pred bitsets;
-   a query copy-on-writes only the rows its extra arcs touch and runs
-   the search through Hamilton.directed_path_over — no per-pair digraph
-   rebuild, no per-pair full bitset conversion.  Digraphs have no
-   structural-hash module, so the memo keys on (n, sorted arcs). *)
+(* Inputs add arcs from a fixed candidate list to a fixed core digraph.
+   A Hamiltonian path leaves and enters each vertex at most once, so the
+   added arcs it uses form a pattern: candidates with pairwise distinct
+   tails and pairwise distinct heads, and the same path is one of core +
+   that pattern.  Adding arcs never removes a path.  So core + E has a
+   Hamiltonian path iff some minimal true pattern is a subset of E: the
+   table holds those as masks over the candidates, each with the path
+   its search found, and a query is a subset scan.
 
-type hampath_tables = { hn : int; hsucc : Bitset.t array; hpred : Bitset.t array }
+   The build searches the patterns by decreasing size, ties by mask, and
+   skips any pattern inside one already refuted, since deleting arcs
+   never creates a path.  For the Theorem 2.2 digraph at k = 2 that is
+   20 searches over 49 patterns, and the 4 minimal patterns left are
+   Claim 2.1's {(a1^i, a2^j), (b1^i, b2^j)}.  The cap keeps the build
+   bounded: k = 4 has 43 681 patterns, and one refutation there takes
+   minutes. *)
+
+type hampath_tables = {
+  hn : int;
+  hcands : int array;  (* the candidate arc u·n + v of each mask bit *)
+  hmasks : int array;  (* minimal true patterns, by (size, mask) *)
+  hpaths : int list array;  (* a Hamiltonian path of core + each pattern *)
+}
 
 type hampath = { ht : hampath_tables; hc : Tally.t }
+type hampath_key = int * (int * int * int) list * int array
 
-let hampath_lock = Mutex.create ()
+let hampath_memo : (hampath_key, hampath_tables) Memo.t = value_memo ()
 let hampath_kind = Tally.kind "hampath"
+let max_patterns = 4096
 
-let hampath_memo :
-    (int, ((int * (int * int * int) list) * hampath_tables) list) Hashtbl.t =
-  Hashtbl.create 16
+let popcount m =
+  let rec go acc m = if m = 0 then acc else go (acc + 1) (m land (m - 1)) in
+  go 0 m
 
-(* Like [Memo.find_or_build], the build runs under the lock so each
-   unique core is converted exactly once. *)
-let hampath_prepare dg =
-  let key = (Digraph.n dg, Digraph.arcs dg) in
-  let hash = Hashtbl.hash key in
-  Obs.with_span sp_lookup (fun () ->
-      Mutex.lock hampath_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock hampath_lock)
-        (fun () ->
-          match
-            List.assoc_opt key
-              (Option.value ~default:[] (Hashtbl.find_opt hampath_memo hash))
-          with
-          | Some tables ->
-              { ht = tables; hc = Tally.make hampath_kind ~was_hit:true }
-          | None ->
-              let tables =
-                Obs.with_span sp_build (fun () ->
-                    Tally.built hampath_kind;
-                    {
-                      hn = Digraph.n dg;
-                      hsucc = Digraph.succ_bitsets dg;
-                      hpred = Digraph.pred_bitsets dg;
-                    })
-              in
-              Hashtbl.replace hampath_memo hash
-                ((key, tables)
-                :: Option.value ~default:[]
-                     (Hashtbl.find_opt hampath_memo hash));
-              { ht = tables; hc = Tally.make hampath_kind ~was_hit:false }))
+let build_hampath_tables dg cands =
+  let n = Digraph.n dg and m = Array.length cands in
+  if m > Sys.int_size - 1 then
+    invalid_arg "Cache.hampath_prepare: candidate arcs do not fit one int mask";
+  let tail i = cands.(i) / n and head i = cands.(i) mod n in
+  (* the candidates sharing a tail or a head with each candidate *)
+  let conflict =
+    Array.init m (fun i ->
+        let c = ref 0 in
+        for j = 0 to m - 1 do
+          if j <> i && (tail j = tail i || head j = head i) then c := !c lor (1 lsl j)
+        done;
+        !c)
+  in
+  let patterns = ref [] and count = ref 0 in
+  let rec go i mask =
+    if i = m then begin
+      incr count;
+      if !count > max_patterns then
+        invalid_arg
+          (Printf.sprintf "Cache.hampath_prepare: more than %d arc patterns" max_patterns);
+      patterns := mask :: !patterns
+    end
+    else begin
+      go (i + 1) mask;
+      if mask land conflict.(i) = 0 then go (i + 1) (mask lor (1 lsl i))
+    end
+  in
+  go 0 0;
+  let succ0 = Digraph.succ_bitsets dg and pred0 = Digraph.pred_bitsets dg in
+  (* a pattern touches each succ and pred row at most once *)
+  let with_bit b x =
+    let b = Bitset.copy b in
+    Bitset.add b x;
+    b
+  in
+  let refuted = ref [] and found = ref [] in
+  List.sort (fun a b -> compare (popcount b, a) (popcount a, b)) !patterns
+  |> List.iter (fun p ->
+         if not (List.exists (fun r -> p land r = p) !refuted) then begin
+           let succ = Array.copy succ0 and pred = Array.copy pred0 in
+           for i = 0 to m - 1 do
+             if p land (1 lsl i) <> 0 then begin
+               succ.(tail i) <- with_bit succ0.(tail i) (head i);
+               pred.(head i) <- with_bit pred0.(head i) (tail i)
+             end
+           done;
+           match Hamilton.directed_path_over ~succ ~pred with
+           | None -> refuted := p :: !refuted
+           | Some path -> found := (p, path) :: !found
+         end);
+  let minimal =
+    List.filter
+      (fun (p, _) -> not (List.exists (fun (q, _) -> q <> p && q land p = q) !found))
+      !found
+    |> List.sort (fun (a, _) (b, _) -> compare (popcount a, a) (popcount b, b))
+  in
+  {
+    hn = n;
+    hcands = cands;
+    hmasks = Array.of_list (List.map fst minimal);
+    hpaths = Array.of_list (List.map snd minimal);
+  }
+
+let hampath_prepare dg ~candidates =
+  let n = Digraph.n dg in
+  let cands =
+    List.map
+      (fun (u, v) ->
+        if u < 0 || u >= n || v < 0 || v >= n then
+          invalid_arg "Cache.hampath_prepare: candidate arc out of range";
+        (u * n) + v)
+      candidates
+    |> List.sort_uniq compare |> Array.of_list
+  in
+  let tables, was_hit =
+    Memo.find_or_build hampath_memo (n, Digraph.arcs dg, cands) ~build:(fun () ->
+        Tally.built hampath_kind;
+        build_hampath_tables dg cands)
+  in
+  { ht = tables; hc = Tally.make hampath_kind ~was_hit }
 
 let hampath_directed_path c ~extra =
   Tally.query c.hc;
   let t = c.ht in
-  let succ = Array.copy t.hsucc and pred = Array.copy t.hpred in
-  let owned_s = Array.make t.hn false and owned_p = Array.make t.hn false in
-  let touch owned arr v =
-    if not owned.(v) then begin
-      owned.(v) <- true;
-      arr.(v) <- Bitset.copy arr.(v)
-    end
+  let n = t.hn in
+  let bit (u, v) =
+    if u < 0 || u >= n || v < 0 || v >= n then
+      invalid_arg "Cache.hampath_directed_path: arc out of range";
+    match Array.find_index (Int.equal ((u * n) + v)) t.hcands with
+    | Some i -> 1 lsl i
+    | None -> invalid_arg "Cache.hampath_directed_path: extra arc not a candidate"
   in
-  List.iter
-    (fun (u, v) ->
-      if u < 0 || u >= t.hn || v < 0 || v >= t.hn then
-        invalid_arg "Cache.hampath_directed_path: arc out of range";
-      touch owned_s succ u;
-      touch owned_p pred v;
-      Bitset.add succ.(u) v;
-      Bitset.add pred.(v) u)
-    extra;
-  Hamilton.directed_path_over ~succ ~pred
+  let mask = List.fold_left (fun acc a -> acc lor bit a) 0 extra in
+  let rec scan i =
+    if i = Array.length t.hmasks then None
+    else if t.hmasks.(i) land mask = t.hmasks.(i) then Some t.hpaths.(i)
+    else scan (i + 1)
+  in
+  scan 0
 
 let hampath_stats c = Tally.stats c.hc
 
@@ -598,7 +668,7 @@ type mis_tables = {
 
 type mis = { mi : mis_tables; mic : Tally.t }
 
-let mis_memo : mis_tables Memo.t = Memo.create ()
+let mis_memo : (graph_key, mis_tables) Memo.t = graph_memo ()
 let mis_kind = Tally.kind "mis"
 let mwis_kind = Tally.kind "mwis"
 let c_mis_evals = Obs.counter "cache.mis.entries_evaluated"
@@ -631,12 +701,7 @@ let mis_evaluator ~weighted g ~volatile =
       done;
       !wa
     end
-    else begin
-      let rec popcount acc m =
-        if m = 0 then acc else popcount (acc + (m land 1)) (m lsr 1)
-      in
-      popcount 0 mask
-    end
+    else popcount mask
   in
   let residual_of mask =
     let nbrs = Bitset.create n in
@@ -715,7 +780,7 @@ let build_mis_tables ?(weighted = false) g ~volatile =
 let mis_prepare g ~volatile =
   let aux = String.concat "," (List.map string_of_int volatile) in
   let tables, was_hit =
-    Memo.find_or_build mis_memo ~graph:g ~aux ~build:(fun () ->
+    Memo.find_or_build mis_memo (g, aux) ~build:(fun () ->
         Tally.built mis_kind;
         build_mis_tables g ~volatile)
   in
@@ -790,7 +855,7 @@ type mwis = mis
 let mwis_prepare g ~volatile =
   let aux = "w;" ^ String.concat "," (List.map string_of_int volatile) in
   let tables, was_hit =
-    Memo.find_or_build mis_memo ~graph:g ~aux ~build:(fun () ->
+    Memo.find_or_build mis_memo (g, aux) ~build:(fun () ->
         Tally.built mwis_kind;
         build_mis_tables ~weighted:true g ~volatile)
   in
@@ -823,7 +888,7 @@ type nwsteiner_tables = {
 
 type nwsteiner = { nwt : nwsteiner_tables; nwc : Tally.t }
 
-let nwsteiner_memo : nwsteiner_tables Memo.t = Memo.create ()
+let nwsteiner_memo : (graph_key, nwsteiner_tables) Memo.t = graph_memo ()
 let nwsteiner_kind = Tally.kind "nwsteiner"
 
 let build_nwsteiner_tables g ~terminals =
@@ -867,7 +932,7 @@ let nwsteiner_prepare g ~terminals =
     String.concat "," (List.map string_of_int (List.sort_uniq compare terminals))
   in
   let tables, was_hit =
-    Memo.find_or_build nwsteiner_memo ~graph:g ~aux ~build:(fun () ->
+    Memo.find_or_build nwsteiner_memo (g, aux) ~build:(fun () ->
         Tally.built nwsteiner_kind;
         build_nwsteiner_tables g ~terminals)
   in
@@ -906,8 +971,8 @@ let nwsteiner_stats c = Tally.stats c.nwc
    the pair), but the core's reversed-adjacency view is not: a query
    copies the row array and conses its extra arcs on the touched rows —
    the shared core rows are untouched tails — then runs
-   Steiner.directed_over.  Memoized like the hampath snapshot, on the
-   sorted arc list plus the query frame. *)
+   Steiner.directed_over.  Memoized on the sorted arc list plus the
+   query frame. *)
 
 type dsteiner_tables = {
   dsn : int;
@@ -917,45 +982,23 @@ type dsteiner_tables = {
 }
 
 type dsteiner = { dst : dsteiner_tables; dsc : Tally.t }
+type dsteiner_key = int * (int * int * int) list * int * int list
 
-let dsteiner_lock = Mutex.create ()
+let dsteiner_memo : (dsteiner_key, dsteiner_tables) Memo.t = value_memo ()
 let dsteiner_kind = Tally.kind "dsteiner"
-
-let dsteiner_memo :
-    (int, ((int * (int * int * int) list * int * int list) * dsteiner_tables) list)
-    Hashtbl.t =
-  Hashtbl.create 16
 
 let dsteiner_prepare dg ~root ~terminals =
   let terminals = List.sort_uniq compare terminals in
-  let key = (Digraph.n dg, Digraph.arcs dg, root, terminals) in
-  let hash = Hashtbl.hash key in
-  let probe () =
-    List.assoc_opt key
-      (Option.value ~default:[] (Hashtbl.find_opt dsteiner_memo hash))
+  let n = Digraph.n dg in
+  let tables, was_hit =
+    Memo.find_or_build dsteiner_memo (n, Digraph.arcs dg, root, terminals)
+      ~build:(fun () ->
+        Tally.built dsteiner_kind;
+        let rev = Array.make n [] in
+        Digraph.iter_arcs (fun u v w -> rev.(v) <- (u, w) :: rev.(v)) dg;
+        { dsn = n; dsrev = rev; dsroot = root; dsterms = terminals })
   in
-  Obs.with_span sp_lookup (fun () ->
-      Mutex.lock dsteiner_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock dsteiner_lock)
-        (fun () ->
-          match probe () with
-          | Some tables ->
-              { dst = tables; dsc = Tally.make dsteiner_kind ~was_hit:true }
-          | None ->
-              let tables =
-                Obs.with_span sp_build (fun () ->
-                    Tally.built dsteiner_kind;
-                    let n = Digraph.n dg in
-                    let rev = Array.make n [] in
-                    Digraph.iter_arcs (fun u v w -> rev.(v) <- (u, w) :: rev.(v)) dg;
-                    { dsn = n; dsrev = rev; dsroot = root; dsterms = terminals })
-              in
-              Hashtbl.replace dsteiner_memo hash
-                ((key, tables)
-                :: Option.value ~default:[]
-                     (Hashtbl.find_opt dsteiner_memo hash));
-              { dst = tables; dsc = Tally.make dsteiner_kind ~was_hit:false }))
+  { dst = tables; dsc = Tally.make dsteiner_kind ~was_hit }
 
 let dsteiner_cost ?cutoff c ~extra =
   Tally.query c.dsc;
@@ -979,14 +1022,14 @@ type domset_tables = { dn : int; dradius : int; dballs : Bitset.t array }
 
 type domset = { dt : domset_tables; dc : Tally.t }
 
-let domset_memo : domset_tables Memo.t = Memo.create ()
+let domset_memo : (graph_key, domset_tables) Memo.t = graph_memo ()
 let domset_kind = Tally.kind "domset"
 
 let domset_prepare g ~radius =
   if radius < 1 then invalid_arg "Cache.domset_prepare: radius must be >= 1";
   let aux = string_of_int radius in
   let tables, was_hit =
-    Memo.find_or_build domset_memo ~graph:g ~aux ~build:(fun () ->
+    Memo.find_or_build domset_memo (g, aux) ~build:(fun () ->
         Tally.built domset_kind;
         {
           dn = Graph.n g;
@@ -1031,40 +1074,37 @@ let domset_stats c = Tally.stats c.dc
 (* Snapshot / restore: persistable view of the marshal-safe memos     *)
 (* ------------------------------------------------------------------ *)
 
-(* Every memo family crosses the Marshal boundary.  The MIS/MWIS tables
-   hold a mutex and an evaluation closure, which cannot be marshalled
-   directly: they are projected to the marshal-safe arrays (masks, upper
-   bounds, the lazily-solved values) plus the frozen entry graph and aux
-   string, from which [restore] re-derives a fresh lock and evaluator —
-   so solved entries survive the round trip and unsolved ones stay lazy.
-   Buckets are hash-sorted and hampath/dsteiner entries key-sorted, so
-   identical memo contents marshal to identical bytes — which lets the
-   store checksum snapshots like any other block. *)
-type mis_entry_dump = {
-  dmi_g : Graph.t;  (** the entry's frozen core graph *)
-  dmi_aux : string;  (** ["w;"]-prefixed for MWIS, then the volatile list *)
+(* Every memo crosses the Marshal boundary as its hash-sorted entries,
+   so identical memo contents marshal to identical bytes — which lets
+   the store checksum snapshots like any other block.  The MIS/MWIS
+   tables hold a mutex and an evaluation closure, which cannot be
+   marshalled: they are projected to their arrays (masks, upper bounds,
+   the lazily-solved values), and [restore] re-derives a fresh lock and
+   evaluator from the entry's frozen graph and aux string — so solved
+   entries survive the round trip and unsolved ones stay lazy. *)
+type mis_dump = {
   dmi_masks : int array;
   dmi_ubs : int array;
   dmi_vals : int array;  (** -1 where still unsolved at snapshot time *)
 }
 
 type dump = {
-  dump_steiner : (int * steiner_tables Memo.entry list) list;
-  dump_maxcut : (int * maxcut_tables Memo.entry list) list;
-  dump_mis : (int * mis_entry_dump list) list;
-  dump_nwsteiner : (int * nwsteiner_tables Memo.entry list) list;
-  dump_domset : (int * domset_tables Memo.entry list) list;
-  dump_hampath : ((int * (int * int * int) list) * hampath_tables) list;
-  dump_dsteiner :
-    ((int * (int * int * int) list * int * int list) * dsteiner_tables) list;
+  dump_steiner : (graph_key * steiner_tables) list;
+  dump_maxcut : (graph_key * maxcut_tables) list;
+  dump_mis : (graph_key * mis_dump) list;
+  dump_nwsteiner : (graph_key * nwsteiner_tables) list;
+  dump_domset : (graph_key * domset_tables) list;
+  dump_hampath : (hampath_key * hampath_tables) list;
+  dump_dsteiner : (dsteiner_key * dsteiner_tables) list;
 }
 
 (* Bumped whenever a dumped table changes shape ("chcache2": the MIS/MWIS
    projection joined the dump; "chcache3": the Steiner table became the
-   volatile projection): an old snapshot fails the tag check cleanly
-   (reported corrupt by the sweep store, recomputed) instead of being
-   misparsed into the new type. *)
-let snapshot_tag = "chcache3"
+   volatile projection; "chcache4": one generic memo, and the hampath
+   table became minimal arc patterns): an old snapshot fails the tag
+   check cleanly (reported corrupt by the sweep store, recomputed)
+   instead of being misparsed into the new type. *)
+let snapshot_tag = "chcache4"
 
 (* The volatile list and weighted flag round-trip through the aux string
    the prepare functions key the memo with: ["w;"] marks MWIS, the rest
@@ -1082,86 +1122,47 @@ let parse_mis_aux aux =
   in
   (weighted, volatile)
 
-let dump_mis_entry (e : mis_tables Memo.entry) =
-  let t = e.Memo.etables in
-  {
-    dmi_g = e.Memo.eg;
-    dmi_aux = e.Memo.eaux;
-    dmi_masks = t.mi_masks;
-    dmi_ubs = t.mi_ubs;
-    (* copied under no lock: a racing lazy solve can only flip a cell
-       from -1 to its final value, and a stale -1 just re-solves after
-       restore *)
-    dmi_vals = Array.copy t.mi_vals;
-  }
+let dump_mis_entry (key, t) =
+  ( key,
+    {
+      dmi_masks = t.mi_masks;
+      dmi_ubs = t.mi_ubs;
+      (* copied under no lock: a racing lazy solve can only flip a cell
+         from -1 to its final value, and a stale -1 just re-solves after
+         restore *)
+      dmi_vals = Array.copy t.mi_vals;
+    } )
 
-let rebuild_mis_entry d =
-  let weighted, volatile = parse_mis_aux d.dmi_aux in
-  let vol_index, base_of, residual_of =
-    mis_evaluator ~weighted d.dmi_g ~volatile
-  in
-  {
-    Memo.eg = d.dmi_g;
-    eaux = d.dmi_aux;
-    etables =
-      {
-        mi_n = Graph.n d.dmi_g;
-        mi_vol_index = vol_index;
-        mi_masks = d.dmi_masks;
-        mi_ubs = d.dmi_ubs;
-        mi_vals = d.dmi_vals;
-        mi_lock = Mutex.create ();
-        mi_eval = (fun mask -> base_of mask + residual_of mask);
-      };
-  }
-
-let keyed_entries lock tbl =
-  Mutex.lock lock;
-  let l = Hashtbl.fold (fun _ es acc -> es @ acc) tbl [] in
-  Mutex.unlock lock;
-  List.sort (fun (a, _) (b, _) -> compare a b) l
+let rebuild_mis_entry (((g, aux) as key), d) =
+  let weighted, volatile = parse_mis_aux aux in
+  let vol_index, base_of, residual_of = mis_evaluator ~weighted g ~volatile in
+  ( key,
+    {
+      mi_n = Graph.n g;
+      mi_vol_index = vol_index;
+      mi_masks = d.dmi_masks;
+      mi_ubs = d.dmi_ubs;
+      mi_vals = d.dmi_vals;
+      mi_lock = Mutex.create ();
+      mi_eval = (fun mask -> base_of mask + residual_of mask);
+    } )
 
 let snapshot () =
   let dump =
     {
       dump_steiner = Memo.entries steiner_memo;
       dump_maxcut = Memo.entries maxcut_memo;
-      dump_mis =
-        List.map
-          (fun (hash, es) -> (hash, List.map dump_mis_entry es))
-          (Memo.entries mis_memo);
+      dump_mis = List.map dump_mis_entry (Memo.entries mis_memo);
       dump_nwsteiner = Memo.entries nwsteiner_memo;
       dump_domset = Memo.entries domset_memo;
-      dump_hampath = keyed_entries hampath_lock hampath_memo;
-      dump_dsteiner = keyed_entries dsteiner_lock dsteiner_memo;
+      dump_hampath = Memo.entries hampath_memo;
+      dump_dsteiner = Memo.entries dsteiner_memo;
     }
   in
   snapshot_tag ^ Marshal.to_string dump []
 
-let restore_memo memo dumped =
-  List.fold_left
-    (fun acc (hash, es) ->
-      List.fold_left
-        (fun acc e -> if Memo.add_if_absent memo ~hash e then acc + 1 else acc)
-        acc es)
-    0 dumped
-
-let restore_keyed lock tbl dumped =
-  Mutex.lock lock;
-  let added =
-    List.fold_left
-      (fun acc ((key, _) as kt) ->
-        let hash = Hashtbl.hash key in
-        let bucket = Option.value ~default:[] (Hashtbl.find_opt tbl hash) in
-        if List.mem_assoc key bucket then acc
-        else begin
-          Hashtbl.replace tbl hash (kt :: bucket);
-          acc + 1
-        end)
-      0 dumped
-  in
-  Mutex.unlock lock;
-  added
+let restore_memo memo entries =
+  List.fold_left (fun acc e -> if Memo.add_if_absent memo e then acc + 1 else acc) 0 entries
 
 let restore s =
   let tl = String.length snapshot_tag in
@@ -1175,10 +1176,7 @@ let restore s =
     (* the evaluator rebuild parses the aux string and indexes the frozen
        graph, so a snapshot with mangled entries fails here rather than
        poisoning the memo *)
-    try
-      List.map
-        (fun (hash, es) -> (hash, List.map rebuild_mis_entry es))
-        dump.dump_mis
+    try List.map rebuild_mis_entry dump.dump_mis
     with _ -> failwith "Cache.restore: unparseable snapshot"
   in
   restore_memo steiner_memo dump.dump_steiner
@@ -1186,8 +1184,8 @@ let restore s =
   + restore_memo mis_memo mis_rebuilt
   + restore_memo nwsteiner_memo dump.dump_nwsteiner
   + restore_memo domset_memo dump.dump_domset
-  + restore_keyed hampath_lock hampath_memo dump.dump_hampath
-  + restore_keyed dsteiner_lock dsteiner_memo dump.dump_dsteiner
+  + restore_memo hampath_memo dump.dump_hampath
+  + restore_memo dsteiner_memo dump.dump_dsteiner
 
 let clear () =
   Memo.clear steiner_memo;
@@ -1195,9 +1193,5 @@ let clear () =
   Memo.clear mis_memo;
   Memo.clear nwsteiner_memo;
   Memo.clear domset_memo;
-  Mutex.lock hampath_lock;
-  Hashtbl.reset hampath_memo;
-  Mutex.unlock hampath_lock;
-  Mutex.lock dsteiner_lock;
-  Hashtbl.reset dsteiner_memo;
-  Mutex.unlock dsteiner_lock
+  Memo.clear hampath_memo;
+  Memo.clear dsteiner_memo

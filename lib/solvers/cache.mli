@@ -6,14 +6,17 @@ open Ch_graph
     across the whole 2^K × 2^K input-pair space: only O(k) input edges
     vary per pair.  This module precomputes the solver work that depends
     on the core alone — Steiner connectivity tables, the conditioned
-    max-cut table, dominating-set balls — and answers per-pair queries
+    max-cut table, dominating-set balls, the minimal arc patterns of a
+    Hamiltonian path — and answers per-pair queries
     from those tables plus the input-edge delta, exactly matching the
     from-scratch solver results.
 
-    Prepared tables are memoized globally, keyed by
-    {!Props.structural_hash} of the core graph plus the query parameters
-    (with a full structural-equality re-check, so hash collisions cannot
-    serve wrong tables).  Tables are immutable once published and safe to
+    Prepared tables are memoized globally, all seven kinds in one memo
+    type that is generic in its key: a graph core keys on
+    {!Props.structural_hash} plus the query parameters, with a full
+    structural-equality re-check, so hash collisions cannot serve wrong
+    tables; a digraph core keys on its vertex count, sorted arc list and
+    query parameters.  Tables are immutable once published and safe to
     share across domains; the per-instance query scratch is not, so use
     one prepared instance per worker (the framework prepares one per
     verification chunk).
@@ -85,19 +88,32 @@ val maxcut_max : ?stop_at:int -> maxcut -> extra:(int * int * int) list -> int
 
 val maxcut_stats : maxcut -> stats
 
-(** {1 Hamiltonian paths: shared adjacency bitsets} *)
+(** {1 Hamiltonian paths: minimal arc patterns} *)
 
 type hampath
 
-val hampath_prepare : Digraph.t -> hampath
-(** Snapshot the core digraph's successor/predecessor bitsets, memoized
-    on (n, sorted arc list). *)
+val hampath_prepare : Digraph.t -> candidates:(int * int) list -> hampath
+(** Tabulate which sets of [candidates] — the arcs inputs may add to the
+    core digraph — give it a Hamiltonian path.  A {e pattern} is a set
+    of candidates with pairwise distinct tails and pairwise distinct
+    heads.  A Hamiltonian path of [core + extra] uses a pattern of
+    [extra] and is a path of [core + pattern] too, and adding arcs never
+    removes a path, so the table stores only the minimal true patterns,
+    each with the path its search found.  The build enumerates every
+    pattern and searches them through {!Hamilton.directed_path_over} by
+    decreasing size, skipping any pattern inside one already refuted.
+    It runs once per (core, candidates) under the memo lock, so the
+    [solver.hamilton.*] counters do not depend on the schedule.
+    @raise Invalid_argument when a candidate is out of range, there are
+    more candidates than bits in an int, or more than 4 096 patterns
+    (the Theorem 2.2 digraph has 49 at k = 2 and 43 681 at k = 4). *)
 
 val hampath_directed_path : hampath -> extra:(int * int) list -> int list option
-(** [Hamilton.directed_path] of [core + extra]: the shared bitsets are
-    patched copy-on-write on the rows the extra arcs touch, then searched
-    through {!Hamilton.directed_path_over}.  Extra arcs must stay in
-    range; duplicates of core arcs are harmless (bitset inserts). *)
+(** A Hamiltonian path of [core + extra], or [None]: the path stored
+    with the first minimal pattern inside [extra], so [None] exactly when
+    [Hamilton.directed_path] of [core + extra] is [None].  [extra] may
+    repeat arcs and may hold candidates that duplicate core arcs.
+    @raise Invalid_argument on an arc that is not a candidate. *)
 
 val hampath_stats : hampath -> stats
 
@@ -172,7 +188,7 @@ type dsteiner
 
 val dsteiner_prepare : Digraph.t -> root:int -> terminals:int list -> dsteiner
 (** Snapshot the core's reversed adjacency rows, memoized on
-    (n, sorted arc list, root, terminals) like {!hampath_prepare}. *)
+    (n, sorted arc list, root, terminals). *)
 
 val dsteiner_cost :
   ?cutoff:int -> dsteiner -> extra:(int * int * int) list -> int option
@@ -213,7 +229,7 @@ val clear : unit -> unit
     The sweep store ([Ch_sweep]) and the serve daemon ([Ch_serve])
     persist the memo tables, so a resumed sweep — or a freshly started
     server — begins from a previous run's core tables instead of
-    rebuilding them.  Snapshots carry all seven memo families: the
+    rebuilding them.  Snapshots carry all seven memos: the
     MIS/MWIS tables, whose live form holds a mutex and an evaluation
     closure, are projected to their marshal-safe arrays (masks, bounds,
     lazily-solved values) and {!restore} re-derives a fresh lock and
@@ -222,8 +238,8 @@ val clear : unit -> unit
 
 val snapshot : unit -> string
 (** A self-contained byte string of the current marshal-safe memo
-    contents, deterministic in those contents (buckets and keyed entries
-    are sorted). *)
+    contents, deterministic in those contents (entries are sorted by
+    key hash). *)
 
 val restore : string -> int
 (** Merge a {!snapshot} back in, keeping any table the process already

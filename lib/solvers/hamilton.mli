@@ -10,9 +10,9 @@ val directed_path : Digraph.t -> int list option
 val directed_path_over : succ:Bitset.t array -> pred:Bitset.t array -> int list option
 (** {!directed_path} straight over adjacency bitsets (vertex [v]'s
     out-neighbors in [succ.(v)], in-neighbors in [pred.(v)]) — the entry
-    point for callers that patch shared core bitsets per query instead of
-    rebuilding a digraph ({!Cache.hampath_directed_path}).  The arrays are
-    only read. *)
+    point for callers that patch shared core bitsets instead of
+    rebuilding a digraph, as {!Cache.hampath_prepare} does per arc
+    pattern.  The arrays are only read. *)
 
 val directed_path_between : Digraph.t -> src:int -> dst:int -> int list option
 

@@ -213,6 +213,7 @@ let () =
           fail "hardness %s: expected one stderr line naming %s at k=%d:\n%s"
             args family k err)
     [ ("verify steiner -k 4 --incremental", "steiner", 4);
+      ("verify hampath -k 4 --incremental", "hampath", 4);
       ("profile steiner -k 4", "steiner", 4); ("list -k 3", "mds", 3);
       ("simulate mds -k 3", "mds", 3) ];
   (* cleanup *)

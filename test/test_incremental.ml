@@ -249,6 +249,54 @@ let test_steiner_non_volatile () =
     (Invalid_argument "Cache.steiner_min_extra: extra edge endpoint not volatile")
     (fun () -> ignore (Cache.steiner_min_extra c ~extra:[ (1, 3); (0, 2) ]))
 
+(* The pattern table against a full search of core + extra.  Candidates
+   are drawn from every ordered pair, so they share tails and heads and
+   some duplicate core arcs; [extra] is a random subset of them, given
+   twice over in every third draw.  At most 10 candidates keep the
+   pattern count under the cap.  Three queries share one table. *)
+let prop_hampath_cache =
+  QCheck.Test.make ~count:200 ~name:"Cache.hampath_directed_path = Hamilton.directed_path"
+    QCheck.(pair (int_range 2 8) (int_range 0 10_000))
+    (fun (n, seed) ->
+      let core = Gen.random_digraph ~seed n 0.25 in
+      let st = Random.State.make [| seed; n |] in
+      let pairs =
+        List.concat_map
+          (fun u -> List.filter_map (fun v -> if u <> v then Some (u, v) else None) (List.init n Fun.id))
+          (List.init n Fun.id)
+      in
+      let candidates =
+        List.filteri (fun i _ -> i < 10) (List.filter (fun _ -> Random.State.int st 3 = 0) pairs)
+      in
+      Cache.clear ();
+      let c = Cache.hampath_prepare core ~candidates in
+      List.for_all
+        (fun salt ->
+          let extra = List.filter (fun _ -> Random.State.bool st) candidates in
+          let extra = if (seed + salt) mod 3 = 0 then extra @ extra else extra in
+          let g = Digraph.copy core in
+          List.iter (fun (u, v) -> if not (Digraph.mem_arc g u v) then Digraph.add_arc g u v) extra;
+          match (Cache.hampath_directed_path c ~extra, Ch_solvers.Hamilton.directed_path g) with
+          | Some p, Some _ -> Ch_solvers.Hamilton.is_directed_path g p
+          | None, None -> true
+          | _ -> false)
+        [ 1; 2; 3 ])
+
+let test_hampath_guards () =
+  Cache.clear ();
+  let c = Cache.hampath_prepare (Digraph.of_arcs 3 [ (0, 1) ]) ~candidates:[ (1, 2); (2, 0) ] in
+  Alcotest.(check (option (list int))) "no extra arc" None (Cache.hampath_directed_path c ~extra:[]);
+  Alcotest.(check (option (list int)))
+    "a candidate completes the path" (Some [ 0; 1; 2 ])
+    (Cache.hampath_directed_path c ~extra:[ (1, 2) ]);
+  Alcotest.check_raises "non-candidate arc"
+    (Invalid_argument "Cache.hampath_directed_path: extra arc not a candidate")
+    (fun () -> ignore (Cache.hampath_directed_path c ~extra:[ (1, 2); (2, 1) ]));
+  (* 43 681 patterns at k = 4: the cap refuses the table before any search *)
+  Alcotest.check_raises "k = 4 prepare"
+    (Invalid_argument "Cache.hampath_prepare: more than 4096 arc patterns")
+    (fun () -> ignore ((Hampath_lb.incremental ~k:4).Framework.prepare ()))
+
 let prop_maxcut_cache =
   QCheck.Test.make ~count:60 ~name:"Cache.maxcut_max = Maxcut.max_cut"
     QCheck.(pair (int_range 2 9) (int_range 0 10_000))
@@ -419,6 +467,9 @@ let () =
           qt prop_steiner_cache;
           Alcotest.test_case "steiner non-volatile endpoint" `Quick
             test_steiner_non_volatile;
+          qt prop_hampath_cache;
+          Alcotest.test_case "hampath non-candidate arc and k = 4 cap" `Quick
+            test_hampath_guards;
           qt prop_maxcut_cache;
           qt prop_mis_cache;
           qt prop_domset_cache;

@@ -103,7 +103,31 @@ let oracle_digest id k ~mode =
 (* Jsonx: printer/parser round-trip                                 *)
 (* ---------------------------------------------------------------- *)
 
-let json_gen =
+(* valid UTF-8: scalars of every encoded length, control characters
+   included, surrogates excluded *)
+let utf8_string =
+  let open QCheck.Gen in
+  let scalar =
+    oneof
+      [
+        int_range 0 0x7f;
+        int_range 0x80 0x7ff;
+        int_range 0x800 0xd7ff;
+        int_range 0xe000 0xffff;
+        int_range 0x10000 0x10ffff;
+      ]
+  in
+  map
+    (fun cps ->
+      let b = Buffer.create 16 in
+      List.iter (fun c -> Buffer.add_utf_8_uchar b (Uchar.of_int c)) cps;
+      Buffer.contents b)
+    (list_size (int_bound 8) scalar)
+
+let byte_string = QCheck.Gen.(string_size ~gen:char (int_bound 12))
+
+(* documents whose strings and keys are drawn from [str] *)
+let json_gen str =
   let open QCheck.Gen in
   let leaf =
     oneof
@@ -112,7 +136,7 @@ let json_gen =
         map (fun b -> Jsonx.Bool b) bool;
         map (fun i -> Jsonx.Int i) (int_range (-1_000_000_000) 1_000_000_000);
         map (fun f -> Jsonx.Float f) (float_range (-1e9) 1e9);
-        map (fun s -> Jsonx.Str s) (string_size ~gen:printable (int_bound 12));
+        map (fun s -> Jsonx.Str s) str;
       ]
   in
   sized
@@ -125,15 +149,21 @@ let json_gen =
                map (fun l -> Jsonx.Arr l) (list_size (int_bound 4) (self (n / 2)));
                map
                  (fun l -> Jsonx.Obj l)
-                 (list_size (int_bound 4)
-                    (pair (string_size ~gen:printable (int_bound 8)) (self (n / 2))));
+                 (list_size (int_bound 4) (pair str (self (n / 2))));
              ])
 
 let prop_json_roundtrip =
   QCheck.Test.make ~count:500 ~name:"jsonx print/parse roundtrip"
-    (QCheck.make ~print:Jsonx.to_string json_gen) (fun j ->
+    (QCheck.make ~print:Jsonx.to_string (json_gen utf8_string)) (fun j ->
       Jsonx.parse (Jsonx.to_string j) = Ok j
       && Jsonx.parse (Jsonx.to_document j) = Ok j)
+
+let prop_json_bytes =
+  QCheck.Test.make ~count:500 ~name:"jsonx prints any bytes as valid UTF-8"
+    (QCheck.make ~print:Jsonx.to_string (json_gen byte_string)) (fun j ->
+      List.for_all
+        (fun doc -> String.is_valid_utf_8 doc && Result.is_ok (Jsonx.parse doc))
+        [ Jsonx.to_string j; Jsonx.to_document j ])
 
 (* strings that exercise every escape class, including the \uXXXX
    decoder with a surrogate pair *)
@@ -339,6 +369,7 @@ let test_request_decode_rejects () =
       {|{"requests": [{"id": 1}]}|};
       {|{"requests": [{"id": 1, "op": "no-such-op"}]}|};
       {|{"requests": [{"id": 1, "op": "verify", "family": "mds"}]}|};
+      "{\"requests\": [{\"id\": 1, \"op\": \"ping\", \"trace\": \"t-\xff\"}]}";
     ]
 
 (* ---------------------------------------------------------------- *)
@@ -830,15 +861,27 @@ let test_http_get () =
           | [ r ] -> ignore (body_exn r)
           | _ -> Alcotest.fail "expected 1 response"))
 
-(* End-to-end trace: a traced request's span events and its
-   serve_request JSONL line all carry the client-chosen id, and the
-   captured stream folds back into a tree rooted at serve_request. *)
+(* End-to-end trace: a client's span events, the traced request's span
+   events and its serve_request JSONL line all carry the client-chosen
+   id, and the captured stream folds back into a tree rooted at
+   serve_request.  The client runs in this process, so its events land
+   in the daemon's capture, as a concatenated client + daemon capture
+   would. *)
 let test_trace_propagation () =
   Cache.clear ();
-  (* a plain id, and one holding a UTF-8 pair, a control byte, a quote
-     and a backslash: every captured line must still be JSON *)
+  (* a plain id; one holding a UTF-8 pair, a control byte, a quote and a
+     backslash; and one holding a byte that starts no UTF-8 sequence:
+     every captured line must still be valid UTF-8 and JSON *)
   List.iter
     (fun trace ->
+      (* the id as every line spells it: the printer writes the stray
+         byte as U+FFFD, and valid ids come back byte-equal *)
+      let expect =
+        match Jsonx.parse (Jsonx.to_string (Jsonx.Str trace)) with
+        | Ok (Jsonx.Str s) -> s
+        | _ -> Alcotest.fail "trace id does not round-trip"
+      in
+      if String.is_valid_utf_8 trace then Alcotest.(check string) "id read back" trace expect;
       with_temp_dir (fun dir ->
           let sock = Filename.concat dir "serve.sock" in
           let obs_file = Filename.concat dir "obs.jsonl" in
@@ -853,9 +896,15 @@ let test_trace_propagation () =
                 cfg_sample_period_s = 0.;
               }
           in
-          (match Server.serve_batch t [ verify ~id:1 ~trace "mds" 2 ] with
-          | [ r ] -> ignore (body_exn r)
-          | _ -> Alcotest.fail "expected 1 response");
+          let c = Client.connect ~retries:20 (Server.Unix_socket sock) in
+          Fun.protect
+            ~finally:(fun () -> Client.close c)
+            (fun () ->
+              Obs.with_trace (Some trace) (fun () ->
+                  Obs.with_span (Obs.span "client_request") (fun () ->
+                      match Client.roundtrip c [ verify ~id:1 ~trace "mds" 2 ] with
+                      | [ r ] -> ignore (body_exn r)
+                      | _ -> Alcotest.fail "expected 1 response")));
           Server.stop t;
           Obs.set_enabled false;
           let lines =
@@ -865,6 +914,8 @@ let test_trace_propagation () =
           let parsed =
             List.map
               (fun l ->
+                if not (String.is_valid_utf_8 l) then
+                  Alcotest.failf "invalid UTF-8 line: %S" l;
                 match Jsonx.parse l with
                 | Ok j -> j
                 | Error e -> Alcotest.failf "invalid JSONL line (%s): %s" e l)
@@ -876,24 +927,29 @@ let test_trace_propagation () =
             (List.exists
                (fun j ->
                  jstr "ev" j = Some "serve_request"
-                 && jstr "trace" j = Some trace
+                 && jstr "trace" j = Some expect
                  && Jsonx.mem "queue_us" j <> None
                  && Jsonx.mem "exec_us" j <> None)
                parsed);
-          (* span events carry it too, and fold into a serve_request tree *)
+          (* client and daemon span events carry it too, and fold into a
+             serve_request tree *)
           let events =
             match Ch_obs.Spanview.of_jsonl lines with
             | Ok events -> events
             | Error (n, e) -> Alcotest.failf "line %d: %s" n e
           in
-          Alcotest.(check bool)
-            "a traced serve_request span_open exists" true
-            (List.exists
-               (fun e ->
-                 e.Ch_obs.Spanview.e_open
-                 && e.Ch_obs.Spanview.e_span = "serve_request"
-                 && e.Ch_obs.Spanview.e_trace = Some trace)
-               events);
+          List.iter
+            (fun span ->
+              Alcotest.(check bool)
+                (Printf.sprintf "a traced %s span_open exists" span)
+                true
+                (List.exists
+                   (fun e ->
+                     e.Ch_obs.Spanview.e_open
+                     && e.Ch_obs.Spanview.e_span = span
+                     && e.Ch_obs.Spanview.e_trace = Some expect)
+                   events))
+            [ "client_request"; "serve_request" ];
           let report = Ch_obs.Spanview.to_report events in
           let rec has_span name (sp : Obs.span_report) =
             sp.Obs.sp_name = name
@@ -902,7 +958,7 @@ let test_trace_propagation () =
           Alcotest.(check bool)
             "stream folds into a serve_request tree" true
             (List.exists (has_span "serve_request") report.Obs.r_spans)))
-    [ "t-123"; "t-caf\xc3\xa9\001\"\\" ]
+    [ "t-123"; "t-caf\xc3\xa9\001\"\\"; "t-\xff" ]
 
 (* ---------------------------------------------------------------- *)
 
@@ -912,6 +968,7 @@ let () =
       ( "jsonx",
         [
           qt prop_json_roundtrip;
+          qt prop_json_bytes;
           Alcotest.test_case "escapes and malformed input" `Quick
             test_json_escapes;
         ] );

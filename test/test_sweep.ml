@@ -364,18 +364,36 @@ let test_store_corruption () =
 
 let test_cache_snapshot_roundtrip () =
   Cache.clear ();
-  (* populate two memo tables the way the incremental engine would *)
+  (* populate two graph memos and the two digraph memos the way the
+     incremental engine would *)
   let g = Graph.of_edges 5 [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 0) ] in
   ignore (Cache.domset_prepare g ~radius:1);
   ignore (Cache.steiner_prepare g ~terminals:[ 0; 2 ] ~volatile:[ 1; 3 ] ~cap:4);
+  let dg () = Digraph.of_arcs 4 [ (0, 1); (2, 3) ] in
+  let candidates = [ (1, 2); (3, 0) ] in
+  ignore (Cache.hampath_prepare (dg ()) ~candidates);
+  ignore (Cache.dsteiner_prepare (dg ()) ~root:0 ~terminals:[ 1 ]);
   let snap = Cache.snapshot () in
   Cache.clear ();
-  let n = Cache.restore snap in
-  Alcotest.(check bool) "restore repopulates tables" true (n > 0);
+  Alcotest.(check int) "restore brings back all four tables" 4 (Cache.restore snap);
   Alcotest.(check int) "second restore adds nothing" 0 (Cache.restore snap);
+  (* the restored tables serve prepares, and the pattern table answers
+     without a rebuild *)
+  let was_enabled = Obs.enabled () in
+  Obs.set_enabled true;
+  Obs.reset ();
+  let hp = Cache.hampath_prepare (dg ()) ~candidates in
+  let path = Cache.hampath_directed_path hp ~extra:[ (1, 2) ] in
+  let ds = Cache.dsteiner_prepare (dg ()) ~root:0 ~terminals:[ 1 ] in
+  let counters = (Obs.report ()).Obs.r_counters in
+  Obs.set_enabled was_enabled;
+  Alcotest.(check (option (list int))) "restored hampath answers" (Some [ 0; 1; 2; 3 ]) path;
+  Alcotest.(check int) "no hampath rebuild" 0 (List.assoc "cache.hampath.builds" counters);
+  Alcotest.(check int) "hampath prepare hit" 0 (Cache.hampath_stats hp).Cache.misses;
+  Alcotest.(check int) "dsteiner prepare hit" 0 (Cache.dsteiner_stats ds).Cache.misses;
   (* garbage, and a snapshot under the previous format's tag (whose
-     Steiner tables had another shape) *)
-  let old_format = "chcache2" ^ String.sub snap 8 (String.length snap - 8) in
+     memos had another shape) *)
+  let old_format = "chcache3" ^ String.sub snap 8 (String.length snap - 8) in
   List.iter
     (fun s ->
       match Cache.restore s with
