@@ -87,8 +87,16 @@ let print_sweep ~rate_label ~rate rows =
         (rate ~n ~lb) verified)
     rows
 
+(* [(failures, total)] of one engine run over a whole mode *)
+let verify_counts ?pool fam engine mode =
+  let v, _ = Framework.verdicts ?pool engine mode in
+  (Framework.failures fam mode v, Array.length v)
+
 let quick_verify ?(samples = 8) fam =
-  let failures, total = Framework.verify_random ~seed:77 ~samples fam in
+  let failures, total =
+    verify_counts fam (Framework.Scratch fam)
+      (Pairs.Sampled { seed = 77; samples })
+  in
   Printf.sprintf "%d/%d ok" (total - failures) total
 
 (* ------------------------------------------------------------------ *)
@@ -662,12 +670,11 @@ let all_experiments =
 (* Verification throughput: the same workload on the CH_JOBS pool and on
    a 1-worker pool.  Results must be bitwise identical (the determinism
    contract); the ratio of wall times is the parallel speedup.  The
-   exhaustive sweep is capped at K ≤ 10 by the framework, so the k=4 MDS
-   family (K = 16) is measured through verify_random.
+   exhaustive pair space is capped at K ≤ 10 ([Pairs.total]), so the k=4
+   MDS family (K = 16) is measured on a sampled mode.
 
-   Exhaustive sweeps run through [Framework.exhaustive_verdicts] (same
-   cost as [verify_exhaustive], but keeping the per-pair trace): the
-   failure count is derived from the expected f(x,y) array, and each
+   Every sweep runs through [Framework.verdicts], keeping the per-pair
+   trace: the failure count is [Framework.failures], and each
    incremental "<id>-inc" entry is differenced pair by pair against its
    from-scratch counterpart's trace.  The workload is the registry's
    incremental slice — every family ported to the core/apply-inputs
@@ -710,11 +717,10 @@ let solver_totals = function
 
 let verify_benches ~smoke () =
   let pool = Pool.default () and pool1 = Pool.create ~jobs:1 () in
-  (* expected per-pair answers, in exhaustive_verdicts order *)
-  let expected fam =
-    let xs = Array.of_list (Bits.all fam.Framework.input_bits) in
-    let n = Array.length xs in
-    Array.init (n * n) (fun i -> fam.Framework.f xs.(i / n) xs.(i mod n))
+  let check_failures ~name fam v =
+    let n = Framework.failures fam Pairs.Exhaustive v in
+    if n > 0 then
+      failwith (Printf.sprintf "verify bench %s: %d failures" name n)
   in
   let entry ~name ~pairs ~wall ~wall1 ?(hits = 0) ?(misses = 0) ?vs_scratch
       ?diff_ok () =
@@ -736,37 +742,32 @@ let verify_benches ~smoke () =
   in
   (* from-scratch traces, by name, for the -inc differentials *)
   let traces : (string, bool array * float) Hashtbl.t = Hashtbl.create 8 in
+  let run ~pool engine =
+    Framework.verdicts ~pool engine Pairs.Exhaustive
+  in
   let bench_scratch ~name fam =
     obs_fresh ();
-    let v, wall = timed (fun () -> Framework.exhaustive_verdicts ~pool fam) in
-    let v1, wall1 = timed (fun () -> Framework.exhaustive_verdicts ~pool:pool1 fam) in
+    let (v, _), wall = timed (fun () -> run ~pool (Framework.Scratch fam)) in
+    let (v1, _), wall1 =
+      timed (fun () -> run ~pool:pool1 (Framework.Scratch fam))
+    in
     if v <> v1 then
       failwith (Printf.sprintf "verify bench %s: CH_JOBS result mismatch" name);
-    let exp = expected fam in
-    Array.iteri
-      (fun i e ->
-        if v.(i) <> e then
-          failwith (Printf.sprintf "verify bench %s: failure at pair %d" name i))
-      exp;
+    check_failures ~name fam v;
     Hashtbl.replace traces name (v, wall);
     entry ~name ~pairs:(Array.length v) ~wall ~wall1 ()
   in
   let bench_inc ~name ~scratch_name inc =
     obs_fresh ();
     let (v, stats), wall =
-      timed (fun () -> Framework.exhaustive_verdicts_inc ~pool inc)
+      timed (fun () -> run ~pool (Framework.Incremental inc))
     in
     let (v1, _), wall1 =
-      timed (fun () -> Framework.exhaustive_verdicts_inc ~pool:pool1 inc)
+      timed (fun () -> run ~pool:pool1 (Framework.Incremental inc))
     in
     if v <> v1 then
       failwith (Printf.sprintf "verify bench %s: CH_JOBS result mismatch" name);
-    let exp = expected inc.Framework.scratch in
-    Array.iteri
-      (fun i e ->
-        if v.(i) <> e then
-          failwith (Printf.sprintf "verify bench %s: failure at pair %d" name i))
-      exp;
+    check_failures ~name inc.Framework.scratch v;
     let vs_scratch, diff_ok =
       match Hashtbl.find_opt traces scratch_name with
       | Some (sv, swall) -> (Some (swall /. wall), Some (sv = v))
@@ -830,12 +831,9 @@ let verify_benches ~smoke () =
               Pool.parallel_chunks p ~lo:0 ~hi:(128 * 16) (fun lo hi ->
                   let bad = ref 0 in
                   for i = lo to hi - 1 do
-                    if
-                      not
-                        (Framework.verify_pair fam
-                           xs.(257 * (i / 16))
-                           xs.(i mod 16))
-                    then incr bad
+                    let x = xs.(257 * (i / 16)) and y = xs.(i mod 16) in
+                    if Framework.verdict fam x y <> fam.Framework.f x y then
+                      incr bad
                   done;
                   !bad)
             in
@@ -843,8 +841,9 @@ let verify_benches ~smoke () =
       in
       let k4_random =
         bench_counts ~name:"mds-k4-random-64" (fun p ->
-            Framework.verify_random ~pool:p ~seed:77 ~samples:64
-              (fam_of "mds" ~k:4))
+            let fam = fam_of "mds" ~k:4 in
+            verify_counts ~pool:p fam (Framework.Scratch fam)
+              (Pairs.Sampled { seed = 77; samples = 64 }))
       in
       [ k4_block; k4_random ]
     end
@@ -906,9 +905,9 @@ let reduction_benches ~smoke () =
 (* Sharded sweep engine (lib/sweep): a fresh store-backed sweep, a
    crash-and-resume cycle in the same store, and — full runs only — the
    large-k sampled workload.  Every merged verdict stream is differenced
-   bit-for-bit against the single-process scratch oracle
-   ([Framework.exhaustive_verdicts] / [sampled_verdicts]) before the
-   entry is recorded, the same discipline as the -inc entries above.
+   bit-for-bit against the single-process scratch oracle (one
+   [Framework.verdicts] run over the mode) before the entry is recorded,
+   the same discipline as the -inc entries above.
    The shard counts are pinned (no CH_JOBS / machine dependence) and
    [--smoke] keeps only the two tiny k=2 exhaustive entries, so the CI
    run stays timeout-bounded. *)
@@ -941,7 +940,7 @@ let sweep_benches ~smoke () =
   (* the oracle runs before [obs_fresh], so each entry's obs report (and
      its sweep.shards.* counters) covers the sweep alone *)
   let entry ~name ~fam ~mode ~store run =
-    let oracle = Sweep.oracle fam ~mode in
+    let oracle, _ = Framework.verdicts (Framework.Scratch fam) mode in
     obs_fresh ();
     let o, wall = timed (fun () -> run ~store_dir:(Filename.concat root store)) in
     if o.Sweep.verdicts <> oracle then
@@ -963,9 +962,9 @@ let sweep_benches ~smoke () =
   in
   let fam2 = fam_of "mds" ~k:2 in
   let fresh =
-    entry ~name:"mds-k2-sweep-x4" ~fam:fam2 ~mode:Shard.Exhaustive
+    entry ~name:"mds-k2-sweep-x4" ~fam:fam2 ~mode:Pairs.Exhaustive
       ~store:"fresh" (fun ~store_dir ->
-        Sweep.run ~store_dir fam2 ~mode:Shard.Exhaustive ~shards:4)
+        Sweep.run ~store_dir fam2 ~mode:Pairs.Exhaustive ~shards:4)
   in
   let resume =
     (* interrupt a sweep after two shards, then time the resumed run: it
@@ -975,12 +974,12 @@ let sweep_benches ~smoke () =
        ignore
          (Sweep.run
             ~store_dir:(Filename.concat root "resume")
-            ~fault_after:2 fam2 ~mode:Shard.Exhaustive ~shards:4)
+            ~fault_after:2 fam2 ~mode:Pairs.Exhaustive ~shards:4)
      with Sweep.Interrupted _ -> ());
     let e =
-      entry ~name:"mds-k2-sweep-resume4" ~fam:fam2 ~mode:Shard.Exhaustive
+      entry ~name:"mds-k2-sweep-resume4" ~fam:fam2 ~mode:Pairs.Exhaustive
         ~store:"resume" (fun ~store_dir ->
-          Sweep.run ~store_dir fam2 ~mode:Shard.Exhaustive ~shards:4)
+          Sweep.run ~store_dir fam2 ~mode:Pairs.Exhaustive ~shards:4)
     in
     if e.sresumed <> 2 || e.srecomputed > 0 then
       failwith "sweep bench resume: expected 2 resumed shards, 0 recomputed";
@@ -993,7 +992,7 @@ let sweep_benches ~smoke () =
          gadget (12× the largest exhaustive space benched above), cut
          into 64 shards *)
       let fam4 = fam_of "mds" ~k:4 in
-      let mode = Shard.Sampled { seed = 11; samples = 49148 } in
+      let mode = Pairs.Sampled { seed = 11; samples = 49148 } in
       [
         entry ~name:"mds-k4-sweep-sample49152" ~fam:fam4 ~mode ~store:"big"
           (fun ~store_dir -> Sweep.run ~store_dir fam4 ~mode ~shards:64);
@@ -1085,15 +1084,9 @@ let serve_benches ~smoke () =
     let pairs =
       match Jsonx.mem "pairs" (body r0) with Some (Jsonx.Int n) -> n | _ -> 0
     in
-    let fam = fam_of ~k family in
-    let mode =
-      match vmode with
-      | Protocol.Exhaustive -> Ch_sweep.Shard.Exhaustive
-      | Protocol.Sampled { seed; samples } ->
-          Ch_sweep.Shard.Sampled { seed; samples }
-    in
     let oracle_digest =
-      Ch_sweep.Sweep.digest (Ch_sweep.Sweep.oracle fam ~mode)
+      Ch_sweep.Sweep.digest
+        (fst (Framework.verdicts (Framework.Scratch (fam_of ~k family)) vmode))
     in
     let digest_ok =
       List.for_all (fun (r, _) -> digest r = oracle_digest) ((r0, cold) :: repeats)

@@ -7,7 +7,6 @@
    immediately listable, verifiable and sweepable. *)
 
 open Cmdliner
-open Ch_cc
 open Ch_core
 open Ch_lbgraphs
 
@@ -68,6 +67,11 @@ let engine_error ~name ~k msg =
   Printf.eprintf "family %S at k=%d: %s\n" name k msg;
   1
 
+(* [(failures, total)] of one engine run over a whole mode *)
+let verify_counts fam engine mode =
+  let v, _ = Framework.verdicts engine mode in
+  (Framework.failures fam mode v, Array.length v)
+
 let list_cmd =
   let run k json =
     if json then begin
@@ -127,7 +131,7 @@ let verify_cmd =
     | Some s -> (
         let work () =
           let fam = s.Registry.scratch k in
-          let failures, total =
+          let engine =
             match (incremental, s.Registry.incremental) with
             | true, None ->
                 Printf.eprintf
@@ -135,14 +139,14 @@ let verify_cmd =
                    --incremental\n"
                   name;
                 exit 1
-            | true, Some inc ->
-                let inc = inc k in
-                if exhaustive then fst (Framework.verify_exhaustive_inc inc)
-                else fst (Framework.verify_random_inc ~seed:11 ~samples inc)
-            | false, _ ->
-                if exhaustive then Framework.verify_exhaustive fam
-                else Framework.verify_random ~seed:11 ~samples fam
+            | true, Some inc -> Framework.Incremental (inc k)
+            | false, _ -> Framework.Scratch fam
           in
+          let mode =
+            if exhaustive then Pairs.Exhaustive
+            else Pairs.Sampled { seed = 11; samples }
+          in
+          let failures, total = verify_counts fam engine mode in
           let sided = Framework.check_sidedness ~seed:3 ~samples:8 fam in
           (fam, failures, total, sided)
         in
@@ -191,9 +195,14 @@ let simulate_cmd =
           (reduction_ids ());
         1
     | Some ({ Registry.reduction = Some rd; _ } as s) -> (
-        match (s.Registry.scratch k, rd k) with
+        match
+          let fam = s.Registry.scratch k in
+          ( fam,
+            rd k,
+            Pairs.simulate_pairs ~k:fam.Framework.input_bits ~seed:0 ~pairs )
+        with
         | exception Invalid_argument msg -> engine_error ~name ~k msg
-        | fam, rd ->
+        | fam, rd, drawn ->
             let cut =
               match rd.Registry.rd_partition with
               | None -> Framework.cut_size fam
@@ -205,34 +214,25 @@ let simulate_cmd =
               "Simulating %s CONGEST on G_{x,y} (k=%d, n=%d, t=%d, cut=%d)\n"
               s.Registry.id k fam.Framework.nvertices rd.Registry.rd_parties
               cut;
-            let connected x y =
-              match fam.Framework.build x y with
-              | Framework.Undirected g -> Ch_graph.Props.connected g
-              | Framework.Directed dg ->
-                  Ch_graph.Props.connected (Ch_congest.Network.comm_graph dg)
-              | _ -> true
-            in
             let all_ok = ref true in
-            for i = 0 to pairs - 1 do
-              let bits = fam.Framework.input_bits in
-              let x = Bits.random ~seed:(3 * i) ~density:0.7 bits in
-              let y = Bits.random ~seed:((3 * i) + 1) ~density:0.7 bits in
-              if not (connected x y) then
-                Printf.printf "  pair %2d: skipped (G_{x,y} disconnected)\n" i
-              else begin
-                let sim =
-                  Framework.simulate_reduction
-                    ?partition:rd.Registry.rd_partition fam
-                    ~solver:rd.Registry.rd_solver ~accept:rd.Registry.rd_accept
-                    x y
-                in
-                if not sim.Framework.decision_correct then all_ok := false;
-                Printf.printf "  pair %2d: rounds=%4d  cut bits=%6d  %s\n" i
-                  sim.Framework.rounds sim.Framework.cut_bits
-                  (if sim.Framework.decision_correct then "correct"
-                   else "WRONG")
-              end
-            done;
+            Array.iteri
+              (fun i (x, y) ->
+                if not (Framework.connected (fam.Framework.build x y)) then
+                  Printf.printf "  pair %2d: skipped (G_{x,y} disconnected)\n" i
+                else begin
+                  let sim =
+                    Framework.simulate_reduction
+                      ?partition:rd.Registry.rd_partition fam
+                      ~solver:rd.Registry.rd_solver
+                      ~accept:rd.Registry.rd_accept x y
+                  in
+                  if not sim.Framework.decision_correct then all_ok := false;
+                  Printf.printf "  pair %2d: rounds=%4d  cut bits=%6d  %s\n" i
+                    sim.Framework.rounds sim.Framework.cut_bits
+                    (if sim.Framework.decision_correct then "correct"
+                     else "WRONG")
+                end)
+              drawn;
             if !all_ok then 0 else 1)
   in
   let sim_family_arg =
@@ -306,9 +306,7 @@ let reduction_cmd =
                 && report.Bound.rep_all_within_budget
               then 0
               else 1
-        with Invalid_argument msg ->
-          Printf.eprintf "%s\n" msg;
-          1)
+        with Invalid_argument msg -> engine_error ~name ~k msg)
   in
   let red_family_arg =
     let doc = "Family id (must carry a reduction algorithm — see list)." in
@@ -357,61 +355,67 @@ let replay_cmd =
         Printf.eprintf "%s\n" (Registry.unknown_id_message (catalog ()) name);
         1
     | Some s -> (
-        let recorded = read_lines trace_file in
-        let sink, events = Trace.collector () in
-        match
-          Bound.sweep_registry ~trace:sink ~seed ~exhaustive ~samples:pairs s
-            ~k
-        with
-        | None ->
-            Printf.eprintf
-              "family %S has no reduction algorithm; families with one: %s\n"
-              name (reduction_ids ());
-            1
-        | Some _ -> (
-            let replayed =
-              List.map (fun e -> Jsonx.to_string (Trace.to_json e)) (events ())
-            in
-            let rec diff i rec_lines rep_lines =
-              match (rec_lines, rep_lines) with
-              | [], [] ->
-                  Printf.printf
-                    "trace replay ok: %d events match (%s, k=%d, %s)\n" i
-                    s.Registry.id k
-                    (if exhaustive then "exhaustive"
-                     else Printf.sprintf "pairs=%d seed=%d" pairs seed);
-                  0
-              | a :: _, [] | [], a :: _ ->
-                  Printf.eprintf
-                    "FAIL: traces diverge at event %d%s: one stream ends, the \
-                     other continues with:\n\
-                    \  %s\n"
-                    i
-                    (match round_of a with
-                    | Some r -> Printf.sprintf " (round %d)" r
-                    | None -> "")
-                    a;
-                  1
-              | a :: rest_a, b :: rest_b ->
-                  if String.equal a b then diff (i + 1) rest_a rest_b
-                  else begin
+        try
+          let recorded = read_lines trace_file in
+          let sink, events = Trace.collector () in
+          match
+            Bound.sweep_registry ~trace:sink ~seed ~exhaustive ~samples:pairs s
+              ~k
+          with
+          | None ->
+              Printf.eprintf
+                "family %S has no reduction algorithm; families with one: %s\n"
+                name (reduction_ids ());
+              1
+          | Some _ -> (
+              let replayed =
+                List.map
+                  (fun e -> Jsonx.to_string (Trace.to_json e))
+                  (events ())
+              in
+              let rec diff i rec_lines rep_lines =
+                match (rec_lines, rep_lines) with
+                | [], [] ->
+                    Printf.printf
+                      "trace replay ok: %d events match (%s, k=%d, %s)\n" i
+                      s.Registry.id k
+                      (if exhaustive then "exhaustive"
+                       else Printf.sprintf "pairs=%d seed=%d" pairs seed);
+                    0
+                | a :: _, [] | [], a :: _ ->
                     Printf.eprintf
-                      "FAIL: traces diverge at event %d%s:\n\
-                      \  recorded: %s\n\
-                      \  replayed: %s\n"
+                      "FAIL: traces diverge at event %d%s: one stream ends, \
+                       the other continues with:\n\
+                      \  %s\n"
                       i
-                      (match round_of b with
+                      (match round_of a with
                       | Some r -> Printf.sprintf " (round %d)" r
                       | None -> "")
-                      a b;
+                      a;
                     1
-                  end
-            in
-            match recorded with
-            | [] ->
-                Printf.eprintf "FAIL: %s holds no trace events\n" trace_file;
-                1
-            | _ -> diff 0 recorded replayed))
+                | a :: rest_a, b :: rest_b ->
+                    if String.equal a b then diff (i + 1) rest_a rest_b
+                    else begin
+                      Printf.eprintf
+                        "FAIL: traces diverge at event %d%s:\n\
+                        \  recorded: %s\n\
+                        \  replayed: %s\n"
+                        i
+                        (match round_of b with
+                        | Some r -> Printf.sprintf " (round %d)" r
+                        | None -> "")
+                        a b;
+                      1
+                    end
+              in
+              match recorded with
+              | [] ->
+                  Printf.eprintf "FAIL: %s holds no trace events\n" trace_file;
+                  1
+              | _ -> diff 0 recorded replayed)
+        with
+        | Invalid_argument msg -> engine_error ~name ~k msg
+        | Sys_error msg (* "FILE: reason" *) -> prerr_endline msg; 1)
   in
   let replay_family_arg =
     let doc = "Family id the trace was recorded from." in
@@ -451,14 +455,14 @@ let sweep_cmd =
         Printf.eprintf "%s\n" (Registry.unknown_id_message (catalog ()) name);
         1
     | Some s -> (
-        let fam = s.Registry.scratch k in
         let mode =
           match sample with
-          | None -> Shard.Exhaustive
-          | Some samples -> Shard.Sampled { seed; samples }
+          | None -> Pairs.Exhaustive
+          | Some samples -> Pairs.Sampled { seed; samples }
         in
         try
-          let total = Shard.total fam mode in
+          let fam = s.Registry.scratch k in
+          let total = Pairs.total ~k:fam.Framework.input_bits mode in
           Printf.printf "%s sweep: k=%d, %d pairs, %d shards, store %s\n"
             s.Registry.id k total shards
             (match resume with
@@ -493,7 +497,10 @@ let sweep_cmd =
           let oracle_ok =
             if not check_oracle then true
             else begin
-              let ok = Sweep.oracle fam ~mode = o.Sweep.verdicts in
+              let ok =
+                fst (Framework.verdicts (Framework.Scratch fam) mode)
+                = o.Sweep.verdicts
+              in
               Printf.printf "oracle differential: %s\n"
                 (if ok then "ok" else "MISMATCH");
               ok
@@ -508,9 +515,7 @@ let sweep_cmd =
               done_shards
               (if done_shards = 1 then "" else "s");
             3
-        | Invalid_argument msg ->
-            Printf.eprintf "%s\n" msg;
-            1)
+        | Invalid_argument msg -> engine_error ~name ~k msg)
   in
   let shards_arg =
     let doc = "Number of shards to cut the pair space into." in
@@ -570,6 +575,7 @@ let sweep_cmd =
    client span that contains them. *)
 let profile_from file =
   match Ch_obs.Spanview.of_jsonl (read_lines file) with
+  | exception Sys_error msg (* "FILE: reason" *) -> prerr_endline msg; 1
   | Error (lineno, msg) ->
       Printf.eprintf "%s:%d: %s\n" file lineno msg;
       1
@@ -610,10 +616,14 @@ let profile_cmd =
            caches under the pool), a random sweep otherwise *)
         let work () =
           match s.Registry.incremental with
-          | Some inc -> fst (Framework.verify_exhaustive_inc (inc k))
+          | Some inc ->
+              let inc = inc k in
+              verify_counts inc.Framework.scratch (Framework.Incremental inc)
+                Pairs.Exhaustive
           | None ->
-              Framework.verify_random ~seed:11 ~samples:32
-                (s.Registry.scratch k)
+              let fam = s.Registry.scratch k in
+              verify_counts fam (Framework.Scratch fam)
+                (Pairs.Sampled { seed = 11; samples = 32 })
         in
         match profiled ~root:("profile:" ^ s.Registry.id) ~obs_out work with
         | exception Invalid_argument msg -> engine_error ~name ~k msg
@@ -863,16 +873,10 @@ let client_cmd =
         (* the in-process oracle digest for verify ops: the served stream
            must be bit-identical to the library run in this process *)
         let oracle_digest () =
-          let open Ch_sweep in
           let spec = Registry.find_exn (catalog ()) (need_family ()) in
           let fam = spec.Registry.scratch k in
-          let mode =
-            match vmode with
-            | Protocol.Exhaustive -> Shard.Exhaustive
-            | Protocol.Sampled { seed; samples } ->
-                Shard.Sampled { seed; samples }
-          in
-          Sweep.digest (Sweep.oracle fam ~mode)
+          Ch_sweep.Sweep.digest
+            (fst (Framework.verdicts (Framework.Scratch fam) vmode))
         in
         let check r =
           match (check_oracle, r.Protocol.rs_outcome) with

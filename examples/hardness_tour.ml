@@ -8,7 +8,10 @@ open Ch_core
 open Ch_lbgraphs
 
 let tour fam ~samples =
-  let failures, total = Framework.verify_random ~seed:9 ~samples fam in
+  let mode = Pairs.Sampled { seed = 9; samples } in
+  let verdicts, _ = Framework.verdicts (Framework.Scratch fam) mode in
+  let failures = Framework.failures fam mode verdicts in
+  let total = Array.length verdicts in
   let cut = Framework.cut_size fam in
   let lb =
     Framework.lower_bound_rounds ~input_bits:fam.Framework.input_bits ~cut

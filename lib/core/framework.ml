@@ -139,12 +139,17 @@ let multicut_index mc u v = Hashtbl.find_opt mc.mc_index (u, v)
 
 let build_timed fam x y = Obs.with_span sp_apply (fun () -> fam.build x y)
 
-let verdict_timed fam x y =
+let verdict fam x y =
   let inst = build_timed fam x y in
   Obs.with_span sp_solver (fun () -> fam.predicate inst)
 
-let verdict = verdict_timed
-let verify_pair fam x y = verdict_timed fam x y = fam.f x y
+(* CONGEST assumes a connected network: the single-rooted gather cannot
+   (and no distributed algorithm could) decide a global predicate across
+   components that cannot talk to each other. *)
+let connected = function
+  | Undirected g -> Props.connected g
+  | Directed dg -> Props.connected (Ch_congest.Network.comm_graph dg)
+  | With_terminals _ | Rooted_digraph _ -> true
 
 (* ---- incremental descriptors ---------------------------------------- *)
 
@@ -166,172 +171,64 @@ type prepared = {
 
 type incremental = { scratch : t; prepare : unit -> prepared }
 
-let of_family fam =
-  {
-    scratch = fam;
-    prepare =
-      (fun () ->
-        {
-          pbuild = fam.build;
-          pverdict = (fun x y -> fam.predicate (fam.build x y));
-          pstats = (fun () -> no_cache_stats);
-        });
-  }
+(* ---- the verdict engine --------------------------------------------- *)
 
-let verify_pair_inc p fam x y =
-  Obs.with_span sp_solver (fun () -> p.pverdict x y) = fam.f x y
+type engine = Scratch of t | Incremental of incremental
 
-let prepare_timed inc = Obs.with_span sp_core inc.prepare
+let family_of = function Scratch fam -> fam | Incremental inc -> inc.scratch
 
-(* Verification fans out over the default domain pool (or [pool]).  The
-   pair space is chunked into index ranges merged in range order, and
-   every random draw below derives its seed from the sample index alone,
-   so each function returns bit-identical results for any CH_JOBS. *)
-
-let exhaustive_inputs name fam =
-  if fam.input_bits > 10 then invalid_arg (name ^ ": K > 10");
-  Array.of_list (Bits.all fam.input_bits)
-
-let verify_exhaustive ?pool fam =
-  let inputs = exhaustive_inputs "Framework.verify_exhaustive" fam in
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let n = Array.length inputs in
-  let counts =
-    Pool.parallel_chunks pool ~lo:0 ~hi:(n * n) (fun lo hi ->
-        let failures = ref 0 in
-        for p = lo to hi - 1 do
-          if not (verify_pair fam inputs.(p / n) inputs.(p mod n)) then
-            incr failures
-        done;
-        !failures)
-  in
-  (List.fold_left ( + ) 0 counts, n * n)
-
-(* One prepared instance per chunk: the per-instance query scratch stays
-   domain-local while the memoized core tables are shared, and the chunk
-   boundaries (hence the merged counts) are the same as the from-scratch
-   verifiers', so results stay bit-identical for any CH_JOBS. *)
-let verify_exhaustive_inc ?pool inc =
-  let fam = inc.scratch in
-  let inputs = exhaustive_inputs "Framework.verify_exhaustive_inc" fam in
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let n = Array.length inputs in
-  let chunks =
-    Pool.parallel_chunks pool ~lo:0 ~hi:(n * n) (fun lo hi ->
-        let p = prepare_timed inc in
-        let failures = ref 0 in
-        for i = lo to hi - 1 do
-          if not (verify_pair_inc p fam inputs.(i / n) inputs.(i mod n)) then
-            incr failures
-        done;
-        (!failures, p.pstats ()))
-  in
-  let failures = List.fold_left (fun acc (f, _) -> acc + f) 0 chunks in
-  let stats =
-    List.fold_left (fun acc (_, s) -> add_cache_stats acc s) no_cache_stats chunks
-  in
-  ((failures, n * n), stats)
-
-let exhaustive_verdicts ?pool fam =
-  let inputs = exhaustive_inputs "Framework.exhaustive_verdicts" fam in
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let n = Array.length inputs in
-  let chunks =
-    Pool.parallel_chunks pool ~lo:0 ~hi:(n * n) (fun lo hi ->
+(* One chunk [lo, hi) on the calling domain.  The incremental engine
+   prepares once per chunk, so its per-instance query scratch never
+   crosses domains while the memoized core tables are shared. *)
+let chunk engine mode lo hi =
+  let pair = Pairs.pair_at ~k:(family_of engine).input_bits mode in
+  match engine with
+  | Scratch fam ->
+      ( Array.init (hi - lo) (fun j ->
+            let x, y = pair (lo + j) in
+            verdict fam x y),
+        no_cache_stats )
+  | Incremental inc ->
+      let p = Obs.with_span sp_core inc.prepare in
+      let v =
         Array.init (hi - lo) (fun j ->
-            let i = lo + j in
-            verdict_timed fam inputs.(i / n) inputs.(i mod n)))
-  in
-  Array.concat chunks
+            let x, y = pair (lo + j) in
+            Obs.with_span sp_solver (fun () -> p.pverdict x y))
+      in
+      (v, p.pstats ())
 
-let exhaustive_verdicts_inc ?pool inc =
-  let fam = inc.scratch in
-  let inputs = exhaustive_inputs "Framework.exhaustive_verdicts_inc" fam in
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let n = Array.length inputs in
+(* The pair space is chunked into index ranges merged in range order,
+   and every pair derives from its index alone, so the stream is
+   bit-identical for any pool width. *)
+let verdicts ?pool ?range engine mode =
+  let total = Pairs.total ~k:(family_of engine).input_bits mode in
   let chunks =
-    Pool.parallel_chunks pool ~lo:0 ~hi:(n * n) (fun lo hi ->
-        let p = prepare_timed inc in
-        let v =
-          Array.init (hi - lo) (fun j ->
-              let i = lo + j in
-              Obs.with_span sp_solver (fun () ->
-                  p.pverdict inputs.(i / n) inputs.(i mod n)))
-        in
-        (v, p.pstats ()))
+    match range with
+    | None ->
+        let pool = match pool with Some p -> p | None -> Pool.default () in
+        Pool.parallel_chunks pool ~lo:0 ~hi:total (chunk engine mode)
+    | Some (lo, hi) ->
+        if lo < 0 || hi < lo || hi > total then
+          invalid_arg "Framework.verdicts: range outside [0, total)";
+        if lo = hi then [] else [ chunk engine mode lo hi ]
   in
-  let verdicts = Array.concat (List.map fst chunks) in
-  let stats =
+  ( Array.concat (List.map fst chunks),
     List.fold_left
       (fun acc (_, s) -> add_cache_stats acc s)
-      no_cache_stats chunks
-  in
-  (verdicts, stats)
+      no_cache_stats chunks )
 
-let corner_pairs fam =
-  let k = fam.input_bits in
-  [
-    (Bits.zeros k, Bits.zeros k);
-    (Bits.ones k, Bits.ones k);
-    (Bits.ones k, Bits.zeros k);
-    (Bits.zeros k, Bits.ones k);
-  ]
+let failures fam mode verdicts =
+  let pair = Pairs.pair_at ~k:fam.input_bits mode in
+  let n = ref 0 in
+  Array.iteri
+    (fun i v ->
+      let x, y = pair i in
+      if v <> fam.f x y then incr n)
+    verdicts;
+  !n
 
-(* Sample [i] is the pair drawn from seeds (seed + 2i, seed + 2i + 1);
-   the four corner pairs are checked first.  The derivation depends only
-   on the sample index, never on a shared RNG, so any chunk can generate
-   its own samples. *)
-let random_pair_at fam ~seed i =
-  if i < 4 then List.nth (corner_pairs fam) i
-  else
-    let i = i - 4 in
-    let k = fam.input_bits in
-    (Bits.random ~seed:(seed + (2 * i)) k, Bits.random ~seed:(seed + (2 * i) + 1) k)
-
-let verify_random ?pool ~seed ~samples fam =
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let total = samples + 4 in
-  let counts =
-    Pool.parallel_chunks pool ~lo:0 ~hi:total (fun lo hi ->
-        let failures = ref 0 in
-        for i = lo to hi - 1 do
-          let x, y = random_pair_at fam ~seed i in
-          if not (verify_pair fam x y) then incr failures
-        done;
-        !failures)
-  in
-  (List.fold_left ( + ) 0 counts, total)
-
-let sampled_verdicts ?pool ~seed ~samples fam =
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let total = samples + 4 in
-  let chunks =
-    Pool.parallel_chunks pool ~lo:0 ~hi:total (fun lo hi ->
-        Array.init (hi - lo) (fun j ->
-            let x, y = random_pair_at fam ~seed (lo + j) in
-            verdict_timed fam x y))
-  in
-  Array.concat chunks
-
-let verify_random_inc ?pool ~seed ~samples inc =
-  let fam = inc.scratch in
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let total = samples + 4 in
-  let chunks =
-    Pool.parallel_chunks pool ~lo:0 ~hi:total (fun lo hi ->
-        let p = prepare_timed inc in
-        let failures = ref 0 in
-        for i = lo to hi - 1 do
-          let x, y = random_pair_at fam ~seed i in
-          if not (verify_pair_inc p fam x y) then incr failures
-        done;
-        (!failures, p.pstats ()))
-  in
-  let failures = List.fold_left (fun acc (f, _) -> acc + f) 0 chunks in
-  let stats =
-    List.fold_left (fun acc (_, s) -> add_cache_stats acc s) no_cache_stats chunks
-  in
-  ((failures, total), stats)
+let random_pair_at fam ~seed =
+  Pairs.pair_at ~k:fam.input_bits (Pairs.Sampled { seed; samples = 0 })
 
 (* Sample [i] uses seeds (seed + 4i .. seed + 4i + 3). *)
 let check_sidedness ?pool ~seed ~samples fam =

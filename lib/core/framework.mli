@@ -78,42 +78,38 @@ val multicut_index : multicut_info -> int -> int -> int option
 
 (** {1 Family verification}
 
-    The three verifiers fan their (perfectly parallel) input-pair checks
-    out over a domain pool — [pool] when given, otherwise
-    {!Pool.default} (sized by [CH_JOBS], see {!Pool}).  All of them are
-    deterministic regardless of the worker count or schedule: the pair
-    space is chunked by index, per-chunk counts are merged in index
-    order, and random samples derive their seeds from the sample index
-    alone. *)
+    {2 The pair space and the engine}
+
+    A family is verified over its input-pair space ({!Pairs}): {!verdicts}
+    answers P(G_{x,y}) at every index of a {!Pairs.mode}, and {!failures}
+    folds that stream against f.  Index [p] is the pair
+    {!Pairs.pair_at}[ ~k mode p]: row-major (x, y) in {!Bits.all} order
+    when exhaustive; when sampled, the four corner pairs, then draw [i]
+    from seeds [(seed + 2i, seed + 2i + 1)] — with replacement, so every
+    index counts, duplicates included.  A pair depends on its index
+    alone, never on a shared RNG stream.
+
+    Without [range], the index space is cut into contiguous chunks over
+    a domain pool ([pool], else {!Pool.default}, sized by [CH_JOBS]) and
+    the chunk streams are merged in index order, so the result is
+    bit-identical for any worker count and schedule.  With
+    [~range:(lo, hi)] only that slice runs, as one chunk on the calling
+    domain; the slices of any cut of [\[0, total)] concatenate to the
+    whole stream, which is how the sweep computes its shards.
+
+    Per pair, the scratch engine builds G_{x,y} under the [apply_inputs]
+    span and decides P under [solver]; the incremental engine calls
+    [prepare] once per chunk under [core_build], then [pverdict] under
+    [solver]. *)
 
 val verdict : t -> Bits.t -> Bits.t -> bool
-(** P(G_{x,y}) alone — one cell of the verdict stream, for drivers (the
-    sweep shards) that assemble {!exhaustive_verdicts}-compatible traces
-    pair by pair. *)
+(** P(G_{x,y}) from scratch: one cell of the scratch engine's stream. *)
 
-val verify_pair : t -> Bits.t -> Bits.t -> bool
-(** Does P(G_{x,y}) = f(x,y) hold for this input pair? *)
-
-val verify_exhaustive : ?pool:Pool.t -> t -> int * int
-(** [(failures, total)] over all 2^K × 2^K input pairs.
-    @raise Invalid_argument when [input_bits > 10]. *)
-
-val verify_random : ?pool:Pool.t -> seed:int -> samples:int -> t -> int * int
-(** [(failures, total)] over the four all-zeros / all-ones corner pairs
-    followed by [samples] random pairs.  {b Seeding scheme:} sample [i]
-    (0-based, corners excluded) is the pair
-    [(Bits.random ~seed:(seed + 2i), Bits.random ~seed:(seed + 2i + 1))]
-    — each sample's seeds are a pure function of [seed] and [i], never a
-    shared RNG stream, so the result is reproducible under any parallel
-    schedule and any [CH_JOBS].
-
-    {b Sampling is with replacement:} distinct sample indices may draw
-    the same pair (and may re-draw a corner pair), and every index is
-    counted — [failures] and [total] tally checks, not distinct pairs.
-    Deduplicating would make the failure count depend on which indices
-    collide and break the per-index seed derivation above, so duplicates
-    are kept by design; use {!verify_exhaustive} when coverage of
-    distinct pairs matters. *)
+val connected : instance -> bool
+(** Is the instance's network connected (the communication graph, for
+    directed constructions)?  CONGEST assumes a connected network, so the
+    reduction sweeps and the [simulate] command skip pairs where this
+    fails.  Steiner instances count as connected. *)
 
 (** {2 Incremental verification}
 
@@ -123,21 +119,13 @@ val verify_random : ?pool:Pool.t -> seed:int -> samples:int -> t -> int * int
     core (and any solver cache, see [Ch_solvers.Cache]) once, and the
     returned {!prepared} patches input edges and answers the predicate
     per pair.  The plain {!field-scratch} family is kept alongside as the
-    reference oracle — the [_inc] verifiers promise results bit-identical
-    to their from-scratch counterparts, which the differential tests and
-    the bench harness assert pair by pair.
-
-    The verifiers call [prepare] once per pool chunk, so the mutable
-    per-instance state never crosses domains; chunk boundaries match the
-    from-scratch verifiers', keeping results independent of [CH_JOBS]. *)
+    reference oracle — the incremental engine promises a stream
+    bit-identical to the scratch engine's, which the differential tests
+    and the bench harness assert pair by pair. *)
 
 type cache_stats = { cache_hits : int; cache_misses : int }
 (** Summed solver-cache counters: a miss is a core-table computation, a
     hit an operation served from cached tables (see [Ch_solvers.Cache]). *)
-
-val no_cache_stats : cache_stats
-
-val add_cache_stats : cache_stats -> cache_stats -> cache_stats
 
 type prepared = {
   pbuild : Bits.t -> Bits.t -> instance;
@@ -156,7 +144,7 @@ type prepared = {
           …), which cancels branch-and-bound subtrees that provably
           cannot cross the threshold.  The contract is unchanged — the
           verdict must be bit-identical to the scratch oracle on every
-          pair, which the differential verifiers assert; only the node
+          pair, which the differential tests assert; only the node
           counts ([solver.*.nodes] in [Ch_obs]) shrink. *)
   pstats : unit -> cache_stats;
 }
@@ -167,56 +155,39 @@ type incremental = {
       (** build the core and solver caches; call once per worker *)
 }
 
-val of_family : t -> incremental
-(** The degenerate incremental descriptor: rebuilds from scratch per pair
-    and reports zero cache activity.  Lets the [_inc] drivers run
-    un-ported families. *)
+(** {2 Running the engine} *)
 
-val verify_pair_inc : prepared -> t -> Bits.t -> Bits.t -> bool
-(** [pverdict x y = f x y], the incremental {!verify_pair}. *)
+type engine =
+  | Scratch of t  (** {!verdict} per pair *)
+  | Incremental of incremental  (** one [prepare] per chunk, then [pverdict] *)
 
-val verify_exhaustive_inc :
-  ?pool:Pool.t -> incremental -> (int * int) * cache_stats
-(** Incremental {!verify_exhaustive}: identical [(failures, total)], plus
-    the summed cache counters.  @raise Invalid_argument when
-    [input_bits > 10]. *)
+val verdicts :
+  ?pool:Pool.t ->
+  ?range:int * int ->
+  engine ->
+  Pairs.mode ->
+  bool array * cache_stats
+(** P(G_{x,y}) at every index of [mode] (or of [\[lo, hi)]), plus the
+    summed cache counters of the incremental engine's chunks (zero for
+    the scratch engine).
+    @raise Invalid_argument when {!Pairs.total} rejects the mode, or
+    on a range outside [\[0, total)]. *)
 
-val verify_random_inc :
-  ?pool:Pool.t -> seed:int -> samples:int -> incremental -> (int * int) * cache_stats
-(** Incremental {!verify_random}: identical counts under the identical
-    (documented) seed-derivation scheme. *)
-
-val exhaustive_verdicts : ?pool:Pool.t -> t -> bool array
-(** P(G_{x,y}) for every pair of the 2^K × 2^K space, row-major in
-    (x, y) with inputs in {!Bits.all} order — the per-pair trace the
-    differential harness compares between paths.
-    @raise Invalid_argument when [input_bits > 10]. *)
+val failures : t -> Pairs.mode -> bool array -> int
+(** How many indices of a whole [mode] stream hold a verdict that differs
+    from f(x, y). *)
 
 val random_pair_at : t -> seed:int -> int -> Bits.t * Bits.t
-(** The pair sample index [i] denotes under the documented
-    {!verify_random} derivation: indices 0–3 are the four corner pairs
-    (all-zeros/all-ones combinations, in {!verify_random}'s order) and
-    index [i >= 4] is the pair drawn from seeds
-    [(seed + 2(i-4), seed + 2(i-4) + 1)].  A pure function of [(seed, i)],
-    so any slice of the sample space can be regenerated independently —
-    the sweep scheduler's shards rely on exactly this. *)
-
-val sampled_verdicts : ?pool:Pool.t -> seed:int -> samples:int -> t -> bool array
-(** P(G_{x,y}) for sample indices [0 .. samples + 3] of the
-    {!random_pair_at} space — the from-scratch per-pair trace a sampled
-    sweep is differenced against, as {!exhaustive_verdicts} is for
-    exhaustive sweeps. *)
-
-val exhaustive_verdicts_inc :
-  ?pool:Pool.t -> incremental -> bool array * cache_stats
-(** The incremental per-pair trace; must equal {!exhaustive_verdicts} of
-    the scratch family on every index. *)
+(** {!Pairs.pair_at} of the sampled mode with this seed — a shim kept for
+    the benchmark ([perfbench/]), which calls it; nothing else does. *)
 
 val check_sidedness : ?pool:Pool.t -> seed:int -> samples:int -> t -> bool
 (** Conditions 1–3 of Definition 1.1: the vertex set is fixed, G[V_B] and
     E_cut (edges, weights, vertex weights) do not depend on x, and
     symmetrically for y.  Checked on random input pairs; sample [i] draws
-    its four strings from seeds [seed + 4i .. seed + 4i + 3]. *)
+    its four strings from seeds [seed + 4i .. seed + 4i + 3] — a check of
+    the construction, not a verdict stream, so it keeps its own draw.
+    Fans out over the pool like {!verdicts}, with the same determinism. *)
 
 (** {1 Theorem 1.1} *)
 

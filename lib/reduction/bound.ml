@@ -32,39 +32,25 @@ let cc_bits ~input_bits = function
   | `Disj -> Commfn.cc_disj_lower_bound input_bits
   | `Eq -> input_bits + 1
 
-let exhaustive_pairs fam =
-  if fam.Framework.input_bits > 5 then
-    invalid_arg "Bound.exhaustive_pairs: K > 5";
-  let inputs = Bits.all fam.Framework.input_bits in
-  List.concat_map (fun x -> List.map (fun y -> (x, y)) inputs) inputs
-
-(* corners first, then sample i from seeds (seed + 2i, seed + 2i + 1) —
-   the Framework.verify_random derivation, reproducible for any sweep
-   split *)
-let sampled_pairs fam ~seed ~samples =
+(* The exhaustive K <= 5 cap is the reduction sweep's cost limit (a
+   lockstep simulation and its oracle run per pair), not a pair-space
+   guard: that is [Pairs.total]. *)
+let pairs fam mode =
   let k = fam.Framework.input_bits in
-  [
-    (Bits.zeros k, Bits.zeros k);
-    (Bits.ones k, Bits.ones k);
-    (Bits.ones k, Bits.zeros k);
-    (Bits.zeros k, Bits.ones k);
-  ]
-  @ List.init samples (fun i ->
-        (Bits.random ~seed:(seed + (2 * i)) k, Bits.random ~seed:(seed + (2 * i) + 1) k))
+  if mode = Pairs.Exhaustive && k > 5 then
+    invalid_arg "Bound.exhaustive_pairs: K > 5";
+  let n = Pairs.total ~k mode in
+  List.init n (Pairs.pair_at ~k mode)
 
-(* CONGEST assumes a connected network; the single-rooted gather cannot
-   (and no distributed algorithm could) decide a global predicate across
-   components that cannot talk to each other *)
-let connected_pairs fam pairs =
+let exhaustive_pairs fam = pairs fam Pairs.Exhaustive
+let sampled_pairs fam ~seed ~samples =
+  pairs fam (Pairs.Sampled { seed; samples })
+
+let connected_pairs fam ps =
   let keep, skip =
     List.partition
-      (fun (x, y) ->
-        match fam.Framework.build x y with
-        | Framework.Undirected g -> Ch_graph.Props.connected g
-        | Framework.Directed dg ->
-            Ch_graph.Props.connected (Ch_congest.Network.comm_graph dg)
-        | _ -> true)
-      pairs
+      (fun (x, y) -> Framework.connected (fam.Framework.build x y))
+      ps
   in
   (keep, List.length skip)
 
@@ -141,10 +127,10 @@ let sweep_registry ?trace ?seed:(sample_seed = 41) ?bandwidth_factor
   | None -> None
   | Some spec ->
       let fam = spec.Simulate.sfam in
-      let raw =
-        if exhaustive then exhaustive_pairs fam
-        else sampled_pairs fam ~seed:sample_seed ~samples
+      let mode =
+        if exhaustive then Pairs.Exhaustive
+        else Pairs.Sampled { seed = sample_seed; samples }
       in
-      let pairs, skipped = connected_pairs fam raw in
-      let rows, report = sweep ?trace spec pairs in
+      let keep, skipped = connected_pairs fam (pairs fam mode) in
+      let rows, report = sweep ?trace spec keep in
       Some (rows, report, skipped)

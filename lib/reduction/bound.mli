@@ -39,20 +39,11 @@ type report = {
 
 val cc_bits : input_bits:int -> [ `Disj | `Eq ] -> int
 
-val exhaustive_pairs : Framework.t -> (Bits.t * Bits.t) list
-(** All 2^K × 2^K pairs.  @raise Invalid_argument when [K > 5]. *)
-
-val sampled_pairs : Framework.t -> seed:int -> samples:int -> (Bits.t * Bits.t) list
-(** The four corner pairs followed by [samples] random pairs; sample [i]
-    draws seeds (seed + 2i, seed + 2i + 1), as in
-    {!Framework.verify_random}. *)
-
 val connected_pairs :
   Framework.t -> (Bits.t * Bits.t) list -> (Bits.t * Bits.t) list * int
-(** Drop pairs whose instance (communication graph, for directed
-    constructions) is disconnected — outside the CONGEST model;
-    {!Simulate.lockstep} rejects them.  Also returns how many were
-    dropped, so sweeps can report rather than silently shrink. *)
+(** Drop pairs whose instance fails {!Framework.connected} — outside the
+    CONGEST model; {!Simulate.lockstep} rejects them.  Also returns how
+    many were dropped, so sweeps can report rather than silently shrink. *)
 
 val matches : Simulate.transcript -> Simulate.reference -> bool
 
@@ -74,8 +65,25 @@ val sweep_registry :
   k:int ->
   (row list * report * int) option
 (** The registry-driven sweep: compile a catalog spec's reduction at
-    scale [k] via {!Simulate.registry_spec}, pick the pair set
-    (all 4^K when [exhaustive], else corners + [samples] random pairs
-    from [seed], 41 by default), drop disconnected pairs, and sweep.
+    scale [k] via {!Simulate.registry_spec}, walk the pair space
+    ({!Ch_core.Pairs.Exhaustive} when [exhaustive], with K ≤ 5; else
+    [Pairs.Sampled] with [seed], 41 by default, and [samples]), drop
+    disconnected pairs, and sweep.
     Returns the rows, the report and the dropped-pair count; [None]
     when the spec has no reduction algorithm. *)
+
+(** {1 Benchmark shims}
+
+    The benchmark ([perfbench/]) and the reduction tests build their pair
+    lists with these two one-line lists of {!Ch_core.Pairs}, kept until
+    the next change to the benchmark moves onto [Pairs] directly;
+    {!sweep_registry} does not call them. *)
+
+val exhaustive_pairs : Framework.t -> (Bits.t * Bits.t) list
+(** Every index of {!Ch_core.Pairs.Exhaustive}.
+    @raise Invalid_argument when [K > 5] — the reduction sweep's cost
+    limit, which {!sweep_registry} applies too. *)
+
+val sampled_pairs : Framework.t -> seed:int -> samples:int -> (Bits.t * Bits.t) list
+(** Every index of [Pairs.Sampled { seed; samples }]: the corners, then
+    [samples] seeded draws. *)

@@ -2,7 +2,9 @@ open Ch_json
 
 type engine = Auto | Incremental | Scratch
 
-type vmode = Exhaustive | Sampled of { seed : int; samples : int }
+type vmode = Ch_core.Pairs.mode =
+  | Exhaustive
+  | Sampled of { seed : int; samples : int }
 
 type op =
   | Ping

@@ -25,7 +25,11 @@ open Ch_json
 
 type engine = Auto | Incremental | Scratch
 
-type vmode = Exhaustive | Sampled of { seed : int; samples : int }
+(** The {!Ch_core.Pairs.mode} of a request, constructors re-exported;
+    on the wire ["exhaustive"] or [{"seed": S, "samples": M}]. *)
+type vmode = Ch_core.Pairs.mode =
+  | Exhaustive
+  | Sampled of { seed : int; samples : int }
 
 type op =
   | Ping
@@ -76,6 +80,9 @@ type response = {
 }
 
 (** {1 JSON codec} *)
+
+val vmode_json : vmode -> Jsonx.t
+(** The wire form, also the ["mode"] field of a verify response. *)
 
 val encode_requests : request list -> string
 val decode_requests : string -> (request list, string) result

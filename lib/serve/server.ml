@@ -1,8 +1,6 @@
-(* no [open Ch_cc]: it exports its own [Protocol], which would shadow
-   the serve wire protocol *)
-module Bits = Ch_cc.Bits
 module Jsonx = Ch_json.Jsonx
 module Framework = Ch_core.Framework
+module Pairs = Ch_core.Pairs
 module Registry = Ch_core.Registry
 module Families = Ch_lbgraphs.Families
 module Bound = Ch_reduction.Bound
@@ -81,25 +79,6 @@ let find_spec name =
            ( Unknown_family,
              Registry.unknown_id_message (Families.catalog ()) name ))
 
-let shard_mode = function
-  | Exhaustive -> Shard.Exhaustive
-  | Sampled { seed; samples } -> Shard.Sampled { seed; samples }
-
-let vmode_body = function
-  | Exhaustive -> Jsonx.Str "exhaustive"
-  | Sampled { seed; samples } ->
-      Jsonx.Obj [ ("seed", Jsonx.Int seed); ("samples", Jsonx.Int samples) ]
-
-(* The incremental sampled trace: Framework has no sampled_verdicts_inc,
-   so replay the documented sample-index space through one prepared
-   instance — bit-identical to [Framework.sampled_verdicts] of the
-   scratch family by the [pverdict] contract. *)
-let sampled_verdicts_inc inc ~seed ~samples =
-  let prep = inc.Framework.prepare () in
-  Array.init (samples + 4) (fun i ->
-      let x, y = Framework.random_pair_at inc.Framework.scratch ~seed i in
-      prep.Framework.pverdict x y)
-
 let verify_body fam ~k ~vmode ~engine_used ~(cached : Warm.cached) ~source =
   (* per-family throughput counter; every verify path (memory, store,
      computed) lands here.  Interning per request is off the per-pair
@@ -116,7 +95,7 @@ let verify_body fam ~k ~vmode ~engine_used ~(cached : Warm.cached) ~source =
       ("family", Jsonx.Str fam.Framework.name);
       ("k", Jsonx.Int k);
       ("engine", Jsonx.Str engine_used);
-      ("mode", vmode_body vmode);
+      ("mode", vmode_json vmode);
       ("pairs", Jsonx.Int (Array.length cached.Warm.c_verdicts));
       ("failures", Jsonx.Int cached.Warm.c_failures);
       ("sided", Jsonx.Bool cached.Warm.c_sided);
@@ -129,39 +108,33 @@ let verify_body fam ~k ~vmode ~engine_used ~(cached : Warm.cached) ~source =
    against f, the Definition 1.1 sidedness spot-check (the same seeds the
    verify CLI uses), and the stream digest. *)
 let derive fam ~mode verdicts =
-  let gen = Shard.generator fam mode in
-  let failures = ref 0 in
-  Array.iteri
-    (fun p v ->
-      let x, y = gen p in
-      if v <> fam.Framework.f x y then incr failures)
-    verdicts;
   {
     Warm.c_verdicts = verdicts;
-    c_failures = !failures;
+    c_failures = Framework.failures fam mode verdicts;
     c_sided = Framework.check_sidedness ~seed:3 ~samples:8 fam;
     c_digest = Sweep.digest verdicts;
   }
 
-let exec_verify t ~family ~k ~vmode ~engine =
+let exec_verify t ~family ~k ~vmode:mode ~engine =
   let spec = find_spec family in
   let fam = spec.Registry.scratch k in
-  let mode = shard_mode vmode in
   let key = Warm.key fam ~mode in
   match Warm.find t.warm ~key with
   | Some cached ->
-      (true, verify_body fam ~k ~vmode ~engine_used:"cache" ~cached ~source:"memory")
+      ( true,
+        verify_body fam ~k ~vmode:mode ~engine_used:"cache" ~cached
+          ~source:"memory" )
   | None -> (
-      let total = Shard.total fam mode in
+      let total = Pairs.total ~k:fam.Framework.input_bits mode in
       match Warm.find_block t.warm ~key ~total with
       | Some verdicts ->
           let cached = derive fam ~mode verdicts in
           Warm.remember ~write:false t.warm ~key cached;
           ( true,
-            verify_body fam ~k ~vmode ~engine_used:"cache" ~cached
+            verify_body fam ~k ~vmode:mode ~engine_used:"cache" ~cached
               ~source:"store" )
       | None ->
-          let engine_used, verdicts =
+          let engine_used, engine =
             match (engine, spec.Registry.incremental) with
             | Incremental, None ->
                 raise
@@ -169,20 +142,16 @@ let exec_verify t ~family ~k ~vmode ~engine =
                      ( Unsupported,
                        Printf.sprintf "family %S has no incremental engine"
                          family ))
-            | (Incremental | Auto), Some incf -> (
-                let inc = incf k in
-                match mode with
-                | Shard.Exhaustive ->
-                    ("incremental", fst (Framework.exhaustive_verdicts_inc inc))
-                | Shard.Sampled { seed; samples } ->
-                    ("incremental", sampled_verdicts_inc inc ~seed ~samples))
-            | Scratch, _ | Auto, None ->
-                ("scratch", Sweep.oracle fam ~mode)
+            | (Incremental | Auto), Some incf ->
+                ("incremental", Framework.Incremental (incf k))
+            | Scratch, _ | Auto, None -> ("scratch", Framework.Scratch fam)
           in
+          let verdicts, _ = Framework.verdicts engine mode in
           let cached = derive fam ~mode verdicts in
           Warm.remember ~write:true t.warm ~key cached;
           ( false,
-            verify_body fam ~k ~vmode ~engine_used ~cached ~source:"computed" ))
+            verify_body fam ~k ~vmode:mode ~engine_used ~cached
+              ~source:"computed" ))
 
 let exec_simulate ~family ~k ~pairs ~seed =
   let spec = find_spec family in
@@ -196,42 +165,32 @@ let exec_simulate ~family ~k ~pairs ~seed =
                Printf.sprintf "family %S has no reduction algorithm" family ))
   in
   let fam = spec.Registry.scratch k in
-  let bits = fam.Framework.input_bits in
   let rows = ref [] in
   let all_correct = ref true in
   let skipped = ref 0 in
-  (* a disconnected instance is outside the CONGEST model (the gather
-     would never terminate) — skip the pair, mirroring
-     Bound.connected_pairs *)
-  let connected x y =
-    match fam.Framework.build x y with
-    | Framework.Undirected g -> Ch_graph.Props.connected g
-    | Framework.Directed dg ->
-        Ch_graph.Props.connected (Ch_congest.Network.comm_graph dg)
-    | _ -> true
-  in
-  for i = pairs - 1 downto 0 do
-    let x = Bits.random ~seed:(seed + (3 * i)) ~density:0.7 bits in
-    let y = Bits.random ~seed:(seed + (3 * i) + 1) ~density:0.7 bits in
-    if not (connected x y) then incr skipped
-    else begin
-      let sim =
-        Framework.simulate_reduction ?partition:rd.Registry.rd_partition fam
-          ~solver:rd.Registry.rd_solver ~accept:rd.Registry.rd_accept x y
-      in
-      if not sim.Framework.decision_correct then all_correct := false;
-      rows :=
-        Jsonx.Obj
-          [
-            ("pair", Jsonx.Int i);
-            ("rounds", Jsonx.Int sim.Framework.rounds);
-            ("cut_bits", Jsonx.Int sim.Framework.cut_bits);
-            ("cut_messages", Jsonx.Int sim.Framework.cut_messages);
-            ("correct", Jsonx.Bool sim.Framework.decision_correct);
-          ]
-        :: !rows
-    end
-  done;
+  Array.iteri
+    (fun i (x, y) ->
+      (* a disconnected instance is outside the CONGEST model (the
+         gather would never terminate): skip the pair *)
+      if not (Framework.connected (fam.Framework.build x y)) then incr skipped
+      else begin
+        let sim =
+          Framework.simulate_reduction ?partition:rd.Registry.rd_partition fam
+            ~solver:rd.Registry.rd_solver ~accept:rd.Registry.rd_accept x y
+        in
+        if not sim.Framework.decision_correct then all_correct := false;
+        rows :=
+          Jsonx.Obj
+            [
+              ("pair", Jsonx.Int i);
+              ("rounds", Jsonx.Int sim.Framework.rounds);
+              ("cut_bits", Jsonx.Int sim.Framework.cut_bits);
+              ("cut_messages", Jsonx.Int sim.Framework.cut_messages);
+              ("correct", Jsonx.Bool sim.Framework.decision_correct);
+            ]
+          :: !rows
+      end)
+    (Pairs.simulate_pairs ~k:fam.Framework.input_bits ~seed ~pairs);
   ( false,
     Jsonx.Obj
       [
@@ -247,7 +206,7 @@ let exec_simulate ~family ~k ~pairs ~seed =
                   (Framework.multicut_info fam ~partition).Framework.mc_edges)
         );
         ("skipped", Jsonx.Int !skipped);
-        ("pairs", Jsonx.Arr !rows);
+        ("pairs", Jsonx.Arr (List.rev !rows));
         ("all_correct", Jsonx.Bool !all_correct);
       ] )
 
@@ -277,16 +236,15 @@ let exec_reduction ~family ~k ~exhaustive ~pairs ~seed =
             ("all_within_budget", Jsonx.Bool rep.Bound.rep_all_within_budget);
           ] )
 
-let exec_sweep_status t ~family ~k ~shards ~vmode =
+let exec_sweep_status t ~family ~k ~shards ~vmode:mode =
   let spec = find_spec family in
   let fam = spec.Registry.scratch k in
-  let mode = shard_mode vmode in
   match t.cfg.cfg_store_dir with
   | None -> (false, Jsonx.Obj [ ("store", Jsonx.Bool false) ])
   | Some dir ->
       let key = Sweep.store_key fam ~mode ~shards in
       let st = Store.open_ ~dir ~key in
-      let total = Shard.total fam mode in
+      let total = Pairs.total ~k:fam.Framework.input_bits mode in
       let plan = Shard.partition ~total ~shards in
       let present = ref 0 and corrupt = ref 0 in
       Array.iter

@@ -1,5 +1,6 @@
 open Ch_cc
 module Framework = Ch_core.Framework
+module Pairs = Ch_core.Pairs
 module Pool = Ch_core.Pool
 module Obs = Ch_obs.Obs
 module Cache = Ch_solvers.Cache
@@ -31,8 +32,8 @@ let store_key fam ~mode ~shards =
   let core = Framework.graph_of (fam.Framework.build zeros zeros) in
   let mode_tag =
     match mode with
-    | Shard.Exhaustive -> "x"
-    | Shard.Sampled { seed; samples } -> Printf.sprintf "s:%d:%d" seed samples
+    | Pairs.Exhaustive -> "x"
+    | Pairs.Sampled { seed; samples } -> Printf.sprintf "s:%d:%d" seed samples
   in
   let desc =
     Printf.sprintf "%s|%s|k=%d|%s|total=%d|shards=%d" fam.Framework.name
@@ -40,17 +41,19 @@ let store_key fam ~mode ~shards =
          (List.map
             (fun (k, v) -> k ^ "=" ^ string_of_int v)
             fam.Framework.params))
-      fam.Framework.input_bits mode_tag (Shard.total fam mode) shards
+      fam.Framework.input_bits mode_tag
+      (Pairs.total ~k:fam.Framework.input_bits mode)
+      shards
   in
   Printf.sprintf "%08x-%s"
     (Props.structural_hash core land 0xffffffff)
     (String.sub (Digest.to_hex (Digest.string desc)) 0 12)
 
-let compute_shard gen fam s =
+let compute_shard fam mode s =
   Obs.with_span sp_shard (fun () ->
-      Array.init (Shard.count s) (fun j ->
-          let x, y = gen (Shard.lo s + j) in
-          Framework.verdict fam x y))
+      fst
+        (Framework.verdicts ~range:(Shard.lo s, Shard.hi s)
+           (Framework.Scratch fam) mode))
 
 (* A worker process: the interleaved slice [pos mod procs = c] of the
    pending shards, computed sequentially (the inherited pool's domains
@@ -58,7 +61,7 @@ let compute_shard gen fam s =
    skips [at_exit] — the parent owns the pool shutdown hooks — and
    skips channel flushing, so a worker never re-emits inherited buffered
    output. *)
-let child_main st gen fam plan pending ~procs ~fault_after c =
+let child_main st fam mode plan pending ~procs ~fault_after c =
   (match
      try
        (* The fork copied the parent's accumulated telemetry; drop it so
@@ -79,7 +82,7 @@ let child_main st gen fam plan pending ~procs ~fault_after c =
                then begin
                  Store.write_block st
                    ~index:(Shard.index plan.(i))
-                   (compute_shard gen fam plan.(i));
+                   (compute_shard fam mode plan.(i));
                  incr computed
                end)
              pending;
@@ -103,10 +106,9 @@ let run ?pool ?(procs = 1) ?store_dir ?fault_after
      other domains run, so the multi-process path must not be the one to
      spin up the default pool. *)
   let pool () = match pool with Some p -> p | None -> Pool.default () in
-  let total = Shard.total fam mode in
+  let total = Pairs.total ~k:fam.Framework.input_bits mode in
   let plan = Shard.partition ~total ~shards in
   let nsh = Array.length plan in
-  let gen = Shard.generator fam mode in
   let blocks : bool array option array = Array.make nsh None in
   let was_corrupt = Array.make nsh false in
   let computed = Array.make nsh false in
@@ -161,7 +163,7 @@ let run ?pool ?(procs = 1) ?store_dir ?fault_after
             if (not (Atomic.get interrupted)) && should_stop () then
               Atomic.set interrupted true;
             if not (skip pos || Atomic.get interrupted) then begin
-              let v = compute_shard gen fam plan.(i) in
+              let v = compute_shard fam mode plan.(i) in
               blocks.(i) <- Some v;
               computed.(i) <- true;
               match store with
@@ -176,7 +178,7 @@ let run ?pool ?(procs = 1) ?store_dir ?fault_after
      let pids =
        List.init procs (fun c ->
            match Unix.fork () with
-           | 0 -> child_main st gen fam plan pending ~procs ~fault_after c
+           | 0 -> child_main st fam mode plan pending ~procs ~fault_after c
            | pid -> pid)
      in
      List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
@@ -209,7 +211,7 @@ let run ?pool ?(procs = 1) ?store_dir ?fault_after
        Array.iter
          (fun i ->
            if Option.is_none blocks.(i) && not (should_stop ()) then begin
-             let v = compute_shard gen fam plan.(i) in
+             let v = compute_shard fam mode plan.(i) in
              Store.write_block st ~index:(Shard.index plan.(i)) v;
              blocks.(i) <- Some v;
              computed.(i) <- true
@@ -238,14 +240,9 @@ let run ?pool ?(procs = 1) ?store_dir ?fault_after
       | Some v -> Array.blit v 0 verdicts (Shard.lo s) (Array.length v)
       | None -> assert false)
     plan;
-  let failures = ref 0 in
-  for p = 0 to total - 1 do
-    let x, y = gen p in
-    if verdicts.(p) <> fam.Framework.f x y then incr failures
-  done;
   {
     verdicts;
-    failures = !failures;
+    failures = Framework.failures fam mode verdicts;
     shards_total = nsh;
     shards_completed = ncompleted;
     shards_resumed = !resumed;
@@ -253,12 +250,6 @@ let run ?pool ?(procs = 1) ?store_dir ?fault_after
     artifacts_corrupt = !corrupt;
     tables_restored = !restored;
   }
-
-let oracle ?pool fam ~mode =
-  match mode with
-  | Shard.Exhaustive -> Framework.exhaustive_verdicts ?pool fam
-  | Shard.Sampled { seed; samples } ->
-      Framework.sampled_verdicts ?pool ~seed ~samples fam
 
 let digest verdicts =
   Digest.to_hex

@@ -1,14 +1,17 @@
 module Framework = Ch_core.Framework
+module Pairs = Ch_core.Pairs
 module Pool = Ch_core.Pool
 
 (** Sharded, resumable verdict sweeps.
 
-    A sweep partitions a family's pair space into {!Shard} ranges, fans
-    them out over the {!Pool} domains (and optionally over forked worker
-    processes), and merges the per-shard verdict blocks in shard order —
-    so the merged stream is bit-identical to
-    {!Framework.exhaustive_verdicts} / {!Framework.sampled_verdicts} for
-    any worker count, any schedule, and any resume point.  With a store
+    A sweep partitions a family's pair space ({!Ch_core.Pairs}) into
+    {!Shard} ranges, computes each shard with the scratch engine's
+    [Framework.verdicts ~range:(lo, hi)], fans the shards out over the
+    {!Pool} domains (and optionally over forked worker processes), and
+    merges the per-shard verdict blocks in shard order — so the merged
+    stream is bit-identical to one [Framework.verdicts] run over the
+    whole mode for any worker count, any schedule, and any resume
+    point.  With a store
     directory, finished shards and the solver memo tables persist across
     runs: an interrupted sweep resumes by loading every valid block and
     computing only the rest, and a corrupt block (checksum failure) is
@@ -43,7 +46,7 @@ exception Interrupted of int
     number of shards this run computed (and, with a store, persisted)
     before stopping.  Resume by re-running against the same store. *)
 
-val store_key : Framework.t -> mode:Shard.mode -> shards:int -> string
+val store_key : Framework.t -> mode:Pairs.mode -> shards:int -> string
 (** The store sub-directory for one plan:
     [<core structural hash>-<digest of (name, params, K, mode, total,
     shards)>].  Content-addressed on the all-zeros core
@@ -59,7 +62,7 @@ val run :
   ?fault_after:int ->
   ?should_stop:(unit -> bool) ->
   Framework.t ->
-  mode:Shard.mode ->
+  mode:Pairs.mode ->
   shards:int ->
   outcome
 (** Run (or resume) a sweep cut into [shards] shards.
@@ -92,11 +95,8 @@ val run :
     signal landed.
 
     @raise Invalid_argument on [procs < 1], [procs > 1] without
-    [store_dir], or a plan outside the {!Shard} limits. *)
-
-val oracle : ?pool:Pool.t -> Framework.t -> mode:Shard.mode -> bool array
-(** The single-process from-scratch stream the sweep must reproduce:
-    {!Framework.exhaustive_verdicts} or {!Framework.sampled_verdicts}. *)
+    [store_dir], a mode {!Ch_core.Pairs.total} rejects, or a plan
+    outside the {!Shard} limits. *)
 
 val digest : bool array -> string
 (** MD5 hex of the stream (as its ['0']/['1'] rendering) — what the CLI

@@ -18,7 +18,7 @@ store=$(mktemp -d "${TMPDIR:-/tmp}/check_sweep.XXXXXX")
 trap 'rm -rf "$store"' EXIT INT TERM
 
 # One-shot scratch sweep: the reference digest, cross-checked against
-# Framework.exhaustive_verdicts in-process.
+# one Framework.verdicts run in-process.
 scratch=$("$exe" sweep mds -k 2 --shards 6 --check-oracle)
 echo "$scratch" | grep -q 'oracle differential: ok' || {
   echo "FAIL: scratch sweep disagrees with the oracle" >&2

@@ -2,10 +2,13 @@
    experiment in a temp directory, parse the BENCH_<ts>.json it writes,
    and look up the entries and fields the perf-trajectory tooling reads,
    by section and entry name, including the cache counters and the
-   incremental entries.  Then cross-check it against the
+   incremental entries, and require a non-empty obs section whose every
+   entry carries an enabled report.  Then cross-check it against the
    `hardness list --json` catalog: the catalog's ids must be unique with
    non-empty paper refs, and every verify/reduction/sweep bench entry
-   must name a registered family. *)
+   must name a registered family.  Last, every input the CLI cannot run
+   (a bad k, a negative pair count, a missing file) must fail with one
+   stderr line and exit 1. *)
 
 module Jsonx = Ch_json.Jsonx
 
@@ -124,10 +127,16 @@ let () =
     [ "verify"; "reduction"; "sweep"; "serve" ];
   (* the telemetry section: one report per bench entry, enabled by
      default under --json, whose counters show the entry's own work *)
-  let report name =
-    let r = field "report" (entry doc "obs" name) in
+  let enabled_report e =
+    let r = field "report" e in
     if field "enabled" r <> Jsonx.Bool true then
-      fail "obs report of %s is not enabled" name;
+      fail "obs report of %s is not enabled" (str "family" e);
+    r
+  in
+  if arr "obs" doc = [] then fail "the obs section is empty";
+  List.iter (fun e -> ignore (enabled_report e)) (arr "obs" doc);
+  let report name =
+    let r = enabled_report (entry doc "obs" name) in
     has_fields r [ "counters"; "spans"; "histograms" ];
     r
   in
@@ -194,28 +203,41 @@ let () =
               (family_of_entry name))
         (arr section doc))
     [ "verify"; "reduction"; "sweep" ];
-  (* an engine that cannot run at this k fails with one stderr line
-     naming the family, k and reason, and exit 1 — not an uncaught
-     exception (exit 125) *)
+  (* an engine that cannot run at this k, or a pair count the pair space
+     rejects, fails with one stderr line starting [prefix] and exit 1 —
+     not an uncaught exception (exit 125) nor a silent empty run *)
+  let fails_with_one_line args ~prefix =
+    let rc =
+      Sys.command
+        (Printf.sprintf "cd %s && %s %s > /dev/null 2> err.txt"
+           (Filename.quote dir) (Filename.quote hardness) args)
+    in
+    let err = read_file (Filename.concat dir "err.txt") in
+    if rc <> 1 then fail "hardness %s exited with %d:\n%s" args rc err;
+    match List.filter (( <> ) "") (String.split_on_char '\n' err) with
+    | [ line ] when String.starts_with ~prefix line -> ()
+    | _ ->
+        fail "hardness %s: expected one stderr line %S...:\n%s" args prefix err
+  in
   List.iter
     (fun (args, family, k) ->
-      let rc =
-        Sys.command
-          (Printf.sprintf "cd %s && %s %s > /dev/null 2> err.txt"
-             (Filename.quote dir) (Filename.quote hardness) args)
-      in
-      let err = read_file (Filename.concat dir "err.txt") in
-      if rc <> 1 then fail "hardness %s exited with %d:\n%s" args rc err;
-      let prefix = Printf.sprintf "family %S at k=%d: " family k in
-      match List.filter (( <> ) "") (String.split_on_char '\n' err) with
-      | [ line ] when String.starts_with ~prefix line -> ()
-      | _ ->
-          fail "hardness %s: expected one stderr line naming %s at k=%d:\n%s"
-            args family k err)
+      fails_with_one_line args
+        ~prefix:(Printf.sprintf "family %S at k=%d: " family k))
     [ ("verify steiner -k 4 --incremental", "steiner", 4);
       ("verify hampath -k 4 --incremental", "hampath", 4);
       ("profile steiner -k 4", "steiner", 4); ("list -k 3", "mds", 3);
-      ("simulate mds -k 3", "mds", 3) ];
+      ("simulate mds -k 3", "mds", 3); ("verify mds --samples=-5", "mds", 2);
+      ("verify mds --samples=-5 --incremental", "mds", 2);
+      ("simulate mds --pairs=-2", "mds", 2); ("sweep mds -k 3", "mds", 3);
+      ("sweep mds --sample=-1", "mds", 2);
+      ("replay mds log.txt -k 3", "mds", 3);
+      ("replay mds log.txt --pairs=-3", "mds", 2);
+      ("reduction mds -k 3", "mds", 3);
+      ("reduction mds --pairs=-3", "mds", 2) ];
+  (* a file that cannot be read is one "FILE: reason" line and exit 1 *)
+  List.iter
+    (fun args -> fails_with_one_line args ~prefix:"missing.jsonl: ")
+    [ "replay mds missing.jsonl"; "profile --from missing.jsonl" ];
   (* cleanup *)
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir;

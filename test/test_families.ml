@@ -6,10 +6,13 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let assert_family ?(samples = 12) ?(exhaustive = false) name fam =
-  let failures, total =
-    if exhaustive then Framework.verify_exhaustive fam
-    else Framework.verify_random ~seed:11 ~samples fam
+  let mode =
+    if exhaustive then Pairs.Exhaustive
+    else Pairs.Sampled { seed = 11; samples }
   in
+  let verdicts, _ = Framework.verdicts (Framework.Scratch fam) mode in
+  let failures = Framework.failures fam mode verdicts in
+  let total = Array.length verdicts in
   Alcotest.(check string)
     (name ^ " iff-predicate")
     (Printf.sprintf "0/%d" total)
@@ -372,8 +375,13 @@ let registry_differential_case s =
     | None -> assert false
     | Some inc ->
         let inc = inc 2 in
-        let scratch = Framework.exhaustive_verdicts inc.Framework.scratch in
-        let incr, stats = Framework.exhaustive_verdicts_inc inc in
+        let scratch, _ =
+          Framework.verdicts (Framework.Scratch inc.Framework.scratch)
+            Pairs.Exhaustive
+        in
+        let incr, stats =
+          Framework.verdicts (Framework.Incremental inc) Pairs.Exhaustive
+        in
         Alcotest.(check (array bool)) (s.Registry.id ^ " verdicts") scratch incr;
         check (s.Registry.id ^ " cache used") true
           (stats.Framework.cache_hits + stats.Framework.cache_misses > 0)

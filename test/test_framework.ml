@@ -109,8 +109,13 @@ let toy_family =
     f = Commfn.intersecting;
   }
 
+(* [(failures, total)] of the scratch engine over the exhaustive space *)
+let exhaustive_counts fam =
+  let v, _ = Framework.verdicts (Framework.Scratch fam) Pairs.Exhaustive in
+  (Framework.failures fam Pairs.Exhaustive v, Array.length v)
+
 let test_verify_detects_mismatch () =
-  let failures, total = Framework.verify_exhaustive toy_family in
+  let failures, total = exhaustive_counts toy_family in
   check_int "sixteen pairs" 16 total;
   check "mismatches found" true (failures > 0)
 
@@ -150,7 +155,7 @@ let test_reduce_composes () =
         | _ -> assert false)
       base
   in
-  let failures, total = Framework.verify_exhaustive doubled in
+  let failures, total = exhaustive_counts doubled in
   check_int "reduced family still verifies" 0 failures;
   check_int "all pairs" 256 total
 

@@ -90,8 +90,13 @@ let test_steiner_graphs () =
 (* Cheap solvers: compare the full 2^K × 2^K verdict trace pair by
    pair.  This is the PR's acceptance differential at k = 2. *)
 let check_exhaustive name inc =
-  let scratch = Framework.exhaustive_verdicts inc.Framework.scratch in
-  let incr, stats = Framework.exhaustive_verdicts_inc inc in
+  let scratch, _ =
+    Framework.verdicts (Framework.Scratch inc.Framework.scratch)
+      Pairs.Exhaustive
+  in
+  let incr, stats =
+    Framework.verdicts (Framework.Incremental inc) Pairs.Exhaustive
+  in
   Alcotest.(check (array bool)) (name ^ ": exhaustive verdicts") scratch incr;
   Alcotest.(check bool)
     (name ^ ": stats are non-negative")
@@ -103,7 +108,9 @@ let test_mds_exhaustive () =
   let inc = Mds_lb.incremental ~k:2 in
   check_exhaustive "mds" inc;
   (* k = 2 is 256 pairs; every pair queries the ball cache *)
-  let _, stats = Framework.exhaustive_verdicts_inc inc in
+  let _, stats =
+    Framework.verdicts (Framework.Incremental inc) Pairs.Exhaustive
+  in
   Alcotest.(check bool)
     "mds: per-pair cache hits" true
     (stats.Framework.cache_hits >= 256)
@@ -165,27 +172,20 @@ let test_hampath_exhaustive () =
   Cache.clear ();
   check_exhaustive "hampath" (Hampath_lb.incremental ~k:2)
 
-(* The _inc verifiers must agree with their scratch counterparts
-   through the degenerate of_family descriptor too. *)
-let test_of_family () =
-  let fam = Mds_lb.family ~k:2 in
-  let (f1, t1) = Framework.verify_exhaustive fam in
-  let (f2, t2), stats = Framework.verify_exhaustive_inc (Framework.of_family fam) in
-  Alcotest.(check (pair int int)) "of_family counts" (f1, t1) (f2, t2);
-  Alcotest.(check (pair int int))
-    "of_family reports no cache activity" (0, 0)
-    (stats.Framework.cache_hits, stats.Framework.cache_misses)
-
 let test_verify_counts () =
   let inc = Mds_lb.incremental ~k:2 in
-  let scratch = Framework.verify_exhaustive inc.Framework.scratch in
-  let incr, _ = Framework.verify_exhaustive_inc inc in
-  Alcotest.(check (pair int int)) "exhaustive counts" scratch incr;
-  let scratch_r =
-    Framework.verify_random ~seed:42 ~samples:50 inc.Framework.scratch
+  let fam = inc.Framework.scratch in
+  let counts engine mode =
+    let v, _ = Framework.verdicts engine mode in
+    (Framework.failures fam mode v, Array.length v)
   in
-  let incr_r, _ = Framework.verify_random_inc ~seed:42 ~samples:50 inc in
-  Alcotest.(check (pair int int)) "random counts" scratch_r incr_r
+  List.iter
+    (fun (label, mode) ->
+      Alcotest.(check (pair int int)) (label ^ " counts")
+        (counts (Framework.Scratch fam) mode)
+        (counts (Framework.Incremental inc) mode))
+    [ ("exhaustive", Pairs.Exhaustive);
+      ("random", Pairs.Sampled { seed = 42; samples = 50 }) ]
 
 (* ---------------------------------------------------------------- *)
 (* Solver caches vs from-scratch solvers on random graphs           *)
@@ -391,7 +391,7 @@ let test_memo_aux_keying () =
     (s''.Cache.hits, s''.Cache.misses)
 
 (* ---------------------------------------------------------------- *)
-(* Seed derivation: verify_random is schedule-independent           *)
+(* Seed derivation: the sampled mode is schedule-independent        *)
 (* ---------------------------------------------------------------- *)
 
 (* A deliberately broken family (predicate always TRUE) makes the
@@ -424,10 +424,15 @@ let test_seed_derivation () =
     List.length
       (List.filter (fun (x, y) -> not (broken.Framework.f x y)) drawn)
   in
+  let count pool =
+    let mode = Pairs.Sampled { seed; samples } in
+    let v, _ = Framework.verdicts ~pool (Framework.Scratch broken) mode in
+    (Framework.failures broken mode v, Array.length v)
+  in
   let p1 = Pool.create ~jobs:1 () in
   let p4 = Pool.create ~jobs:4 () in
-  let f1, t1 = Framework.verify_random ~pool:p1 ~seed ~samples broken in
-  let f4, t4 = Framework.verify_random ~pool:p4 ~seed ~samples broken in
+  let f1, t1 = count p1 in
+  let f4, t4 = count p4 in
   Pool.shutdown p1;
   Pool.shutdown p4;
   Alcotest.(check (pair int int)) "1 worker matches the formula"
@@ -459,7 +464,6 @@ let () =
           Alcotest.test_case "steiner sampled" `Slow test_steiner_sampled;
           Alcotest.test_case "maxcut sampled" `Quick test_maxcut_sampled;
           Alcotest.test_case "hampath exhaustive" `Slow test_hampath_exhaustive;
-          Alcotest.test_case "of_family fallback" `Quick test_of_family;
           Alcotest.test_case "verifier counts" `Quick test_verify_counts;
         ] );
       ( "solver caches",

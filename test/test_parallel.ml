@@ -83,33 +83,83 @@ let test_exception_propagation () =
 (* Parallel verification determinism: CH_JOBS=1 vs CH_JOBS=4          *)
 (* ------------------------------------------------------------------ *)
 
-(* Exhaustive sweeps on the Maxcut/Steiner k=2 families cost several
+(* Both engines, on a 1- and a 4-worker pool, must produce one stream.
+   Exhaustive sweeps on the Maxcut/Steiner k=2 families cost several
    exact-solver seconds per pair space, so only the cheap MDS family is
-   swept exhaustively; the others are covered by the random verifier. *)
+   swept exhaustively; the others are covered by the sampled mode. *)
+
+let incrementals () =
+  [
+    Mds_lb.incremental ~k:2;
+    Maxcut_lb.incremental ~k:2;
+    Steiner_lb.incremental ~k:2;
+  ]
 
 let families () =
   [ Mds_lb.family ~k:2; Maxcut_lb.family ~k:2; Steiner_lb.family ~k:2 ]
 
-let test_verify_exhaustive_jobs_invariant () =
-  let fam = Mds_lb.family ~k:2 in
-  let r1 = Framework.verify_exhaustive ~pool:(Lazy.force pool1) fam in
-  let r4 = Framework.verify_exhaustive ~pool:(Lazy.force pool4) fam in
-  check (fam.Framework.name ^ " exhaustive jobs=1 vs jobs=4") true (r1 = r4);
-  check (fam.Framework.name ^ " no failures") true (fst r1 = 0);
-  check_int (fam.Framework.name ^ " total = 2^K * 2^K") (16 * 16) (snd r1)
+let engines inc =
+  [ ("scratch", Framework.Scratch inc.Framework.scratch);
+    ("incremental", Framework.Incremental inc) ]
 
-let test_verify_random_jobs_invariant () =
+let check_schedule_invariant mode ~total inc =
+  let fam = inc.Framework.scratch in
+  let streams =
+    List.concat_map
+      (fun (ename, engine) ->
+        List.map
+          (fun (pname, pool) ->
+            ( Printf.sprintf "%s %s %s" fam.Framework.name ename pname,
+              fst (Framework.verdicts ~pool:(Lazy.force pool) engine mode) ))
+          [ ("jobs=1", pool1); ("jobs=4", pool4) ])
+      (engines inc)
+  in
+  let reference = snd (List.hd streams) in
   List.iter
-    (fun fam ->
-      let r1 =
-        Framework.verify_random ~pool:(Lazy.force pool1) ~seed:77 ~samples:8 fam
+    (fun (l, v) -> check (l ^ " = scratch jobs=1") true (v = reference))
+    streams;
+  check_int (fam.Framework.name ^ " total") total (Array.length reference);
+  check_int (fam.Framework.name ^ " no failures") 0
+    (Framework.failures fam mode reference)
+
+let test_verdicts_exhaustive_jobs_invariant () =
+  check_schedule_invariant Pairs.Exhaustive ~total:(16 * 16)
+    (Mds_lb.incremental ~k:2)
+
+let test_verdicts_sampled_jobs_invariant () =
+  List.iter
+    (check_schedule_invariant
+       (Pairs.Sampled { seed = 77; samples = 8 })
+       ~total:12)
+    (incrementals ())
+
+(* [~range] slices over a random cut of [0, total), concatenated in
+   order, give the whole stream — the contract the sweep shards rely on. *)
+let test_verdicts_range_concat () =
+  let inc = Mds_lb.incremental ~k:2 in
+  let rng = Random.State.make [| 2019 |] in
+  let k = inc.Framework.scratch.Framework.input_bits in
+  let check_mode mode (ename, engine) =
+    let total = Pairs.total ~k mode in
+    let whole, _ = Framework.verdicts ~pool:(Lazy.force pool4) engine mode in
+    for _ = 1 to 3 do
+      let cuts =
+        List.init (Random.State.int rng 6) (fun _ ->
+            Random.State.int rng (total + 1))
       in
-      let r4 =
-        Framework.verify_random ~pool:(Lazy.force pool4) ~seed:77 ~samples:8 fam
+      let rec slices = function
+        | lo :: (hi :: _ as rest) ->
+            fst (Framework.verdicts ~range:(lo, hi) engine mode) :: slices rest
+        | _ -> []
       in
-      check (fam.Framework.name ^ " random jobs=1 vs jobs=4") true (r1 = r4);
-      check_int (fam.Framework.name ^ " total = samples + corners") 12 (snd r1))
-    (families ())
+      let bounds = (0 :: List.sort compare cuts) @ [ total ] in
+      check (Printf.sprintf "%s, %d cuts" ename (List.length cuts)) true
+        (Array.concat (slices bounds) = whole)
+    done
+  in
+  List.iter
+    (fun mode -> List.iter (check_mode mode) (engines inc))
+    [ Pairs.Exhaustive; Pairs.Sampled { seed = 5; samples = 29 } ]
 
 let test_check_sidedness_jobs_invariant () =
   List.iter
@@ -138,10 +188,12 @@ let () =
         ] );
       ( "verify",
         [
-          Alcotest.test_case "verify_exhaustive schedule-invariant" `Quick
-            test_verify_exhaustive_jobs_invariant;
-          Alcotest.test_case "verify_random schedule-invariant" `Quick
-            test_verify_random_jobs_invariant;
+          Alcotest.test_case "verdicts exhaustive schedule-invariant" `Quick
+            test_verdicts_exhaustive_jobs_invariant;
+          Alcotest.test_case "verdicts sampled schedule-invariant" `Quick
+            test_verdicts_sampled_jobs_invariant;
+          Alcotest.test_case "verdicts ~range concatenation" `Quick
+            test_verdicts_range_concat;
           Alcotest.test_case "check_sidedness schedule-invariant" `Quick
             test_check_sidedness_jobs_invariant;
         ] );

@@ -97,7 +97,7 @@ let digest_of rs =
   | None -> Alcotest.fail "digest is not a string"
 
 let oracle_digest id k ~mode =
-  Sweep.digest (Sweep.oracle (fam_of id k) ~mode)
+  Sweep.digest (fst (Framework.verdicts (Framework.Scratch (fam_of id k)) mode))
 
 (* ---------------------------------------------------------------- *)
 (* Jsonx: printer/parser round-trip                                 *)
@@ -424,7 +424,7 @@ let test_ping_catalog_stats () =
 let test_cold_then_warm_matches_oracle () =
   Cache.clear ();
   with_server ~store:true (fun _t addr ->
-      let expect = oracle_digest "mds" 2 ~mode:Shard.Exhaustive in
+      let expect = oracle_digest "mds" 2 ~mode:Pairs.Exhaustive in
       let c = Client.connect ~retries:20 addr in
       Fun.protect
         ~finally:(fun () -> Client.close c)
@@ -458,7 +458,7 @@ let test_concurrent_clients_differential () =
         [ ("mds", 2); ("steiner-node-weighted", 2); ("maxis", 2); ("maxcut", 2) ]
       in
       let expected =
-        List.map (fun (id, k) -> oracle_digest id k ~mode:Shard.Exhaustive) jobs
+        List.map (fun (id, k) -> oracle_digest id k ~mode:Pairs.Exhaustive) jobs
       in
       let failures = ref [] in
       let fail_lock = Mutex.create () in
@@ -499,7 +499,7 @@ let test_concurrent_clients_differential () =
 let test_engines_agree_sampled () =
   Cache.clear ();
   let vmode = Protocol.Sampled { seed = 5; samples = 29 } in
-  let mode = Shard.Sampled { seed = 5; samples = 29 } in
+  let mode = Pairs.Sampled { seed = 5; samples = 29 } in
   let expect = oracle_digest "steiner-node-weighted" 2 ~mode in
   let run engine =
     with_server (fun t _addr ->
@@ -674,7 +674,7 @@ let test_warm_restart_from_store () =
           cfg_sample_period_s = 0.;
         }
       in
-      let expect = oracle_digest "mds" 2 ~mode:Shard.Exhaustive in
+      let expect = oracle_digest "mds" 2 ~mode:Pairs.Exhaustive in
       let sock1 = Filename.concat dir "serve1.sock" in
       let t1 = Server.start (config sock1) in
       (match Server.serve_batch t1 [ verify ~id:1 "mds" 2 ] with

@@ -45,6 +45,12 @@ let dummy_fam k : Framework.t =
     f = (fun x y -> (Bits.popcount x + Bits.popcount y) mod 2 = 0);
   }
 
+(* The single-process scratch stream a sweep must reproduce. *)
+let scratch_stream fam mode =
+  fst (Framework.verdicts (Framework.Scratch fam) mode)
+
+let total fam mode = Pairs.total ~k:fam.Framework.input_bits mode
+
 (* A jobs=1 pool spawns no domains, so tests on it stay legal before the
    fork in the fanout suite; fault injection is exact on either pool. *)
 let serial = lazy (Pool.create ~jobs:1 ())
@@ -135,14 +141,14 @@ let test_partition_family_totals () =
     let fam = dummy_fam k in
     List.iter
       (fun mode ->
-        let total = Shard.total fam mode in
+        let total = total fam mode in
         List.iter
           (fun shards ->
             if not (exact_cover ~total ~shards) then
               Alcotest.failf "not an exact cover: K=%d total=%d shards=%d" k
                 total shards)
           [ 1; 2; 3; 7; 8; 13; 64; total + 3 ])
-      [ Shard.Exhaustive; Shard.Sampled { seed = 5; samples = 29 } ]
+      [ Pairs.Exhaustive; Pairs.Sampled { seed = 5; samples = 29 } ]
   done
 
 (* ---------------------------------------------------------------- *)
@@ -157,9 +163,9 @@ let prop_permuted_merge =
     QCheck.(triple (int_range 1 5) (int_range 1 12) (int_range 0 1000))
     (fun (k, shards, salt) ->
       let fam = dummy_fam k in
-      let total = Shard.total fam Shard.Exhaustive in
+      let total = total fam Pairs.Exhaustive in
       let plan = Shard.partition ~total ~shards in
-      let gen = Shard.generator fam Shard.Exhaustive in
+      let gen = Pairs.pair_at ~k Pairs.Exhaustive in
       let order =
         (* a deterministic pseudo-random permutation of the shard list *)
         List.init shards Fun.id
@@ -175,7 +181,7 @@ let prop_permuted_merge =
             verdicts.(Shard.lo s + j) <- fam.Framework.f x y
           done)
         order;
-      verdicts = Framework.exhaustive_verdicts fam)
+      verdicts = scratch_stream fam Pairs.Exhaustive)
 
 (* Interrupt a store-backed sweep after a random number of shards, on a
    one- or a two-worker pool, then resume: exactly [fault] shards were
@@ -186,7 +192,7 @@ let prop_resume_any_point =
     QCheck.(quad (int_range 1 4) (int_range 1 8) (int_range 0 8) bool)
     (fun (k, shards, fault, wide) ->
       let fam = dummy_fam k in
-      let mode = Shard.Exhaustive in
+      let mode = Pairs.Exhaustive in
       let pool = Lazy.force (if wide then two_workers else serial) in
       with_temp_dir (fun dir ->
           let interrupted =
@@ -212,14 +218,14 @@ let prop_resume_any_point =
           o.Sweep.shards_recomputed = 0
           && o.Sweep.failures = 0
           && o.Sweep.shards_resumed + o.Sweep.shards_completed = shards
-          && o.Sweep.verdicts = Framework.exhaustive_verdicts fam))
+          && o.Sweep.verdicts = scratch_stream fam Pairs.Exhaustive))
 
 (* The sampled pair space merges just as deterministically, including
    through a store round-trip. *)
 let test_sampled_matches_oracle () =
   let fam = dummy_fam 5 in
-  let mode = Shard.Sampled { seed = 3; samples = 37 } in
-  let oracle = Sweep.oracle fam ~mode in
+  let mode = Pairs.Sampled { seed = 3; samples = 37 } in
+  let oracle = scratch_stream fam mode in
   let scratch = Sweep.run fam ~mode ~shards:5 in
   check_verdicts "scratch sampled sweep" oracle scratch.Sweep.verdicts;
   with_temp_dir (fun dir ->
@@ -239,7 +245,7 @@ let test_sampled_matches_oracle () =
    the outcome and in the sweep.shards.* obs counters. *)
 let test_crash_recovery_mds () =
   let fam = Lazy.force mds_fam in
-  let mode = Shard.Exhaustive in
+  let mode = Pairs.Exhaustive in
   let shards = 5 in
   let pool = Lazy.force serial in
   with_temp_dir (fun dir ->
@@ -264,7 +270,7 @@ let test_crash_recovery_mds () =
               incr present
           | Store.Missing -> ()
           | Store.Corrupt -> Alcotest.fail "corrupt block after crash")
-        (Shard.partition ~total:(Shard.total fam mode) ~shards);
+        (Shard.partition ~total:(total fam mode) ~shards);
       Alcotest.(check int) "persisted blocks" 2 !present;
       (* Resume under telemetry. *)
       let was_enabled = Obs.enabled () in
@@ -288,7 +294,7 @@ let test_crash_recovery_mds () =
           ("sweep.store.corrupt", 0);
         ];
       check_verdicts "resumed stream = oracle"
-        (Framework.exhaustive_verdicts fam)
+        (scratch_stream fam Pairs.Exhaustive)
         o.Sweep.verdicts)
 
 (* ---------------------------------------------------------------- *)
@@ -311,7 +317,7 @@ let write_file path s =
    changing the merged stream. *)
 let test_store_corruption () =
   let fam = Lazy.force mds_fam in
-  let mode = Shard.Exhaustive in
+  let mode = Pairs.Exhaustive in
   let shards = 6 in
   with_temp_dir (fun dir ->
       let first = Sweep.run ~store_dir:dir fam ~mode ~shards in
@@ -348,7 +354,7 @@ let test_store_corruption () =
       Alcotest.(check int) "corrupt artifacts" 3 o.Sweep.artifacts_corrupt;
       Alcotest.(check int) "failures" 0 o.Sweep.failures;
       check_verdicts "stream unchanged by corruption"
-        (Framework.exhaustive_verdicts fam)
+        (scratch_stream fam Pairs.Exhaustive)
         o.Sweep.verdicts;
       (* the recomputed blocks were re-persisted intact *)
       Array.iter
@@ -457,7 +463,7 @@ let test_mis_snapshot_roundtrip () =
    count, and a resumed run completes with zero recomputation. *)
 let test_should_stop () =
   let fam = dummy_fam 4 in
-  let mode = Shard.Exhaustive in
+  let mode = Pairs.Exhaustive in
   let shards = 6 in
   let pool = Lazy.force serial in
   with_temp_dir (fun dir ->
@@ -482,7 +488,7 @@ let test_should_stop () =
       Alcotest.(check int) "all shards covered" shards
         (o.Sweep.shards_resumed + o.Sweep.shards_completed);
       check_verdicts "stop/resume stream = oracle"
-        (Framework.exhaustive_verdicts fam)
+        (scratch_stream fam Pairs.Exhaustive)
         o.Sweep.verdicts)
 
 (* Span shape and counts, with the wall-clock timings stripped. *)
@@ -509,9 +515,9 @@ let obs_totals () =
    pair and accumulate entirely inside the workers. *)
 let test_multiprocess_matches_oracle () =
   let fam = Lazy.force mds_fam in
-  let mode = Shard.Exhaustive in
+  let mode = Pairs.Exhaustive in
   let shards = 7 in
-  let oracle = Framework.exhaustive_verdicts fam in
+  let oracle = scratch_stream fam Pairs.Exhaustive in
   let was_enabled = Obs.enabled () in
   Fun.protect ~finally:(fun () -> Obs.set_enabled was_enabled) @@ fun () ->
   Obs.set_enabled true;
