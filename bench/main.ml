@@ -1006,13 +1006,12 @@ let sweep_benches ~smoke () =
 (* Serve daemon (lib/serve): cold vs warm service time for one verify
    plan over a real localhost Unix socket — daemon thread, framing,
    scheduler admission and the warm-cache registry all on the measured
-   path.  The daemon runs in-process (threads, not fork: the domain
-   pool is already up, and OCaml 5 forbids fork after domains spawn);
-   the socket hop is real, so cold/warm is exactly what a CLI client
-   sees.  [Cache.clear] before each entry makes the first request
-   genuinely cold; the warm figure is the best of five repeats, and the
-   oracle digest is computed after the roundtrips so its work never
-   pre-warms the server. *)
+   path.  The daemon runs in-process on its own threads, beside the
+   bench's domain pool; the socket hop is real, so cold/warm is exactly
+   what a CLI client sees.  [Cache.clear] before each entry makes the
+   first request genuinely cold; the warm figure is the best of five
+   repeats, and the oracle digest is computed after the roundtrips so
+   its work never pre-warms the server. *)
 type sventry = {
   svname : string;
   svpairs : int;

@@ -67,6 +67,20 @@ let engine_error ~name ~k msg =
   Printf.eprintf "family %S at k=%d: %s\n" name k msg;
   1
 
+(* A file a command cannot open — a missing directory under --obs-out
+   or --trace, a regular file on the --resume path, a missing capture —
+   raises [Sys_error "PATH: reason"] or a [Unix_error] naming PATH:
+   one "PATH: reason" line and exit 1. *)
+let path_errors f =
+  try f () with
+  | Sys_error msg ->
+      prerr_endline msg;
+      1
+  | Unix.Unix_error (e, fn, path) ->
+      Printf.eprintf "%s: %s\n" (if path = "" then fn else path)
+        (Unix.error_message e);
+      1
+
 (* [(failures, total)] of one engine run over a whole mode *)
 let verify_counts fam engine mode =
   let v, _ = Framework.verdicts engine mode in
@@ -124,6 +138,7 @@ let exhaustive_arg =
 
 let verify_cmd =
   let run k name samples exhaustive incremental profile obs_out =
+    path_errors @@ fun () ->
     match Registry.find (catalog ()) name with
     | None ->
         Printf.eprintf "%s\n" (Registry.unknown_id_message (catalog ()) name);
@@ -250,6 +265,7 @@ let simulate_cmd =
 let reduction_cmd =
   let open Ch_reduction in
   let run k name pairs exhaustive trace_file seed profile obs_out =
+    path_errors @@ fun () ->
     match Registry.find (catalog ()) name with
     | None ->
         Printf.eprintf "%s\n" (Registry.unknown_id_message (catalog ()) name);
@@ -350,6 +366,7 @@ let replay_cmd =
     | Error _ -> None
   in
   let run k name pairs exhaustive seed trace_file =
+    path_errors @@ fun () ->
     match Registry.find (catalog ()) name with
     | None ->
         Printf.eprintf "%s\n" (Registry.unknown_id_message (catalog ()) name);
@@ -413,9 +430,7 @@ let replay_cmd =
                   Printf.eprintf "FAIL: %s holds no trace events\n" trace_file;
                   1
               | _ -> diff 0 recorded replayed)
-        with
-        | Invalid_argument msg -> engine_error ~name ~k msg
-        | Sys_error msg (* "FILE: reason" *) -> prerr_endline msg; 1)
+        with Invalid_argument msg -> engine_error ~name ~k msg)
   in
   let replay_family_arg =
     let doc = "Family id the trace was recorded from." in
@@ -448,8 +463,9 @@ let replay_cmd =
 
 let sweep_cmd =
   let open Ch_sweep in
-  let run k name shards resume sample seed procs fault_after check_oracle
-      profile obs_out =
+  let run k name shards resume sample seed fault_after check_oracle profile
+      obs_out =
+    path_errors @@ fun () ->
     match Registry.find (catalog ()) name with
     | None ->
         Printf.eprintf "%s\n" (Registry.unknown_id_message (catalog ()) name);
@@ -477,7 +493,7 @@ let sweep_cmd =
           ignore (Sys.signal Sys.sigint on_signal);
           ignore (Sys.signal Sys.sigterm on_signal);
           let work () =
-            Sweep.run ?store_dir:resume ?fault_after ~procs
+            Sweep.run ?store_dir:resume ?fault_after
               ~should_stop:(fun () -> Atomic.get stop)
               fam ~mode ~shards
           in
@@ -523,7 +539,7 @@ let sweep_cmd =
   in
   let resume_arg =
     let doc =
-      "Store root: persist per-shard verdict blocks and memo snapshots \
+      "Store root: persist per-shard verdict blocks and the memo snapshot \
        under $(docv), and resume from any valid artifacts already there."
     in
     Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"DIR" ~doc)
@@ -537,10 +553,6 @@ let sweep_cmd =
   in
   let seed_arg =
     Arg.(value & opt int 11 & info [ "seed" ] ~doc:"Sampling seed.")
-  in
-  let procs_arg =
-    let doc = "Fan shards out across $(docv) worker processes (needs --resume)." in
-    Arg.(value & opt int 1 & info [ "procs" ] ~docv:"P" ~doc)
   in
   let fault_after_arg =
     let doc =
@@ -563,7 +575,7 @@ let sweep_cmd =
           space, persisting per-shard blocks to a content-addressed store.")
     Term.(
       const run $ k_arg $ family_arg $ shards_arg $ resume_arg $ sample_arg
-      $ seed_arg $ procs_arg $ fault_after_arg $ check_oracle_arg $ profile_arg
+      $ seed_arg $ fault_after_arg $ check_oracle_arg $ profile_arg
       $ obs_out_arg)
 
 (* Offline span-tree reconstruction: parse the span_open/span_close
@@ -575,7 +587,6 @@ let sweep_cmd =
    client span that contains them. *)
 let profile_from file =
   match Ch_obs.Spanview.of_jsonl (read_lines file) with
-  | exception Sys_error msg (* "FILE: reason" *) -> prerr_endline msg; 1
   | Error (lineno, msg) ->
       Printf.eprintf "%s:%d: %s\n" file lineno msg;
       1
@@ -596,6 +607,7 @@ let profile_from file =
 
 let profile_cmd =
   let run k name from obs_out =
+    path_errors @@ fun () ->
     match from with
     | Some file -> profile_from file
     | None -> (
@@ -674,6 +686,7 @@ let resolve_addr socket port =
 let serve_cmd =
   let open Ch_serve in
   let run socket port workers queue_depth store obs_out sample_period =
+    path_errors @@ fun () ->
     match resolve_addr socket port with
     | Error msg ->
         Printf.eprintf "serve: %s\n" msg;
@@ -790,6 +803,7 @@ let client_cmd =
   in
   let run op family k samples seed scratch deadline shards pairs repeat bench
       socket port check_oracle trace_id obs_out =
+    path_errors @@ fun () ->
     match resolve_addr socket port with
     | Error msg ->
         Printf.eprintf "client: %s\n" msg;

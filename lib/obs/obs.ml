@@ -213,8 +213,9 @@ let jsonl oc line =
   output_string oc line;
   output_char oc '\n'
 
-(* [getpid] is called per event, never cached at module init: forked
-   sweep workers would otherwise stamp their parent's pid. *)
+(* The pid keeps apart the processes whose captures are concatenated —
+   a client and the daemon it called — so [Spanview] pairs each
+   process's opens and closes on their own stack. *)
 let emit_span_event ev sid st =
   if !sink <> None then
     let open Jsonx in
@@ -425,67 +426,6 @@ let quantile h q =
     in
     go 0 h.h_buckets
   end
-
-(* ---- snapshots ---- *)
-
-module Snapshot = struct
-  (* Marshal of the merged report behind a magic header.  Snapshots only
-     ever cross between processes running the same binary (forked sweep
-     workers), which is exactly Marshal's compatibility contract; the
-     header lets [absorb] reject arbitrary bytes before unmarshalling,
-     and the sweep store's checksum layer rejects torn payloads. *)
-  let magic = "chobsnap1\n"
-
-  let capture () = magic ^ Marshal.to_string (report ()) []
-
-  let absorb s =
-    let fail () = failwith "Obs.Snapshot.absorb: not an obs snapshot" in
-    let mlen = String.length magic in
-    if String.length s < mlen || String.sub s 0 mlen <> magic then fail ();
-    let r =
-      match (Marshal.from_string s mlen : report) with
-      | r -> r
-      | exception _ -> fail ()
-    in
-    if !enabled_flag then begin
-      let st = state () in
-      List.iter (fun (name, v) -> incr (counter name) v) r.r_counters;
-      List.iter
-        (fun h ->
-          if h.h_count > 0 then begin
-            let id = histogram h.h_name in
-            if id >= Array.length st.dhists then
-              st.dhists <- grown st.dhists None id;
-            let cell =
-              match st.dhists.(id) with
-              | Some c -> c
-              | None ->
-                  let c = new_hcell () in
-                  st.dhists.(id) <- Some c;
-                  c
-            in
-            (* [bucket_of b_lo] recovers the bucket index: bucket i >= 1
-               starts at 2^(i-1), and bucket 0's lower bound (min_int)
-               maps back to 0. *)
-            List.iter
-              (fun b ->
-                let i = bucket_of b.b_lo in
-                cell.hbuckets.(i) <- cell.hbuckets.(i) + b.b_count)
-              h.h_buckets;
-            cell.hcount <- cell.hcount + h.h_count;
-            cell.hsum <- sat_add cell.hsum h.h_sum;
-            if h.h_max > cell.hmax then cell.hmax <- h.h_max
-          end)
-        r.r_hists;
-      let rec absorb_sp parent sp =
-        let node = child_node parent (span sp.sp_name) in
-        node.ncount <- sat_add node.ncount sp.sp_count;
-        node.nns <- Int64.add node.nns sp.sp_ns;
-        List.iter (absorb_sp node) sp.sp_children
-      in
-      List.iter (absorb_sp st.droot) r.r_spans
-    end
-end
 
 (* ---- time series ---- *)
 

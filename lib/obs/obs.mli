@@ -89,7 +89,7 @@ val with_ctx : ctx -> (unit -> 'a) -> 'a
 
     A request-scoped identifier stamped onto every span event the
     calling domain emits, so one logical request can be joined across
-    process boundaries (client, daemon, forked workers) from their JSONL
+    process boundaries (a client and the daemon) from their JSONL
     sinks.  The slot is per {e domain}, like the span stack: systhreads
     sharing a domain share it, so attribution under concurrent
     same-domain requests is best-effort — exactly the tolerance the span
@@ -162,28 +162,6 @@ val quantile : hist_report -> float -> int
     an empty histogram or when the rank lands in the [<= 0] bucket.  A
     deterministic upper estimate: the true sample lies within a factor
     of 2 below the returned bound. *)
-
-(** {1 Snapshots}
-
-    Obs state serialized for a process boundary: a forked sweep worker
-    {!Snapshot.capture}s its merged report before [_exit], persists it
-    via the sweep store, and the coordinator {!Snapshot.absorb}s it so
-    worker-side counters, histograms and span trees survive the fork.
-    The payload is a Marshal of the report behind a magic header — valid
-    only between processes running the same binary, which is what a fork
-    guarantees. *)
-
-module Snapshot : sig
-  val capture : unit -> string
-  (** The merged report of all domains, serialized. *)
-
-  val absorb : string -> unit
-  (** Merge a captured snapshot into the calling domain: counters and
-      histogram cells add in (saturating), span trees merge path-wise
-      from the root with exact counts and nanoseconds.  No-op while
-      telemetry is disabled.
-      @raise Failure when the payload is not an obs snapshot. *)
-end
 
 (** {1 Time series}
 

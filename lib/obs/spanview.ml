@@ -1,9 +1,8 @@
 (* Span-tree reconstruction from a captured JSONL event stream.  The
    sink writes span_open/span_close events stamped with (pid, domain,
    trace, t_ns); this module decodes them and folds them back into the
-   same shape [Obs.report] produces live, including events from several
-   processes (a client and a daemon, a coordinator and its forked
-   workers) in one stream. *)
+   same shape [Obs.report] produces live, including events from two
+   processes (a client and the daemon it called) in one stream. *)
 
 module Jsonx = Ch_json.Jsonx
 

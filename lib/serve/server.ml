@@ -262,7 +262,11 @@ let exec_sweep_status t ~family ~k ~shards ~vmode:mode =
             ("shards", Jsonx.Int (Array.length plan));
             ("present", Jsonx.Int !present);
             ("corrupt", Jsonx.Int !corrupt);
-            ("snapshots", Jsonx.Int (List.length (Store.snapshot_slots st)));
+            ( "snapshots",
+              Jsonx.Int
+                (match Store.read_snapshot st with
+                | Store.Missing -> 0
+                | Store.Value _ | Store.Corrupt -> 1) );
           ] )
 
 let exec_catalog () = (false, Registry.to_json (Families.catalog ()))

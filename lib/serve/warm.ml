@@ -35,15 +35,11 @@ let seed_tables ~dir =
   Array.iter
     (fun key ->
       if Sys.is_directory (Filename.concat dir key) then begin
-        let st = Store.open_ ~dir ~key in
-        List.iter
-          (fun slot ->
-            match Store.read_snapshot st ~slot with
-            | Store.Value snap -> (
-                try restored := !restored + Cache.restore snap
-                with Failure _ -> ())
-            | Store.Missing | Store.Corrupt -> ())
-          (Store.snapshot_slots st)
+        match Store.read_snapshot (Store.open_ ~dir ~key) with
+        | Store.Value snap -> (
+            try restored := !restored + Cache.restore snap
+            with Failure _ -> ())
+        | Store.Missing | Store.Corrupt -> ()
       end)
     keys;
   !restored
@@ -101,4 +97,4 @@ let persist t =
   | None -> ()
   | Some dir ->
       let st = Store.open_ ~dir ~key:serve_key in
-      Store.write_snapshot st ~slot:0 (Cache.snapshot ())
+      Store.write_snapshot st (Cache.snapshot ())

@@ -14,10 +14,10 @@ module Shard = Ch_sweep.Shard
       under the same {!Ch_sweep.Sweep.store_key}, so CLI sweeps and the
       daemon share artifacts.  The verdict stream is read back; derived
       figures are recomputed.
-    - {b solver memo tables} — [Cache] snapshots from the store's memo
-      slots, merged at startup ({!create}) and persisted at shutdown
-      ({!persist}), so even a first-of-its-kind request skips the
-      core-table build.
+    - {b solver memo tables} — the [Cache] snapshot of each plan
+      directory in the store, merged at startup ({!create}) and
+      persisted at shutdown ({!persist}), so even a first-of-its-kind
+      request skips the core-table build.
 
     The key ({!Ch_sweep.Sweep.store_key} with [shards = 1]) folds in the
     core's structural hash and every stream-shaping parameter but {e not}
@@ -35,9 +35,9 @@ type cached = {
 type t
 
 val create : store_dir:string option -> t
-(** With a store root, walk every plan directory and merge each valid
-    memo snapshot into the process-wide [Cache] (corrupt ones are
-    counted, not fatal). *)
+(** With a store root, walk every plan directory and merge its memo
+    snapshot, when valid, into the process-wide [Cache] (corrupt ones
+    are skipped, not fatal). *)
 
 val tables_seeded : t -> int
 (** Memo tables merged in by {!create}. *)
@@ -60,7 +60,7 @@ val remember : ?write:bool -> t -> key:string -> cached -> unit
     [hardness sweep --shards 1] of the same plan will resume from it. *)
 
 val persist : t -> unit
-(** Write the current [Cache] snapshot to the store (slot 0 of a
-    dedicated ["serve"] plan directory), so the next daemon start —
-    and any sweep pointed at the same store — begins warm.  No-op
-    without a store. *)
+(** Write the current [Cache] snapshot to the store (the memo
+    snapshot of a dedicated ["serve"] plan directory), so the next
+    daemon start — and any sweep pointed at the same store — begins
+    warm.  No-op without a store. *)

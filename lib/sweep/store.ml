@@ -17,14 +17,20 @@ let open_ ~dir ~key =
 let dir t = t.sdir
 
 let block_path t index = Filename.concat t.sdir (Printf.sprintf "shard-%04d.blk" index)
-let snap_path t slot = Filename.concat t.sdir (Printf.sprintf "memo-%d.snap" slot)
-let obs_path t slot = Filename.concat t.sdir (Printf.sprintf "obs-%d.snap" slot)
+let snap_path t = Filename.concat t.sdir "memo-0.snap"
 
 (* Killed writers leave only their temp file behind; the rename is the
    commit point, so a reader never sees a partially written artifact
-   under its final name. *)
+   under its final name.  The pid keeps processes apart and the counter
+   keeps apart the domains and threads of one process writing the same
+   artifact at once. *)
+let tmp_seq = Atomic.make 0
+
 let atomic_write path content =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
+  let tmp =
+    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
+      (Atomic.fetch_and_add tmp_seq 1)
+  in
   let oc = open_out_bin tmp in
   output_string oc content;
   close_out oc;
@@ -41,7 +47,6 @@ let read_file path =
 
 let block_tag = "chshard1"
 let snap_tag = "chsnap1"
-let obs_tag = "chobs1"
 
 let write_block t ~index verdicts =
   let payload =
@@ -91,55 +96,29 @@ let read_block t ~index =
   | None -> Missing
   | Some body -> parse_block ~index body
 
-(* memo and obs snapshots share one checksummed wrapper; only the tag
-   and filename differ *)
-let write_tagged tag path payload =
+let write_snapshot t payload =
   let header =
-    Printf.sprintf "%s %d %s\n" tag (String.length payload)
+    Printf.sprintf "%s %d %s\n" snap_tag (String.length payload)
       (Digest.to_hex (Digest.string payload))
   in
-  atomic_write path (header ^ payload)
+  atomic_write (snap_path t) (header ^ payload)
 
-let read_tagged tag path =
-  match read_file path with
+let read_snapshot t =
+  match read_file (snap_path t) with
   | None -> Missing
   | Some body -> (
       match String.index_opt body '\n' with
       | None -> Corrupt
       | Some nl -> (
           match String.split_on_char ' ' (String.sub body 0 nl) with
-          | [ t; len; digest ] -> (
+          | [ tag; len; digest ] -> (
               match int_of_string_opt len with
               | Some len
-                when t = tag && len >= 0 && String.length body = nl + 1 + len
-                ->
+                when tag = snap_tag && len >= 0
+                     && String.length body = nl + 1 + len ->
                   let payload = String.sub body (nl + 1) len in
                   if Digest.to_hex (Digest.string payload) = digest then
                     Value payload
                   else Corrupt
               | _ -> Corrupt)
           | _ -> Corrupt))
-
-(* [<prefix><slot>.snap] filenames whose slot round-trips exactly *)
-let slots_matching t ~prefix =
-  Sys.readdir t.sdir |> Array.to_list
-  |> List.filter_map (fun f ->
-         let plen = String.length prefix and flen = String.length f in
-         if flen > plen + 5 && String.sub f 0 plen = prefix then
-           match
-             int_of_string_opt (String.sub f plen (flen - plen - 5))
-           with
-           | Some slot when f = Printf.sprintf "%s%d.snap" prefix slot ->
-               Some slot
-           | _ -> None
-         else None)
-  |> List.sort compare
-
-let write_snapshot t ~slot snap = write_tagged snap_tag (snap_path t slot) snap
-let read_snapshot t ~slot = read_tagged snap_tag (snap_path t slot)
-let snapshot_slots t = slots_matching t ~prefix:"memo-"
-let write_obs t ~slot snap = write_tagged obs_tag (obs_path t slot) snap
-let read_obs t ~slot = read_tagged obs_tag (obs_path t slot)
-let obs_slots t = slots_matching t ~prefix:"obs-"
-
-let remove_obs t ~slot = try Sys.remove (obs_path t slot) with Sys_error _ -> ()

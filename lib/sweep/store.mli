@@ -4,29 +4,32 @@
 
     {v
     <root>/<key>/shard-<index %04d>.blk   per-shard verdict block
-    <root>/<key>/memo-<slot>.snap         per-worker Cache snapshot
-    <root>/<key>/obs-<slot>.snap          per-worker Obs snapshot
+    <root>/<key>/memo-0.snap              the plan's Cache snapshot
     v}
 
     The key ({!Sweep.store_key}) folds in the core's structural hash and
     every plan parameter, so two different sweeps can never exchange
-    blocks.  Every artifact is written to a pid-suffixed temp file and
-    [rename]d into place — concurrent writers and killed workers leave
-    either the old file or the new one, never a torn block — and carries
-    a checksummed header, so a truncated or bit-flipped file reads back
-    as {!Corrupt}, never as data.
+    blocks.  Every artifact is written to a temp file unique to its
+    writer and [rename]d into place — a killed process leaves either the
+    old file or the new one, never a torn block — and carries a
+    checksummed header, so a truncated or bit-flipped file reads back as
+    {!Corrupt}, never as data.
+
+    {b Concurrency:} all writers of one store run in one process — the
+    domains of a sweep's pool, the daemon's scheduler threads.  Any of
+    them may write the same artifact at once; each write commits whole
+    at its [rename], and the last one wins.
 
     Block format (text): a [chshard1 <index> <count> <md5>] header line,
     then the [count] verdicts as one ['0']/['1'] line; [md5] is the
     payload digest.  Snapshot format: a [chsnap1 <len> <md5>] header
-    line, then the [len] raw snapshot bytes.  Obs snapshots use the
-    same wrapper with a [chobs1] tag. *)
+    line, then the [len] raw snapshot bytes. *)
 
 type t
 
 type 'a read =
   | Value of 'a
-  | Missing  (** never written (or removed) — recompute, nothing to report *)
+  | Missing  (** never written — recompute, nothing to report *)
   | Corrupt
       (** present but failing its header parse, length, index or
           checksum — report, then recompute *)
@@ -41,24 +44,6 @@ val dir : t -> string
 val write_block : t -> index:int -> bool array -> unit
 val read_block : t -> index:int -> bool array read
 
-val write_snapshot : t -> slot:int -> string -> unit
-val read_snapshot : t -> slot:int -> string read
-
-val snapshot_slots : t -> int list
-(** Slots with a snapshot file present, ascending. *)
-
-(** {1 Obs snapshots}
-
-    A forked sweep worker's parting {!Ch_obs.Obs.Snapshot} — written
-    beside its memo snapshot, absorbed by the coordinator right after
-    [waitpid], then removed so a later resume cannot double-count the
-    same work. *)
-
-val write_obs : t -> slot:int -> string -> unit
-val read_obs : t -> slot:int -> string read
-
-val obs_slots : t -> int list
-(** Slots with an obs snapshot present, ascending. *)
-
-val remove_obs : t -> slot:int -> unit
-(** Delete one obs snapshot; a missing file is not an error. *)
+val write_snapshot : t -> string -> unit
+val read_snapshot : t -> string read
+(** The plan's memo snapshot, [memo-0.snap]. *)

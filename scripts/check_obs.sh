@@ -1,18 +1,21 @@
 #!/bin/sh
 # Telemetry stream guard: validate a JSONL file produced by
-# `hardness ... --profile --obs-out FILE` (or any Obs sink).  Each line
-# must be one JSON object carrying an event discriminator ("ev" for
-# span events, "type" for reduction trace events), and the span stream
-# must be balanced: every span_open matched by a span_close.
+# `hardness ... --profile --obs-out FILE` (or any Obs sink).  Every line
+# must parse as JSON (strictly, UTF-8 included: `hardness profile
+# --from` names the first bad FILE:LINE), be one object carrying an
+# event discriminator ("ev" for span events, "type" for reduction trace
+# events), and the span stream must be balanced: every span_open
+# matched by a span_close.
 #
-# Usage: scripts/check_obs.sh FILE.jsonl
+# Usage: scripts/check_obs.sh HARDNESS_EXE FILE.jsonl
 set -eu
 
-if [ $# -ne 1 ]; then
-  echo "usage: $0 FILE.jsonl" >&2
+if [ $# -ne 2 ]; then
+  echo "usage: $0 HARDNESS_EXE FILE.jsonl" >&2
   exit 2
 fi
-file=$1
+exe=$1
+file=$2
 
 [ -s "$file" ] || { echo "FAIL: $file is missing or empty" >&2; exit 1; }
 
@@ -48,25 +51,8 @@ if [ "$opens" -ne "$closes" ]; then
   fail=1
 fi
 
-# every line must parse as JSON when a python is around to check
-if command -v python3 > /dev/null 2>&1; then
-  python3 - "$file" <<'EOF' || fail=1
-import json, sys
-with open(sys.argv[1]) as f:
-    for i, line in enumerate(f, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError as e:
-            print(f"FAIL: line {i} is not valid JSON: {e}", file=sys.stderr)
-            sys.exit(1)
-        if not isinstance(obj, dict):
-            print(f"FAIL: line {i} is not a JSON object", file=sys.stderr)
-            sys.exit(1)
-EOF
-fi
+# every line must parse as JSON; the span tree must rebuild from it
+"$exe" profile --from "$file" > /dev/null || fail=1
 
 if [ "$fail" -eq 0 ]; then
   echo "obs stream ok: $lineno events, $opens spans balanced"

@@ -234,10 +234,19 @@ let () =
       ("replay mds log.txt --pairs=-3", "mds", 2);
       ("reduction mds -k 3", "mds", 3);
       ("reduction mds --pairs=-3", "mds", 2) ];
-  (* a file that cannot be read is one "FILE: reason" line and exit 1 *)
+  (* a file that cannot be read or written is one "FILE: reason" line
+     and exit 1 *)
   List.iter
-    (fun args -> fails_with_one_line args ~prefix:"missing.jsonl: ")
-    [ "replay mds missing.jsonl"; "profile --from missing.jsonl" ];
+    (fun (args, path) -> fails_with_one_line args ~prefix:(path ^ ": "))
+    [ ("replay mds missing.jsonl", "missing.jsonl");
+      ("profile --from missing.jsonl", "missing.jsonl");
+      ("verify mds --profile --obs-out nodir/o.jsonl", "nodir/o.jsonl");
+      ("sweep mds --profile --obs-out nodir/o.jsonl", "nodir/o.jsonl");
+      ("profile mds --obs-out nodir/o.jsonl", "nodir/o.jsonl");
+      ("reduction mds --trace nodir/t.jsonl", "nodir/t.jsonl");
+      ("client ping --socket S --obs-out nodir/c.jsonl", "nodir/c.jsonl");
+      ("serve --socket S --obs-out nodir/d.jsonl", "nodir/d.jsonl");
+      ("sweep mds --resume log.txt/store", "log.txt/store") ];
   (* cleanup *)
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir;

@@ -202,39 +202,6 @@ let test_series_ring () =
   Alcotest.(check bool) "unknown histogram" true
     (Obs.Series.hist_delta s "no.such" = None)
 
-(* Snapshot: capture → reset → absorb reproduces the exact report
-   (modulo span timings, which absorb sums); absorbing twice doubles
-   counters; garbage is refused. *)
-let test_snapshot_roundtrip () =
-  Obs.set_enabled true;
-  let pool = Pool.create ~jobs:1 () in
-  Obs.reset ();
-  workload pool;
-  Pool.shutdown pool;
-  let before = strip_times (Obs.report ()) in
-  let snap = Obs.Snapshot.capture () in
-  Obs.reset ();
-  Obs.Snapshot.absorb snap;
-  let after = strip_times (Obs.report ()) in
-  Alcotest.(check bool) "absorb reproduces the report" true (before = after);
-  Obs.Snapshot.absorb snap;
-  let r2 = Obs.report () in
-  Alcotest.(check int)
-    "second absorb doubles counters" 128
-    (List.assoc "test.items" r2.Obs.r_counters);
-  Alcotest.check_raises "garbage refused"
-    (Failure "Obs.Snapshot.absorb: not an obs snapshot") (fun () ->
-      Obs.Snapshot.absorb "not a snapshot at all");
-  (* disabled: absorb is a no-op *)
-  Obs.set_enabled false;
-  Obs.reset ();
-  Obs.Snapshot.absorb snap;
-  Obs.set_enabled true;
-  let r3 = Obs.report () in
-  Alcotest.(check int)
-    "absorb while disabled records nothing" 0
-    (List.assoc "test.items" r3.Obs.r_counters)
-
 (* Spanview: two process streams with the same trace join into one
    tree by time containment; a root with a different trace stays
    separate; stray closes are dropped. *)
@@ -351,11 +318,6 @@ let () =
             test_quantile_vs_brute_force;
           Alcotest.test_case "ring wraparound, delta, rate" `Quick
             test_series_ring;
-        ] );
-      ( "snapshot",
-        [
-          Alcotest.test_case "capture/reset/absorb roundtrip" `Quick
-            test_snapshot_roundtrip;
         ] );
       ( "spanview",
         [

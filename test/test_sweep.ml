@@ -51,8 +51,7 @@ let scratch_stream fam mode =
 
 let total fam mode = Pairs.total ~k:fam.Framework.input_bits mode
 
-(* A jobs=1 pool spawns no domains, so tests on it stay legal before the
-   fork in the fanout suite; fault injection is exact on either pool. *)
+(* Fault injection is exact on either pool width. *)
 let serial = lazy (Pool.create ~jobs:1 ())
 let two_workers = lazy (Pool.create ~jobs:2 ())
 
@@ -364,8 +363,35 @@ let test_store_corruption () =
           | _ -> Alcotest.failf "block %d not repaired in store" i)
         [| 1; 3 |])
 
+(* Four domains write the same block 200 times each, as a pool's
+   domains or the daemon's threads may: every write commits whole, none
+   loses its temp file to another writer, and only the block is left. *)
+let test_concurrent_writes () =
+  with_temp_dir (fun dir ->
+      let st = Store.open_ ~dir ~key:"race" in
+      let block = Array.init 64 (fun i -> i mod 3 = 0) in
+      let writer () =
+        let failed = ref 0 in
+        for _ = 1 to 200 do
+          try Store.write_block st ~index:0 block
+          with Sys_error _ -> incr failed
+        done;
+        !failed
+      in
+      let failed =
+        List.init 4 (fun _ -> Domain.spawn writer)
+        |> List.fold_left (fun a d -> a + Domain.join d) 0
+      in
+      Alcotest.(check int) "failed writes" 0 failed;
+      (match Store.read_block st ~index:0 with
+      | Store.Value v -> check_verdicts "block reads back" block v
+      | _ -> Alcotest.fail "block unreadable after concurrent writes");
+      Alcotest.(check (list string))
+        "no temp file left" [ "shard-0000.blk" ]
+        (Array.to_list (Sys.readdir (Store.dir st))))
+
 (* ---------------------------------------------------------------- *)
-(* Memo-table snapshots and multi-process fan-out                   *)
+(* Memo-table snapshots                                             *)
 (* ---------------------------------------------------------------- *)
 
 let test_cache_snapshot_roundtrip () =
@@ -501,62 +527,48 @@ let obs_totals () =
   let r = Obs.report () in
   (r.Obs.r_counters, List.map sspan r.Obs.r_spans)
 
-(* Unix.fork is illegal once domains have been created, so this test
-   runs first in the suite, before anything touches a multi-domain
-   pool (Sweep.run's multi-process path never does; the serial rerun
-   below pins jobs=1, which spawns no domains either).
-
-   Beyond the verdict stream, the coordinator's obs totals must be
-   bit-identical to a serial in-process run of the same sweep: the
-   forked workers' counters and spans travel back through the store
-   as parting snapshots, so nothing the workers measured is lost.
-   The mds family is the probe — its scratch verdicts drive the
-   domset solver, whose node/prune counters are deterministic per
-   pair and accumulate entirely inside the workers. *)
-let test_multiprocess_matches_oracle () =
+(* The oracle runs first on the default pool, so this sweep starts
+   after other domains exist — any order of the suites must work.  On
+   a two-worker pool, the sweep matches that oracle, and its obs totals
+   (counters and span-forest shape) are bit-identical to a serial run
+   of the same sweep.  The mds family is the probe: its scratch
+   verdicts drive the domset solver, whose node/prune counters are
+   deterministic per pair. *)
+let test_wide_pool_matches_oracle () =
   let fam = Lazy.force mds_fam in
   let mode = Pairs.Exhaustive in
   let shards = 7 in
-  let oracle = scratch_stream fam Pairs.Exhaustive in
+  let oracle =
+    fst
+      (Framework.verdicts ~pool:(Pool.default ()) (Framework.Scratch fam) mode)
+  in
   let was_enabled = Obs.enabled () in
   Fun.protect ~finally:(fun () -> Obs.set_enabled was_enabled) @@ fun () ->
   Obs.set_enabled true;
-  Obs.reset ();
-  let o2, multi_totals =
+  let sweep pool =
+    Obs.reset ();
     with_temp_dir (fun dir ->
-        let o = Sweep.run ~procs:2 ~store_dir:dir fam ~mode ~shards in
+        let pool = Lazy.force pool in
+        let o = Sweep.run ~pool ~store_dir:dir fam ~mode ~shards in
         (o, obs_totals ()))
   in
+  let o2, wide_totals = sweep two_workers in
   Alcotest.(check int) "failures" 0 o2.Sweep.failures;
   Alcotest.(check int) "completed" shards o2.Sweep.shards_completed;
-  check_verdicts "two-process sweep = oracle" oracle o2.Sweep.verdicts;
-  Obs.reset ();
-  let o1, serial_totals =
-    with_temp_dir (fun dir ->
-        let o =
-          Sweep.run ~pool:(Lazy.force serial) ~store_dir:dir fam ~mode ~shards
-        in
-        (o, obs_totals ()))
-  in
+  check_verdicts "two-worker sweep = oracle" oracle o2.Sweep.verdicts;
+  let o1, serial_totals = sweep serial in
   Alcotest.(check int) "serial failures" 0 o1.Sweep.failures;
   check_verdicts "serial sweep = oracle" oracle o1.Sweep.verdicts;
   Alcotest.(check (list (pair string int)))
-    "coordinator counter totals = serial totals" (fst serial_totals)
-    (fst multi_totals);
-  Alcotest.(check bool) "merged span forest = serial span forest" true
-    (snd serial_totals = snd multi_totals)
+    "counter totals = serial totals" (fst serial_totals) (fst wide_totals);
+  Alcotest.(check bool) "span forest = serial span forest" true
+    (snd serial_totals = snd wide_totals)
 
 (* ---------------------------------------------------------------- *)
 
 let () =
   Alcotest.run "sweep"
     [
-      (* must stay first: forking is only legal before any domains *)
-      ( "fanout",
-        [
-          Alcotest.test_case "multi-process fan-out" `Quick
-            test_multiprocess_matches_oracle;
-        ] );
       ( "shard",
         [
           qt prop_pack_roundtrip;
@@ -570,12 +582,16 @@ let () =
           qt prop_permuted_merge;
           qt prop_resume_any_point;
           Alcotest.test_case "sampled mode" `Quick test_sampled_matches_oracle;
+          Alcotest.test_case "two-worker pool after the default pool" `Quick
+            test_wide_pool_matches_oracle;
         ] );
       ( "recovery",
         [
           Alcotest.test_case "crash injection + resume (mds)" `Quick
             test_crash_recovery_mds;
           Alcotest.test_case "store corruption" `Quick test_store_corruption;
+          Alcotest.test_case "concurrent writes to one block" `Quick
+            test_concurrent_writes;
           Alcotest.test_case "cache snapshot roundtrip" `Quick
             test_cache_snapshot_roundtrip;
           Alcotest.test_case "mis/mwis snapshot roundtrip" `Quick
