@@ -1144,25 +1144,14 @@ let write_json ~experiment_times ~verify ~reduction ~sweep ~serve =
       @ opt "solver_pruned" (fun n -> Int n) e.vpruned)
   in
   let reduction_entry r =
-    let open Ch_reduction.Bound in
-    let rep = r.rrep in
-    Obj
-      [
-        ("family", Str r.rname); ("pairs", Int rep.rep_pairs);
-        ("pairs_skipped", Int r.rskipped); ("wall_s", Float r.rwall);
-        ("pairs_per_s", rate rep.rep_pairs r.rwall);
-        ("parties", Int rep.rep_parties); ("cut", Int rep.rep_cut);
-        ("bandwidth", Int rep.rep_bandwidth);
-        ("rounds_max", Int rep.rep_rounds_max);
-        ("cut_bits_max", Int rep.rep_cut_bits_max);
-        ("budget_max", Int rep.rep_budget_max);
-        ("bits_per_round", Float rep.rep_bits_per_round);
-        ("cc_bits", Int rep.rep_cc_bits);
-        ("lb_rounds", Float rep.rep_lb_rounds);
-        ("transcript_differential_ok", Bool rep.rep_all_match);
-        ("decisions_ok", Bool rep.rep_all_correct);
-        ("within_budget", Bool rep.rep_all_within_budget);
-      ]
+    Ch_reduction.Bound.report_json
+      ~id:
+        [
+          ("family", Str r.rname); ("pairs_skipped", Int r.rskipped);
+          ("wall_s", Float r.rwall);
+          ("pairs_per_s", rate r.rrep.Ch_reduction.Bound.rep_pairs r.rwall);
+        ]
+      r.rrep
   in
   let sweep_entry e =
     Obj

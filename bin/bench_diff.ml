@@ -10,12 +10,7 @@
 open Cmdliner
 module Jsonx = Ch_json.Jsonx
 
-let as_float = function
-  | Jsonx.Int i -> Some (float_of_int i)
-  | Jsonx.Float f -> Some f
-  | _ -> None
-
-let fnum o name = Option.bind (Jsonx.mem name o) as_float
+let fnum o name = Option.bind (Jsonx.mem name o) Jsonx.as_float
 let inum o name = Option.bind (Jsonx.mem name o) Jsonx.as_int
 
 type entry = {

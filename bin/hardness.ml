@@ -4,11 +4,16 @@
    Every subcommand resolves families through the one registry
    ([Ch_lbgraphs.Families.catalog]) — there is no private family list
    here, so a family registered in its construction module is
-   immediately listable, verifiable and sweepable. *)
+   immediately listable, verifiable and sweepable.  [verify],
+   [simulate], [reduction] and [replay] build a protocol op and run it
+   in this process through [Ops.exec], the code the daemon runs; their
+   text is a rendering of the op's payload, and [client OP] sends the
+   same op, built from the same arguments, to a daemon instead. *)
 
 open Cmdliner
 open Ch_core
 open Ch_lbgraphs
+open Ch_serve
 
 let catalog = Families.catalog
 
@@ -20,6 +25,10 @@ let read_lines file = In_channel.with_open_text file In_channel.input_lines
 let k_arg =
   let doc = "Construction parameter k (a power of two, at least 2)." in
   Arg.(value & opt int 2 & info [ "k" ] ~docv:"K" ~doc)
+
+let family_arg =
+  let doc = "Family id (see the list command)." in
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"FAMILY" ~doc)
 
 let profile_arg =
   let doc =
@@ -36,36 +45,46 @@ let obs_out_arg =
   in
   Arg.(value & opt (some string) None & info [ "obs-out" ] ~docv:"FILE" ~doc)
 
-(* Run [f] with telemetry on: install the optional JSONL event sink,
-   wrap the work in a root span so the profile can attribute (nearly)
-   all wall time, and render the merged report. *)
-let profiled ~root ~obs_out f =
-  Obs.set_enabled true;
-  Obs.reset ();
-  let finish =
-    match obs_out with
-    | None -> fun () -> ()
-    | Some file ->
-        let oc = open_out file in
-        Obs.set_sink (Some (Obs.jsonl oc));
-        fun () ->
-          Obs.set_sink None;
-          close_out oc;
-          Printf.printf "telemetry events written to %s\n" file
-  in
-  let sp_root = Obs.span root in
-  let t0 = Obs.Clock.now_ns () in
-  let r = Fun.protect ~finally:finish (fun () -> Obs.with_span sp_root f) in
-  let wall_ns = Int64.sub (Obs.Clock.now_ns ()) t0 in
-  Format.printf "%a" (Obs.pp_profile ~wall_ns) (Obs.report ());
-  r
+(* With [profile], run [f] with telemetry on: install the optional JSONL
+   event sink, wrap the work in a root span so the profile can attribute
+   (nearly) all wall time, and render the merged report. *)
+let profiled ~profile ~root ~obs_out f =
+  if not profile then f ()
+  else begin
+    Obs.set_enabled true;
+    Obs.reset ();
+    let finish =
+      match obs_out with
+      | None -> fun () -> ()
+      | Some file ->
+          let oc = open_out file in
+          Obs.set_sink (Some (Obs.jsonl oc));
+          fun () ->
+            Obs.set_sink None;
+            close_out oc;
+            Printf.printf "telemetry events written to %s\n" file
+    in
+    let sp_root = Obs.span root in
+    let t0 = Obs.Clock.now_ns () in
+    let r = Fun.protect ~finally:finish (fun () -> Obs.with_span sp_root f) in
+    let wall_ns = Int64.sub (Obs.Clock.now_ns ()) t0 in
+    Format.printf "%a" (Obs.pp_profile ~wall_ns) (Obs.report ());
+    r
+  end
 
-(* An engine that cannot run at this k (a power-of-two check, a pair
-   space or table too large to enumerate) raises [Invalid_argument]: one
-   stderr line and exit 1, like an unknown family. *)
-let engine_error ~name ~k msg =
-  Printf.eprintf "family %S at k=%d: %s\n" name k msg;
+(* The one table from an op error to the exit status.  Every code is one
+   stderr line and exit 1: the message names the family and k (an engine
+   or pair space that cannot run at this scale), lists the families that
+   have the engine or reduction asked for, or lists the valid ids. *)
+let op_failed (_code, msg) =
+  prerr_endline msg;
   1
+
+(* The commands that are not ops (sweep, profile; list per family) look
+   their family up under the guard every op runs under, so they fail
+   with the same lines. *)
+let with_family name ~k f =
+  match Ops.with_family name ~k f with Ok code -> code | Error e -> op_failed e
 
 (* A file a command cannot open — a missing directory under --obs-out
    or --trace, a regular file on the --resume path, a missing capture —
@@ -81,10 +100,13 @@ let path_errors f =
         (Unix.error_message e);
       1
 
-(* [(failures, total)] of one engine run over a whole mode *)
-let verify_counts fam engine mode =
-  let v, _ = Framework.verdicts engine mode in
-  (Framework.failures fam mode v, Array.length v)
+(* counts a command needs positive: the first below 1, as an error line *)
+let below_one cmd counts =
+  List.find_map
+    (fun (flag, n) ->
+      if n < 1 then Some (Printf.sprintf "%s: %s must be at least 1" cmd flag)
+      else None)
+    counts
 
 let list_cmd =
   let run k json =
@@ -98,10 +120,11 @@ let list_cmd =
       let rec rows = function
         | [] -> 0
         | s :: rest -> (
-            match s.Registry.scratch k with
-            | exception Invalid_argument msg ->
-                engine_error ~name:s.Registry.id ~k msg
-            | fam ->
+            match
+              Ops.with_family s.Registry.id ~k (fun s -> s.Registry.scratch k)
+            with
+            | Error e -> op_failed e
+            | Ok fam ->
                 let engines =
                   String.concat "+"
                     (("scratch"
@@ -124,207 +147,55 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the lower-bound families and their parameters.")
     Term.(const run $ k_arg $ json_arg)
 
-let family_arg =
-  let doc = "Family id (see the list command)." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"FAMILY" ~doc)
+(* ------------------------------------------------------------------ ops *)
 
-let samples_arg =
-  let doc = "Number of random input pairs to verify." in
-  Arg.(value & opt int 20 & info [ "samples" ] ~doc)
+(* One term per op: it declares the op's arguments once and builds the
+   [Protocol.op], for the local command and for [client OP] alike. *)
 
-let exhaustive_arg =
-  let doc = "Verify all 4^K input pairs (K must be small)." in
-  Arg.(value & flag & info [ "exhaustive" ] ~doc)
-
-let verify_cmd =
-  let run k name samples exhaustive incremental profile obs_out =
-    path_errors @@ fun () ->
-    match Registry.find (catalog ()) name with
-    | None ->
-        Printf.eprintf "%s\n" (Registry.unknown_id_message (catalog ()) name);
-        1
-    | Some s -> (
-        let work () =
-          let fam = s.Registry.scratch k in
-          let engine =
-            match (incremental, s.Registry.incremental) with
-            | true, None ->
-                Printf.eprintf
-                  "family %S has no incremental engine; rerun without \
-                   --incremental\n"
-                  name;
-                exit 1
-            | true, Some inc -> Framework.Incremental (inc k)
-            | false, _ -> Framework.Scratch fam
-          in
-          let mode =
-            if exhaustive then Pairs.Exhaustive
-            else Pairs.Sampled { seed = 11; samples }
-          in
-          let failures, total = verify_counts fam engine mode in
-          let sided = Framework.check_sidedness ~seed:3 ~samples:8 fam in
-          (fam, failures, total, sided)
-        in
-        match
-          if profile then profiled ~root:"verify" ~obs_out work else work ()
-        with
-        | exception Invalid_argument msg -> engine_error ~name ~k msg
-        | fam, failures, total, sided ->
-            Printf.printf
-              "%s: property verified on %d/%d input pairs; Definition 1.1 \
-               side conditions: %b\n"
-              fam.Framework.name (total - failures) total sided;
-            let lb =
-              Framework.lower_bound_rounds ~input_bits:fam.Framework.input_bits
-                ~cut:(Framework.cut_size fam) ~n:fam.Framework.nvertices
-            in
-            Printf.printf "Theorem 1.1 bound at this scale: Ω(%.1f) rounds\n" lb;
-            if failures = 0 then 0 else 1)
+let verify_op =
+  let samples_arg =
+    let doc = "Number of random input pairs to verify." in
+    Arg.(value & opt int 20 & info [ "samples" ] ~doc)
+  in
+  let exhaustive_arg =
+    let doc = "Verify all 4^K input pairs (K must be small)." in
+    Arg.(value & flag & info [ "exhaustive" ] ~doc)
   in
   let incremental_arg =
     let doc = "Verify through the memoized incremental engine instead." in
     Arg.(value & flag & info [ "incremental" ] ~doc)
   in
-  Cmd.v
-    (Cmd.info "verify"
-       ~doc:"Verify a family's defining iff-property with the exact solvers.")
-    Term.(
-      const run $ k_arg $ family_arg $ samples_arg $ exhaustive_arg
-      $ incremental_arg $ profile_arg $ obs_out_arg)
-
-let reduction_ids () =
-  String.concat ", "
-    (List.map
-       (fun s -> s.Registry.id)
-       (Registry.filter ~reduction:true (catalog ())))
-
-let simulate_cmd =
-  let run k name pairs =
-    match Registry.find (catalog ()) name with
-    | None ->
-        Printf.eprintf "%s\n" (Registry.unknown_id_message (catalog ()) name);
-        1
-    | Some { Registry.reduction = None; _ } ->
-        Printf.eprintf
-          "family %S has no reduction algorithm; families with one: %s\n" name
-          (reduction_ids ());
-        1
-    | Some ({ Registry.reduction = Some rd; _ } as s) -> (
-        match
-          let fam = s.Registry.scratch k in
-          ( fam,
-            rd k,
-            Pairs.simulate_pairs ~k:fam.Framework.input_bits ~seed:0 ~pairs )
-        with
-        | exception Invalid_argument msg -> engine_error ~name ~k msg
-        | fam, rd, drawn ->
-            let cut =
-              match rd.Registry.rd_partition with
-              | None -> Framework.cut_size fam
-              | Some partition ->
-                  Array.length
-                    (Framework.multicut_info fam ~partition).Framework.mc_edges
-            in
-            Printf.printf
-              "Simulating %s CONGEST on G_{x,y} (k=%d, n=%d, t=%d, cut=%d)\n"
-              s.Registry.id k fam.Framework.nvertices rd.Registry.rd_parties
-              cut;
-            let all_ok = ref true in
-            Array.iteri
-              (fun i (x, y) ->
-                if not (Framework.connected (fam.Framework.build x y)) then
-                  Printf.printf "  pair %2d: skipped (G_{x,y} disconnected)\n" i
-                else begin
-                  let sim =
-                    Framework.simulate_reduction
-                      ?partition:rd.Registry.rd_partition fam
-                      ~solver:rd.Registry.rd_solver
-                      ~accept:rd.Registry.rd_accept x y
-                  in
-                  if not sim.Framework.decision_correct then all_ok := false;
-                  Printf.printf "  pair %2d: rounds=%4d  cut bits=%6d  %s\n" i
-                    sim.Framework.rounds sim.Framework.cut_bits
-                    (if sim.Framework.decision_correct then "correct"
-                     else "WRONG")
-                end)
-              drawn;
-            if !all_ok then 0 else 1)
+  let make k family samples exhaustive incremental =
+    Protocol.Verify
+      {
+        family;
+        k;
+        vmode =
+          (if exhaustive then Pairs.Exhaustive
+           else Pairs.Sampled { seed = 11; samples });
+        engine =
+          (if incremental then Protocol.Incremental else Protocol.Scratch);
+      }
   in
-  let sim_family_arg =
+  Term.(
+    const make $ k_arg $ family_arg $ samples_arg $ exhaustive_arg
+    $ incremental_arg)
+
+let simulate_op =
+  let family_arg =
     let doc = "Family id (must carry a reduction algorithm)." in
     Arg.(value & pos 0 string "mds" & info [] ~docv:"FAMILY" ~doc)
   in
   let pairs_arg =
     Arg.(value & opt int 5 & info [ "pairs" ] ~doc:"Number of input pairs.")
   in
-  Cmd.v
-    (Cmd.info "simulate"
-       ~doc:"Run the Theorem 1.1 Alice-Bob simulation on a family.")
-    Term.(const run $ k_arg $ sim_family_arg $ pairs_arg)
+  Term.(
+    const (fun k family pairs ->
+        Protocol.Simulate { family; k; pairs; seed = 0 })
+    $ k_arg $ family_arg $ pairs_arg)
 
-let reduction_cmd =
-  let open Ch_reduction in
-  let run k name pairs exhaustive trace_file seed profile obs_out =
-    path_errors @@ fun () ->
-    match Registry.find (catalog ()) name with
-    | None ->
-        Printf.eprintf "%s\n" (Registry.unknown_id_message (catalog ()) name);
-        1
-    | Some s -> (
-        (* --trace keeps its raw JSONL file; --profile additionally tees
-           the events into the telemetry layer (reduction.* counters and,
-           with --obs-out, the shared event stream) *)
-        let with_file_sink f =
-          match trace_file with
-          | None -> f None
-          | Some file ->
-              let oc = open_out file in
-              Fun.protect
-                ~finally:(fun () -> close_out oc)
-                (fun () -> f (Some (Trace.jsonl oc)))
-        in
-        let sweep_traced () =
-          with_file_sink (fun file_sink ->
-              let trace =
-                if profile then
-                  Some
-                    (match file_sink with
-                    | None -> Trace.obs_sink
-                    | Some fs -> Trace.tee Trace.obs_sink fs)
-                else file_sink
-              in
-              let go () =
-                Bound.sweep_registry ?trace ~seed ~exhaustive ~samples:pairs s
-                  ~k
-              in
-              if profile then profiled ~root:"reduction" ~obs_out go
-              else go ())
-        in
-        try
-          match sweep_traced () with
-          | None ->
-              Printf.eprintf
-                "family %S has no reduction algorithm; families with one: %s\n"
-                name (reduction_ids ());
-              1
-          | Some (_, report, skipped) ->
-              Format.printf "%a@." Bound.pp_report report;
-              if skipped > 0 then
-                Format.printf
-                  "skipped %d disconnected pair%s (outside the CONGEST model)@."
-                  skipped
-                  (if skipped = 1 then "" else "s");
-              (match trace_file with
-              | Some file -> Format.printf "trace written to %s@." file
-              | None -> ());
-              if
-                report.Bound.rep_all_match && report.Bound.rep_all_correct
-                && report.Bound.rep_all_within_budget
-              then 0
-              else 1
-        with Invalid_argument msg -> engine_error ~name ~k msg)
-  in
-  let red_family_arg =
+let reduction_op =
+  let family_arg =
     let doc = "Family id (must carry a reduction algorithm — see list)." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FAMILY" ~doc)
   in
@@ -336,12 +207,171 @@ let reduction_cmd =
     let doc = "Sweep all 4^K input pairs (K must be at most 5)." in
     Arg.(value & flag & info [ "exhaustive" ] ~doc)
   in
+  let seed_arg =
+    Arg.(value & opt int 41 & info [ "seed" ] ~doc:"Sampling seed.")
+  in
+  Term.(
+    const (fun k family pairs exhaustive seed ->
+        Protocol.Reduction { family; k; exhaustive; pairs; seed })
+    $ k_arg $ family_arg $ pairs_arg $ exhaustive_arg $ seed_arg)
+
+(* A sweep plan — family, k, shard count, pair mode — as [sweep] spells
+   it; [client sweep-status] asks the daemon's store about the same plan. *)
+let sweep_plan =
+  let shards_arg =
+    let doc = "Number of shards to cut the pair space into." in
+    Arg.(value & opt int 8 & info [ "shards" ] ~docv:"N" ~doc)
+  in
+  let sample_arg =
+    let doc =
+      "Sweep the 4 corner pairs plus $(docv) seeded samples instead of all \
+       4^K pairs."
+    in
+    Arg.(value & opt (some int) None & info [ "sample" ] ~docv:"M" ~doc)
+  in
+  let seed_arg =
+    Arg.(value & opt int 11 & info [ "seed" ] ~doc:"Sampling seed.")
+  in
+  let make k family shards sample seed =
+    ( family,
+      k,
+      shards,
+      match sample with
+      | None -> Pairs.Exhaustive
+      | Some samples -> Pairs.Sampled { seed; samples } )
+  in
+  Term.(const make $ k_arg $ family_arg $ shards_arg $ sample_arg $ seed_arg)
+
+let sweep_status_op =
+  Term.(
+    const (fun (family, k, shards, vmode) ->
+        Protocol.Sweep_status { family; k; shards; vmode })
+    $ sweep_plan)
+
+(* Run an op in this process, on a warm registry with no store. *)
+let local ?trace op () = Ops.exec ?trace (Warm.create ~store_dir:None) op
+
+let render f = function Ok (_, body) -> f body | Error e -> op_failed e
+
+(* payload fields the renderers read; [Ops] always sets them *)
+let get conv body name =
+  match Option.bind (Jsonx.mem name body) conv with
+  | Some v -> v
+  | None -> invalid_arg ("payload lacks " ^ name)
+
+let jint = get Jsonx.as_int
+let jstr = get Jsonx.as_str
+let jbool = get Jsonx.as_bool
+let jfloat = get Jsonx.as_float
+let jarr = get Jsonx.as_arr
+
+let verify_cmd =
+  let run op profile obs_out =
+    path_errors @@ fun () ->
+    profiled ~profile ~root:"verify" ~obs_out (local op)
+    |> render (fun body ->
+           let pairs = jint body "pairs" and failures = jint body "failures" in
+           Printf.printf
+             "%s: property verified on %d/%d input pairs; Definition 1.1 side \
+              conditions: %b\n"
+             (jstr body "family") (pairs - failures) pairs (jbool body "sided");
+           Printf.printf "Theorem 1.1 bound at this scale: Ω(%.1f) rounds\n"
+             (jfloat body "lb_rounds");
+           if failures = 0 then 0 else 1)
+  in
+  Cmd.v
+    (Cmd.info "verify"
+       ~doc:"Verify a family's defining iff-property with the exact solvers.")
+    Term.(const run $ verify_op $ profile_arg $ obs_out_arg)
+
+let simulate_cmd =
+  let run op =
+    local op ()
+    |> render (fun body ->
+           Printf.printf
+             "Simulating %s CONGEST on G_{x,y} (k=%d, n=%d, t=%d, cut=%d)\n"
+             (jstr body "family") (jint body "k") (jint body "n")
+             (jint body "parties") (jint body "cut");
+           (* the payload lists the connected pairs, in order, by index;
+              the indices it skips were skipped *)
+           let rows = jarr body "pairs" in
+           let total = List.length rows + jint body "skipped" in
+           let rec print i = function
+             | r :: rest when jint r "pair" = i ->
+                 Printf.printf "  pair %2d: rounds=%4d  cut bits=%6d  %s\n" i
+                   (jint r "rounds") (jint r "cut_bits")
+                   (if jbool r "correct" then "correct" else "WRONG");
+                 print (i + 1) rest
+             | rows when i < total ->
+                 Printf.printf "  pair %2d: skipped (G_{x,y} disconnected)\n" i;
+                 print (i + 1) rows
+             | _ -> ()
+           in
+           print 0 rows;
+           if jbool body "all_correct" then 0 else 1)
+  in
+  Cmd.v
+    (Cmd.info "simulate"
+       ~doc:"Run the Theorem 1.1 Alice-Bob simulation on a family.")
+    Term.(const run $ simulate_op)
+
+let reduction_cmd =
+  let open Ch_reduction in
+  let run op trace_file profile obs_out =
+    path_errors @@ fun () ->
+    (* --trace keeps its raw JSONL file; --profile additionally tees the
+       events into the telemetry layer (reduction.* counters and, with
+       --obs-out, the shared event stream) *)
+    let with_file_sink f =
+      match trace_file with
+      | None -> f None
+      | Some file ->
+          let oc = open_out file in
+          Fun.protect
+            ~finally:(fun () -> close_out oc)
+            (fun () -> f (Some (Trace.jsonl oc)))
+    in
+    with_file_sink (fun file_sink ->
+        let trace =
+          match (profile, file_sink) with
+          | false, sink -> sink
+          | true, None -> Some Trace.obs_sink
+          | true, Some fs -> Some (Trace.tee Trace.obs_sink fs)
+        in
+        profiled ~profile ~root:"reduction" ~obs_out (local ?trace op))
+    |> render (fun body ->
+           Printf.printf "%s: n=%d K=%d t=%d |cut|=%d B=%d\n"
+             (jstr body "family") (jint body "n") (jint body "input_bits")
+             (jint body "parties") (jint body "cut") (jint body "bandwidth");
+           Printf.printf
+             "pairs=%d rounds<=%d cut-bits<=%d budget<=%d bits/round=%.1f\n"
+             (jint body "pairs") (jint body "rounds_max")
+             (jint body "cut_bits_max") (jint body "budget_max")
+             (jfloat body "bits_per_round");
+           Printf.printf "CC(f)>=%d bits => Omega(%.2f) rounds\n"
+             (jint body "cc_bits") (jfloat body "lb_rounds");
+           let ok = jbool body in
+           Printf.printf
+             "all-correct=%b transcript=oracle=%b within-budget=%b\n"
+             (ok "decisions_ok")
+             (ok "transcript_differential_ok")
+             (ok "within_budget");
+           let skipped = jint body "skipped" in
+           if skipped > 0 then
+             Printf.printf
+               "skipped %d disconnected pair%s (outside the CONGEST model)\n"
+               skipped
+               (if skipped = 1 then "" else "s");
+           Option.iter (Printf.printf "trace written to %s\n") trace_file;
+           if
+             ok "transcript_differential_ok" && ok "decisions_ok"
+             && ok "within_budget"
+           then 0
+           else 1)
+  in
   let trace_arg =
     let doc = "Write the per-message/per-round trace as JSONL to $(docv)." in
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-  in
-  let seed_arg =
-    Arg.(value & opt int 41 & info [ "seed" ] ~doc:"Sampling seed.")
   in
   Cmd.v
     (Cmd.info "reduction"
@@ -349,9 +379,7 @@ let reduction_cmd =
          "Mechanize Theorem 1.1: compile the CONGEST run on G_{x,y} into a \
           two-party transcript, difference it against the network oracle, \
           and report the empirical lower-bound figure.")
-    Term.(
-      const run $ k_arg $ red_family_arg $ pairs_arg $ exhaustive_arg
-      $ trace_arg $ seed_arg $ profile_arg $ obs_out_arg)
+    Term.(const run $ reduction_op $ trace_arg $ profile_arg $ obs_out_arg)
 
 (* Round-level trace replay: regenerate the sweep that produced a
    --trace JSONL file and difference the two event streams round by
@@ -365,177 +393,134 @@ let replay_cmd =
     | Ok j -> Option.bind (Jsonx.mem "round" j) Jsonx.as_int
     | Error _ -> None
   in
-  let run k name pairs exhaustive seed trace_file =
+  let run op trace_file =
     path_errors @@ fun () ->
-    match Registry.find (catalog ()) name with
-    | None ->
-        Printf.eprintf "%s\n" (Registry.unknown_id_message (catalog ()) name);
-        1
-    | Some s -> (
-        try
-          let recorded = read_lines trace_file in
-          let sink, events = Trace.collector () in
-          match
-            Bound.sweep_registry ~trace:sink ~seed ~exhaustive ~samples:pairs s
-              ~k
-          with
-          | None ->
-              Printf.eprintf
-                "family %S has no reduction algorithm; families with one: %s\n"
-                name (reduction_ids ());
-              1
-          | Some _ -> (
-              let replayed =
-                List.map
-                  (fun e -> Jsonx.to_string (Trace.to_json e))
-                  (events ())
-              in
-              let rec diff i rec_lines rep_lines =
-                match (rec_lines, rep_lines) with
-                | [], [] ->
-                    Printf.printf
-                      "trace replay ok: %d events match (%s, k=%d, %s)\n" i
-                      s.Registry.id k
-                      (if exhaustive then "exhaustive"
-                       else Printf.sprintf "pairs=%d seed=%d" pairs seed);
-                    0
-                | a :: _, [] | [], a :: _ ->
-                    Printf.eprintf
-                      "FAIL: traces diverge at event %d%s: one stream ends, \
-                       the other continues with:\n\
-                      \  %s\n"
-                      i
-                      (match round_of a with
-                      | Some r -> Printf.sprintf " (round %d)" r
-                      | None -> "")
-                      a;
-                    1
-                | a :: rest_a, b :: rest_b ->
-                    if String.equal a b then diff (i + 1) rest_a rest_b
-                    else begin
-                      Printf.eprintf
-                        "FAIL: traces diverge at event %d%s:\n\
-                        \  recorded: %s\n\
-                        \  replayed: %s\n"
-                        i
-                        (match round_of b with
-                        | Some r -> Printf.sprintf " (round %d)" r
-                        | None -> "")
-                        a b;
-                      1
-                    end
-              in
-              match recorded with
-              | [] ->
-                  Printf.eprintf "FAIL: %s holds no trace events\n" trace_file;
-                  1
-              | _ -> diff 0 recorded replayed)
-        with Invalid_argument msg -> engine_error ~name ~k msg)
-  in
-  let replay_family_arg =
-    let doc = "Family id the trace was recorded from." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FAMILY" ~doc)
+    let recorded = read_lines trace_file in
+    let sink, events = Trace.collector () in
+    local ~trace:sink op ()
+    |> render (fun _ ->
+           let replayed =
+             List.map (fun e -> Jsonx.to_string (Trace.to_json e)) (events ())
+           in
+           let sweep =
+             match op with
+             | Protocol.Reduction { family; k; exhaustive; pairs; seed } ->
+                 Printf.sprintf "%s, k=%d, %s" family k
+                   (if exhaustive then "exhaustive"
+                    else Printf.sprintf "pairs=%d seed=%d" pairs seed)
+             | _ -> ""
+           in
+           let rec diff i rec_lines rep_lines =
+             match (rec_lines, rep_lines) with
+             | [], [] ->
+                 Printf.printf "trace replay ok: %d events match (%s)\n" i
+                   sweep;
+                 0
+             | a :: _, [] | [], a :: _ ->
+                 Printf.eprintf
+                   "FAIL: traces diverge at event %d%s: one stream ends, the \
+                    other continues with:\n\
+                   \  %s\n"
+                   i
+                   (match round_of a with
+                   | Some r -> Printf.sprintf " (round %d)" r
+                   | None -> "")
+                   a;
+                 1
+             | a :: rest_a, b :: rest_b ->
+                 if String.equal a b then diff (i + 1) rest_a rest_b
+                 else begin
+                   Printf.eprintf
+                     "FAIL: traces diverge at event %d%s:\n\
+                     \  recorded: %s\n\
+                     \  replayed: %s\n"
+                     i
+                     (match round_of b with
+                     | Some r -> Printf.sprintf " (round %d)" r
+                     | None -> "")
+                     a b;
+                   1
+                 end
+           in
+           match recorded with
+           | [] ->
+               Printf.eprintf "FAIL: %s holds no trace events\n" trace_file;
+               1
+           | _ -> diff 0 recorded replayed)
   in
   let trace_file_arg =
     let doc = "The JSONL trace written by $(b,hardness reduction --trace)." in
     Arg.(required & pos 1 (some string) None & info [] ~docv:"FILE" ~doc)
   in
-  let pairs_arg =
-    let doc = "Sampled pairs the recorded sweep used (on top of corners)." in
-    Arg.(value & opt int 8 & info [ "pairs" ] ~doc)
-  in
-  let exhaustive_arg =
-    let doc = "The recorded sweep was exhaustive." in
-    Arg.(value & flag & info [ "exhaustive" ] ~doc)
-  in
-  let seed_arg =
-    Arg.(value & opt int 41 & info [ "seed" ] ~doc:"Sampling seed used.")
-  in
   Cmd.v
     (Cmd.info "replay"
        ~doc:
-         "Re-run a reduction sweep and difference its trace against a \
-          recorded JSONL trace round by round, failing on the first \
-          divergence — the CI determinism guard for the simulation stack.")
-    Term.(
-      const run $ k_arg $ replay_family_arg $ pairs_arg $ exhaustive_arg
-      $ seed_arg $ trace_file_arg)
+         "Re-run a reduction sweep (same arguments as $(b,reduction)) and \
+          difference its trace against a recorded JSONL trace round by \
+          round, failing on the first divergence — the CI determinism guard \
+          for the simulation stack.")
+    Term.(const run $ reduction_op $ trace_file_arg)
 
 let sweep_cmd =
   let open Ch_sweep in
-  let run k name shards resume sample seed fault_after check_oracle profile
+  let run (name, k, shards, mode) resume fault_after check_oracle profile
       obs_out =
     path_errors @@ fun () ->
-    match Registry.find (catalog ()) name with
-    | None ->
-        Printf.eprintf "%s\n" (Registry.unknown_id_message (catalog ()) name);
-        1
-    | Some s -> (
-        let mode =
-          match sample with
-          | None -> Pairs.Exhaustive
-          | Some samples -> Pairs.Sampled { seed; samples }
+    with_family name ~k @@ fun s ->
+    let fam = s.Registry.scratch k in
+    let total = Pairs.total ~k:fam.Framework.input_bits mode in
+    Printf.printf "%s sweep: k=%d, %d pairs, %d shards, store %s\n"
+      s.Registry.id k total shards
+      (match resume with
+      | Some dir -> Filename.concat dir (Sweep.store_key fam ~mode ~shards)
+      | None -> "(scratch)");
+    (* SIGINT/SIGTERM behave like --fault-after at the moment the signal
+       lands: in-flight shards finish and persist, the run raises
+       [Interrupted], the process exits 3 — never a torn store write, and
+       the same --resume continues the sweep. *)
+    let stop = Atomic.make false in
+    let on_signal = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
+    ignore (Sys.signal Sys.sigint on_signal);
+    ignore (Sys.signal Sys.sigterm on_signal);
+    let work () =
+      Sweep.run ?store_dir:resume ?fault_after
+        ~should_stop:(fun () -> Atomic.get stop)
+        fam ~mode ~shards
+    in
+    match profiled ~profile ~root:"sweep" ~obs_out work with
+    | exception Sweep.Interrupted done_shards ->
+        Printf.printf
+          "sweep interrupted after %d shard%s; rerun with the same --resume to \
+           continue\n"
+          done_shards
+          (if done_shards = 1 then "" else "s");
+        3
+    | o ->
+        Printf.printf
+          "shards: completed=%d resumed=%d recomputed=%d corrupt=%d (of %d)\n"
+          o.Sweep.shards_completed o.Sweep.shards_resumed
+          o.Sweep.shards_recomputed o.Sweep.artifacts_corrupt
+          o.Sweep.shards_total;
+        if o.Sweep.tables_restored > 0 then
+          Printf.printf "memo tables restored from store: %d\n"
+            o.Sweep.tables_restored;
+        Printf.printf "verdicts: %d pairs, %d failures, digest %s\n"
+          (Array.length o.Sweep.verdicts)
+          o.Sweep.failures
+          (Sweep.digest o.Sweep.verdicts);
+        let oracle_ok =
+          if not check_oracle then true
+          else begin
+            let ok =
+              fst (Framework.verdicts (Framework.Scratch fam) mode)
+              = o.Sweep.verdicts
+            in
+            Printf.printf "oracle differential: %s\n"
+              (if ok then "ok" else "MISMATCH");
+            ok
+          end
         in
-        try
-          let fam = s.Registry.scratch k in
-          let total = Pairs.total ~k:fam.Framework.input_bits mode in
-          Printf.printf "%s sweep: k=%d, %d pairs, %d shards, store %s\n"
-            s.Registry.id k total shards
-            (match resume with
-            | Some dir -> Filename.concat dir (Sweep.store_key fam ~mode ~shards)
-            | None -> "(scratch)");
-          (* SIGINT/SIGTERM behave like --fault-after at the moment the
-             signal lands: in-flight shards finish and persist, the run
-             raises [Interrupted], the process exits 3 — never a torn
-             store write, and the same --resume continues the sweep. *)
-          let stop = Atomic.make false in
-          let on_signal = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
-          ignore (Sys.signal Sys.sigint on_signal);
-          ignore (Sys.signal Sys.sigterm on_signal);
-          let work () =
-            Sweep.run ?store_dir:resume ?fault_after
-              ~should_stop:(fun () -> Atomic.get stop)
-              fam ~mode ~shards
-          in
-          let o = if profile then profiled ~root:"sweep" ~obs_out work else work () in
-          Printf.printf
-            "shards: completed=%d resumed=%d recomputed=%d corrupt=%d (of %d)\n"
-            o.Sweep.shards_completed o.Sweep.shards_resumed
-            o.Sweep.shards_recomputed o.Sweep.artifacts_corrupt
-            o.Sweep.shards_total;
-          if o.Sweep.tables_restored > 0 then
-            Printf.printf "memo tables restored from store: %d\n"
-              o.Sweep.tables_restored;
-          Printf.printf "verdicts: %d pairs, %d failures, digest %s\n"
-            (Array.length o.Sweep.verdicts)
-            o.Sweep.failures
-            (Sweep.digest o.Sweep.verdicts);
-          let oracle_ok =
-            if not check_oracle then true
-            else begin
-              let ok =
-                fst (Framework.verdicts (Framework.Scratch fam) mode)
-                = o.Sweep.verdicts
-              in
-              Printf.printf "oracle differential: %s\n"
-                (if ok then "ok" else "MISMATCH");
-              ok
-            end
-          in
-          if o.Sweep.failures = 0 && oracle_ok then 0 else 1
-        with
-        | Sweep.Interrupted done_shards ->
-            Printf.printf
-              "sweep interrupted after %d shard%s; rerun with the same --resume \
-               to continue\n"
-              done_shards
-              (if done_shards = 1 then "" else "s");
-            3
-        | Invalid_argument msg -> engine_error ~name ~k msg)
-  in
-  let shards_arg =
-    let doc = "Number of shards to cut the pair space into." in
-    Arg.(value & opt int 8 & info [ "shards" ] ~docv:"N" ~doc)
+        if o.Sweep.failures = 0 && oracle_ok then 0 else 1
   in
   let resume_arg =
     let doc =
@@ -543,16 +528,6 @@ let sweep_cmd =
        under $(docv), and resume from any valid artifacts already there."
     in
     Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"DIR" ~doc)
-  in
-  let sample_arg =
-    let doc =
-      "Sweep the 4 corner pairs plus $(docv) seeded samples instead of all \
-       4^K pairs."
-    in
-    Arg.(value & opt (some int) None & info [ "sample" ] ~docv:"M" ~doc)
-  in
-  let seed_arg =
-    Arg.(value & opt int 11 & info [ "seed" ] ~doc:"Sampling seed.")
   in
   let fault_after_arg =
     let doc =
@@ -574,9 +549,8 @@ let sweep_cmd =
          "Run a sharded, resumable verdict sweep over a family's input-pair \
           space, persisting per-shard blocks to a content-addressed store.")
     Term.(
-      const run $ k_arg $ family_arg $ shards_arg $ resume_arg $ sample_arg
-      $ seed_arg $ fault_after_arg $ check_oracle_arg $ profile_arg
-      $ obs_out_arg)
+      const run $ sweep_plan $ resume_arg $ fault_after_arg $ check_oracle_arg
+      $ profile_arg $ obs_out_arg)
 
 (* Offline span-tree reconstruction: parse the span_open/span_close
    events out of a JSONL telemetry capture (one file, or several
@@ -608,41 +582,40 @@ let profile_from file =
 let profile_cmd =
   let run k name from obs_out =
     path_errors @@ fun () ->
-    match from with
-    | Some file -> profile_from file
-    | None -> (
-    let name =
-      match name with
-      | Some n -> n
-      | None ->
-          Printf.eprintf "profile: pass a FAMILY id or --from FILE.jsonl\n";
-          exit 2
-    in
-    match Registry.find (catalog ()) name with
-    | None ->
-        Printf.eprintf "%s\n" (Registry.unknown_id_message (catalog ()) name);
-        1
-    | Some s ->
+    match (from, name) with
+    | Some file, _ -> profile_from file
+    | None, None ->
+        Printf.eprintf "profile: pass a FAMILY id or --from FILE.jsonl\n";
+        2
+    | None, Some name ->
+        with_family name ~k @@ fun s ->
         (* the exhaustive sweep through the incremental engine when the
            family has one (the representative workload: memoized solver
            caches under the pool), a random sweep otherwise *)
         let work () =
-          match s.Registry.incremental with
-          | Some inc ->
-              let inc = inc k in
-              verify_counts inc.Framework.scratch (Framework.Incremental inc)
-                Pairs.Exhaustive
-          | None ->
-              let fam = s.Registry.scratch k in
-              verify_counts fam (Framework.Scratch fam)
-                (Pairs.Sampled { seed = 11; samples = 32 })
+          let fam, engine, mode =
+            match s.Registry.incremental with
+            | Some inc ->
+                let inc = inc k in
+                ( inc.Framework.scratch,
+                  Framework.Incremental inc,
+                  Pairs.Exhaustive )
+            | None ->
+                let fam = s.Registry.scratch k in
+                ( fam,
+                  Framework.Scratch fam,
+                  Pairs.Sampled { seed = 11; samples = 32 } )
+          in
+          let v, _ = Framework.verdicts engine mode in
+          (Framework.failures fam mode v, Array.length v)
         in
-        match profiled ~root:("profile:" ^ s.Registry.id) ~obs_out work with
-        | exception Invalid_argument msg -> engine_error ~name ~k msg
-        | failures, total ->
-            Printf.printf "%s: %d/%d pairs verified\n" s.Registry.id
-              (total - failures) total;
-            if failures = 0 then 0 else 1)
+        let failures, total =
+          profiled ~profile:true ~root:("profile:" ^ s.Registry.id) ~obs_out
+            work
+        in
+        Printf.printf "%s: %d/%d pairs verified\n" s.Registry.id
+          (total - failures) total;
+        if failures = 0 then 0 else 1
   in
   let opt_family_arg =
     let doc = "Family id (omit with $(b,--from))." in
@@ -676,7 +649,6 @@ let port_arg =
   Arg.(value & opt (some int) None & info [ "port" ] ~docv:"N" ~doc)
 
 let resolve_addr socket port =
-  let open Ch_serve in
   match (socket, port) with
   | Some path, None -> Ok (Server.Unix_socket path)
   | None, Some p -> Ok (Server.Tcp p)
@@ -684,14 +656,20 @@ let resolve_addr socket port =
   | Some _, Some _ -> Error "--socket and --port are mutually exclusive"
 
 let serve_cmd =
-  let open Ch_serve in
   let run socket port workers queue_depth store obs_out sample_period =
     path_errors @@ fun () ->
-    match resolve_addr socket port with
-    | Error msg ->
+    match
+      ( below_one "serve"
+          [ ("--workers", workers); ("--queue-depth", queue_depth) ],
+        resolve_addr socket port )
+    with
+    | Some msg, _ ->
+        prerr_endline msg;
+        1
+    | None, Error msg ->
         Printf.eprintf "serve: %s\n" msg;
         1
-    | Ok addr ->
+    | None, Ok addr ->
         (* counters and histograms feed the metrics/health ops even
            without a JSONL sink, so the daemon always runs observed *)
         Obs.set_enabled true;
@@ -780,18 +758,18 @@ let serve_cmd =
       const run $ socket_arg $ port_arg $ workers_arg $ queue_arg $ store_arg
       $ serve_obs_arg $ sample_period_arg)
 
+
+(* [client OP] sends the op that [hardness OP] would run, built by the
+   same term from the same arguments; one remote term declares the flags
+   every op shares. *)
 let client_cmd =
-  let open Ch_serve in
-  let jint body name =
-    Option.bind (Jsonx.mem name body) Jsonx.as_int
-  in
-  let jstr body name = Option.bind (Jsonx.mem name body) Jsonx.as_str in
+  let opt_str body name = Option.bind (Jsonx.mem name body) Jsonx.as_str in
   (* [raw]: a payload field to print verbatim instead of the JSON line —
      the metrics op answers the whole exposition page as one string *)
   let print_response ?raw r =
     match r.Protocol.rs_outcome with
     | Protocol.Payload body -> (
-        match Option.bind raw (jstr body) with
+        match Option.bind raw (opt_str body) with
         | Some text -> print_string text
         | None ->
             Printf.printf "id=%d ok warm=%b micros=%d %s\n" r.Protocol.rs_id
@@ -801,66 +779,24 @@ let client_cmd =
           (Protocol.error_code_to_string code)
           msg
   in
-  let run op family k samples seed scratch deadline shards pairs repeat bench
-      socket port check_oracle trace_id obs_out =
+  let send socket port deadline trace_id obs_out repeat bench check_oracle op =
     path_errors @@ fun () ->
-    match resolve_addr socket port with
-    | Error msg ->
+    match
+      ( below_one "client" [ ("--repeat", repeat); ("--bench", bench) ],
+        resolve_addr socket port )
+    with
+    | Some msg, _ ->
+        prerr_endline msg;
+        1
+    | None, Error msg ->
         Printf.eprintf "client: %s\n" msg;
         1
-    | Ok addr -> (
-        let vmode =
-          match samples with
-          | None -> Protocol.Exhaustive
-          | Some m -> Protocol.Sampled { seed; samples = m }
-        in
-        let need_family () =
-          match family with
-          | Some f -> f
-          | None ->
-              Printf.eprintf "client: op %S needs a FAMILY argument\n" op;
-              exit 2
-        in
-        let opv =
-          match op with
-          | "ping" -> Protocol.Ping
-          | "catalog" -> Protocol.Catalog
-          | "stats" -> Protocol.Stats
-          | "metrics" -> Protocol.Metrics
-          | "health" -> Protocol.Health
-          | "verify" ->
-              Protocol.Verify
-                {
-                  family = need_family ();
-                  k;
-                  vmode;
-                  engine = (if scratch then Protocol.Scratch else Protocol.Auto);
-                }
-          | "simulate" ->
-              Protocol.Simulate { family = need_family (); k; pairs; seed }
-          | "reduction" ->
-              Protocol.Reduction
-                {
-                  family = need_family ();
-                  k;
-                  exhaustive = samples = None;
-                  pairs;
-                  seed;
-                }
-          | "sweep-status" ->
-              Protocol.Sweep_status { family = need_family (); k; shards; vmode }
-          | other ->
-              Printf.eprintf
-                "client: unknown op %S (ping, catalog, stats, metrics, \
-                 health, verify, simulate, reduction, sweep-status)\n"
-                other;
-              exit 2
-        in
-        let raw = if op = "metrics" then Some "text" else None in
+    | None, Ok addr -> (
+        let raw = match op with Protocol.Metrics -> Some "text" | _ -> None in
         let request id =
           {
             Protocol.rq_id = id;
-            rq_op = opv;
+            rq_op = op;
             rq_deadline_ms = deadline;
             rq_trace = trace_id;
           }
@@ -884,23 +820,27 @@ let client_cmd =
                   Obs.with_trace trace_id (fun () ->
                       Obs.with_span (Obs.span "client_request") f))
         in
-        (* the in-process oracle digest for verify ops: the served stream
-           must be bit-identical to the library run in this process *)
-        let oracle_digest () =
-          let spec = Registry.find_exn (catalog ()) (need_family ()) in
-          let fam = spec.Registry.scratch k in
-          Ch_sweep.Sweep.digest
-            (fst (Framework.verdicts (Framework.Scratch fam) vmode))
+        (* the in-process oracle for verify ops: the served verdict
+           stream must be bit-identical to a from-scratch run here *)
+        let oracle_digest =
+          lazy
+            (match op with
+            | Protocol.Verify v -> (
+                let scratch = Protocol.Verify { v with engine = Protocol.Scratch } in
+                match local scratch () with
+                | Ok (_, body) -> opt_str body "digest"
+                | Error _ -> None)
+            | _ -> None)
         in
         let check r =
           match (check_oracle, r.Protocol.rs_outcome) with
           | false, Protocol.Payload _ -> true
           | _, Protocol.Error _ -> false
           | true, Protocol.Payload body -> (
-              match jstr body "digest" with
+              match opt_str body "digest" with
               | None -> true (* no digest in this op's body *)
               | Some d ->
-                  let ok = d = oracle_digest () in
+                  let ok = Some d = Lazy.force oracle_digest in
                   Printf.printf "oracle differential: %s\n"
                     (if ok then "ok" else "MISMATCH");
                   ok)
@@ -934,7 +874,7 @@ let client_cmd =
                 List.filter_map
                   (fun r ->
                     match r.Protocol.rs_outcome with
-                    | Protocol.Payload body -> jstr body "digest"
+                    | Protocol.Payload body -> opt_str body "digest"
                     | Protocol.Error _ -> None)
                   responses
               in
@@ -985,32 +925,6 @@ let client_cmd =
             Printf.eprintf "client: %s\n" msg;
             1)
   in
-  ignore jint;
-  let op_arg =
-    let doc =
-      "Operation: ping, catalog, stats, metrics, health, verify, simulate, \
-       reduction or sweep-status."
-    in
-    Arg.(value & pos 0 string "ping" & info [] ~docv:"OP" ~doc)
-  in
-  let client_family_arg =
-    let doc = "Family id (required by verify/simulate/reduction/sweep-status)." in
-    Arg.(value & pos 1 (some string) None & info [] ~docv:"FAMILY" ~doc)
-  in
-  let client_samples_arg =
-    let doc =
-      "Verify the 4 corner pairs plus $(docv) seeded samples instead of all \
-       4^K pairs."
-    in
-    Arg.(value & opt (some int) None & info [ "samples" ] ~docv:"M" ~doc)
-  in
-  let seed_arg =
-    Arg.(value & opt int 11 & info [ "seed" ] ~doc:"Sampling seed.")
-  in
-  let scratch_arg =
-    let doc = "Ask the server for the from-scratch engine (default auto)." in
-    Arg.(value & flag & info [ "scratch" ] ~doc)
-  in
   let deadline_arg =
     let doc =
       "Per-request deadline: the server answers $(b,deadline_exceeded) when \
@@ -1018,15 +932,21 @@ let client_cmd =
     in
     Arg.(value & opt (some int) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
   in
-  let shards_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "shards" ] ~docv:"N" ~doc:"Shard count (sweep-status).")
+  let trace_id_arg =
+    let doc =
+      "Send $(docv) as the request's trace id: the daemon runs the request \
+       under it, so both sides' telemetry events carry the same id and \
+       join into one span tree."
+    in
+    Arg.(value & opt (some string) None & info [ "trace-id" ] ~docv:"ID" ~doc)
   in
-  let pairs_arg =
-    Arg.(
-      value & opt int 5
-      & info [ "pairs" ] ~docv:"N" ~doc:"Input pairs (simulate/reduction).")
+  let obs_arg =
+    let doc =
+      "Capture this client's own span events as JSONL to $(docv) \
+       (stamped with $(b,--trace-id) when given); concatenate with the \
+       daemon's capture and render via $(b,hardness profile --from)."
+    in
+    Arg.(value & opt (some string) None & info [ "obs-out" ] ~docv:"FILE" ~doc)
   in
   let repeat_arg =
     let doc =
@@ -1049,33 +969,37 @@ let client_cmd =
     in
     Arg.(value & flag & info [ "check-oracle" ] ~doc)
   in
-  let trace_id_arg =
-    let doc =
-      "Send $(docv) as the request's trace id: the daemon runs the request \
-       under it, so both sides' telemetry events carry the same id and \
-       join into one span tree."
-    in
-    Arg.(value & opt (some string) None & info [ "trace-id" ] ~docv:"ID" ~doc)
+  let remote =
+    Term.(
+      const send $ socket_arg $ port_arg $ deadline_arg $ trace_id_arg
+      $ obs_arg $ repeat_arg $ bench_arg $ check_oracle_arg)
   in
-  let client_obs_arg =
-    let doc =
-      "Capture this client's own span events as JSONL to $(docv) \
-       (stamped with $(b,--trace-id) when given); concatenate with the \
-       daemon's capture and render via $(b,hardness profile --from)."
-    in
-    Arg.(value & opt (some string) None & info [ "obs-out" ] ~docv:"FILE" ~doc)
-  in
-  Cmd.v
+  let op name doc term = Cmd.v (Cmd.info name ~doc) Term.(remote $ term) in
+  Cmd.group
     (Cmd.info "client"
        ~doc:
          "Query a running $(b,hardness serve) daemon: one-shot requests, \
           warm-cache repeats, metrics scrapes, and concurrent-connection \
-          bench mode with oracle differentials.")
-    Term.(
-      const run $ op_arg $ client_family_arg $ k_arg $ client_samples_arg
-      $ seed_arg $ scratch_arg $ deadline_arg $ shards_arg $ pairs_arg
-      $ repeat_arg $ bench_arg $ socket_arg $ port_arg $ check_oracle_arg
-      $ trace_id_arg $ client_obs_arg)
+          bench mode with oracle differentials.  $(b,client OP) takes \
+          $(b,hardness OP)'s own arguments.")
+    [
+      op "ping" "Check that the daemon answers." (Term.const Protocol.Ping);
+      op "catalog" "The family catalog, as $(b,list --json) prints it."
+        (Term.const Protocol.Catalog);
+      op "stats" "Warm entries, queue depth and worker count."
+        (Term.const Protocol.Stats);
+      op "metrics" "The Prometheus-style text exposition."
+        (Term.const Protocol.Metrics);
+      op "health" "Liveness: uptime, queue depth, warm entries."
+        (Term.const Protocol.Health);
+      op "verify" "$(b,verify) on the daemon." verify_op;
+      op "simulate" "$(b,simulate) on the daemon." simulate_op;
+      op "reduction" "$(b,reduction) on the daemon." reduction_op;
+      op "sweep-status"
+        "What the daemon's store holds for a $(b,sweep) plan (same \
+         arguments as $(b,sweep))."
+        sweep_status_op;
+    ]
 
 (* ------------------------------------------------------------------- top *)
 
@@ -1147,7 +1071,6 @@ let parse_sample line =
   end
 
 let top_cmd =
-  let open Ch_serve in
   let value ?(default = 0.) samples name =
     match
       List.find_opt (fun s -> s.m_name = name && s.m_labels = []) samples

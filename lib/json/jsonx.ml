@@ -321,6 +321,11 @@ let as_int = function
       Some (int_of_float f)
   | _ -> None
 
+let as_float = function
+  | Float f -> Some f
+  | Int n -> Some (float_of_int n)
+  | _ -> None
+
 let as_str = function Str s -> Some s | _ -> None
 let as_bool = function Bool b -> Some b | _ -> None
 let as_arr = function Arr xs -> Some xs | _ -> None

@@ -53,6 +53,9 @@ val mem : string -> t -> t option
 val as_int : t -> int option
 (** [Int n], or a [Float] that is exactly integral. *)
 
+val as_float : t -> float option
+(** [Float f], or an [Int] widened. *)
+
 val as_str : t -> string option
 val as_bool : t -> bool option
 val as_arr : t -> t list option

@@ -109,17 +109,27 @@ let sweep ?trace (spec : Simulate.spec) pairs =
   in
   (rows, report)
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>%s: n=%d K=%d t=%d |cut|=%d B=%d@,\
-     pairs=%d rounds<=%d cut-bits<=%d budget<=%d bits/round=%.1f@,\
-     CC(f)>=%d bits => Omega(%.2f) rounds@,\
-     all-correct=%b transcript=oracle=%b within-budget=%b@]"
-    r.rep_name r.rep_n r.rep_input_bits r.rep_parties r.rep_cut r.rep_bandwidth
-    r.rep_pairs
-    r.rep_rounds_max r.rep_cut_bits_max r.rep_budget_max r.rep_bits_per_round
-    r.rep_cc_bits r.rep_lb_rounds r.rep_all_correct r.rep_all_match
-    r.rep_all_within_budget
+let report_json ?(id = []) r =
+  let open Ch_json.Jsonx in
+  Obj
+    (id
+    @ [
+        ("pairs", Int r.rep_pairs);
+        ("n", Int r.rep_n);
+        ("input_bits", Int r.rep_input_bits);
+        ("parties", Int r.rep_parties);
+        ("cut", Int r.rep_cut);
+        ("bandwidth", Int r.rep_bandwidth);
+        ("rounds_max", Int r.rep_rounds_max);
+        ("cut_bits_max", Int r.rep_cut_bits_max);
+        ("budget_max", Int r.rep_budget_max);
+        ("bits_per_round", Float r.rep_bits_per_round);
+        ("cc_bits", Int r.rep_cc_bits);
+        ("lb_rounds", Float r.rep_lb_rounds);
+        ("transcript_differential_ok", Bool r.rep_all_match);
+        ("decisions_ok", Bool r.rep_all_correct);
+        ("within_budget", Bool r.rep_all_within_budget);
+      ])
 
 let sweep_registry ?trace ?seed:(sample_seed = 41) ?bandwidth_factor
     ?(exhaustive = false) ?(samples = 8) (s : Registry.spec) ~k =

@@ -53,7 +53,15 @@ val sweep :
   (Bits.t * Bits.t) list ->
   row list * report
 
-val pp_report : Format.formatter -> report -> unit
+val report_json :
+  ?id:(string * Ch_json.Jsonx.t) list -> report -> Ch_json.Jsonx.t
+(** The report as one JSON object: the caller's identifying [id] fields
+    first, then [pairs], [n], [input_bits] (K), [parties] (t), [cut],
+    [bandwidth] (B), the [*_max] figures, [bits_per_round], [cc_bits],
+    [lb_rounds] and the three flags [transcript_differential_ok]
+    ([rep_all_match]), [decisions_ok] ([rep_all_correct]) and
+    [within_budget].  The bench's reduction entries and the serve
+    [reduction] payload are this object. *)
 
 val sweep_registry :
   ?trace:Trace.sink ->
@@ -70,7 +78,7 @@ val sweep_registry :
     [Pairs.Sampled] with [seed], 41 by default, and [samples]), drop
     disconnected pairs, and sweep.
     Returns the rows, the report and the dropped-pair count; [None]
-    when the spec has no reduction algorithm. *)
+    when the spec registers no reduction. *)
 
 (** {1 Benchmark shims}
 

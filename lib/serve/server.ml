@@ -1,12 +1,4 @@
 module Jsonx = Ch_json.Jsonx
-module Framework = Ch_core.Framework
-module Pairs = Ch_core.Pairs
-module Registry = Ch_core.Registry
-module Families = Ch_lbgraphs.Families
-module Bound = Ch_reduction.Bound
-module Shard = Ch_sweep.Shard
-module Sweep = Ch_sweep.Sweep
-module Store = Ch_sweep.Store
 module Obs = Ch_obs.Obs
 open Protocol
 
@@ -65,226 +57,21 @@ type t = {
 
 let warm t = t.warm
 
-(* control-flow exception inside [exec]: an op-level error with a code *)
-exception Err of error_code * string
-
-(* ------------------------------------------------------------------ ops *)
-
-let find_spec name =
-  match Registry.find (Families.catalog ()) name with
-  | Some s -> s
-  | None ->
-      raise
-        (Err
-           ( Unknown_family,
-             Registry.unknown_id_message (Families.catalog ()) name ))
-
-let verify_body fam ~k ~vmode ~engine_used ~(cached : Warm.cached) ~source =
-  (* per-family throughput counter; every verify path (memory, store,
-     computed) lands here.  Interning per request is off the per-pair
-     hot path and the registry dedups by name. *)
-  Obs.incr
-    (Obs.counter ("serve.family." ^ fam.Framework.name ^ ".pairs"))
-    (Array.length cached.Warm.c_verdicts);
-  let lb =
-    Framework.lower_bound_rounds ~input_bits:fam.Framework.input_bits
-      ~cut:(Framework.cut_size fam) ~n:fam.Framework.nvertices
-  in
-  Jsonx.Obj
-    [
-      ("family", Jsonx.Str fam.Framework.name);
-      ("k", Jsonx.Int k);
-      ("engine", Jsonx.Str engine_used);
-      ("mode", vmode_json vmode);
-      ("pairs", Jsonx.Int (Array.length cached.Warm.c_verdicts));
-      ("failures", Jsonx.Int cached.Warm.c_failures);
-      ("sided", Jsonx.Bool cached.Warm.c_sided);
-      ("digest", Jsonx.Str cached.Warm.c_digest);
-      ("lb_rounds", Jsonx.Float lb);
-      ("source", Jsonx.Str source);
-    ]
-
-(* Derive the cached record from a raw verdict stream: failure count
-   against f, the Definition 1.1 sidedness spot-check (the same seeds the
-   verify CLI uses), and the stream digest. *)
-let derive fam ~mode verdicts =
-  {
-    Warm.c_verdicts = verdicts;
-    c_failures = Framework.failures fam mode verdicts;
-    c_sided = Framework.check_sidedness ~seed:3 ~samples:8 fam;
-    c_digest = Sweep.digest verdicts;
-  }
-
-let exec_verify t ~family ~k ~vmode:mode ~engine =
-  let spec = find_spec family in
-  let fam = spec.Registry.scratch k in
-  let key = Warm.key fam ~mode in
-  match Warm.find t.warm ~key with
-  | Some cached ->
-      ( true,
-        verify_body fam ~k ~vmode:mode ~engine_used:"cache" ~cached
-          ~source:"memory" )
-  | None -> (
-      let total = Pairs.total ~k:fam.Framework.input_bits mode in
-      match Warm.find_block t.warm ~key ~total with
-      | Some verdicts ->
-          let cached = derive fam ~mode verdicts in
-          Warm.remember ~write:false t.warm ~key cached;
-          ( true,
-            verify_body fam ~k ~vmode:mode ~engine_used:"cache" ~cached
-              ~source:"store" )
-      | None ->
-          let engine_used, engine =
-            match (engine, spec.Registry.incremental) with
-            | Incremental, None ->
-                raise
-                  (Err
-                     ( Unsupported,
-                       Printf.sprintf "family %S has no incremental engine"
-                         family ))
-            | (Incremental | Auto), Some incf ->
-                ("incremental", Framework.Incremental (incf k))
-            | Scratch, _ | Auto, None -> ("scratch", Framework.Scratch fam)
-          in
-          let verdicts, _ = Framework.verdicts engine mode in
-          let cached = derive fam ~mode verdicts in
-          Warm.remember ~write:true t.warm ~key cached;
-          ( false,
-            verify_body fam ~k ~vmode:mode ~engine_used ~cached
-              ~source:"computed" ))
-
-let exec_simulate ~family ~k ~pairs ~seed =
-  let spec = find_spec family in
-  let rd =
-    match spec.Registry.reduction with
-    | Some rd -> rd k
-    | None ->
-        raise
-          (Err
-             ( Unsupported,
-               Printf.sprintf "family %S has no reduction algorithm" family ))
-  in
-  let fam = spec.Registry.scratch k in
-  let rows = ref [] in
-  let all_correct = ref true in
-  let skipped = ref 0 in
-  Array.iteri
-    (fun i (x, y) ->
-      (* a disconnected instance is outside the CONGEST model (the
-         gather would never terminate): skip the pair *)
-      if not (Framework.connected (fam.Framework.build x y)) then incr skipped
-      else begin
-        let sim =
-          Framework.simulate_reduction ?partition:rd.Registry.rd_partition fam
-            ~solver:rd.Registry.rd_solver ~accept:rd.Registry.rd_accept x y
-        in
-        if not sim.Framework.decision_correct then all_correct := false;
-        rows :=
-          Jsonx.Obj
-            [
-              ("pair", Jsonx.Int i);
-              ("rounds", Jsonx.Int sim.Framework.rounds);
-              ("cut_bits", Jsonx.Int sim.Framework.cut_bits);
-              ("cut_messages", Jsonx.Int sim.Framework.cut_messages);
-              ("correct", Jsonx.Bool sim.Framework.decision_correct);
-            ]
-          :: !rows
-      end)
-    (Pairs.simulate_pairs ~k:fam.Framework.input_bits ~seed ~pairs);
-  ( false,
-    Jsonx.Obj
-      [
-        ("family", Jsonx.Str fam.Framework.name);
-        ("k", Jsonx.Int k);
-        ("parties", Jsonx.Int rd.Registry.rd_parties);
-        ( "cut",
-          Jsonx.Int
-            (match rd.Registry.rd_partition with
-            | None -> Framework.cut_size fam
-            | Some partition ->
-                Array.length
-                  (Framework.multicut_info fam ~partition).Framework.mc_edges)
-        );
-        ("skipped", Jsonx.Int !skipped);
-        ("pairs", Jsonx.Arr (List.rev !rows));
-        ("all_correct", Jsonx.Bool !all_correct);
-      ] )
-
-let exec_reduction ~family ~k ~exhaustive ~pairs ~seed =
-  let spec = find_spec family in
-  match Bound.sweep_registry ~seed ~exhaustive ~samples:pairs spec ~k with
-  | None ->
-      raise
-        (Err
-           ( Unsupported,
-             Printf.sprintf "family %S has no reduction algorithm" family ))
-  | Some (_, rep, skipped) ->
-      ( false,
-        Jsonx.Obj
-          [
-            ("family", Jsonx.Str rep.Bound.rep_name);
-            ("k", Jsonx.Int k);
-            ("pairs", Jsonx.Int rep.Bound.rep_pairs);
-            ("skipped", Jsonx.Int skipped);
-            ("cut", Jsonx.Int rep.Bound.rep_cut);
-            ("cc_bits", Jsonx.Int rep.Bound.rep_cc_bits);
-            ("lb_rounds", Jsonx.Float rep.Bound.rep_lb_rounds);
-            ("rounds_max", Jsonx.Int rep.Bound.rep_rounds_max);
-            ("cut_bits_max", Jsonx.Int rep.Bound.rep_cut_bits_max);
-            ("all_correct", Jsonx.Bool rep.Bound.rep_all_correct);
-            ("all_match", Jsonx.Bool rep.Bound.rep_all_match);
-            ("all_within_budget", Jsonx.Bool rep.Bound.rep_all_within_budget);
-          ] )
-
-let exec_sweep_status t ~family ~k ~shards ~vmode:mode =
-  let spec = find_spec family in
-  let fam = spec.Registry.scratch k in
-  match t.cfg.cfg_store_dir with
-  | None -> (false, Jsonx.Obj [ ("store", Jsonx.Bool false) ])
-  | Some dir ->
-      let key = Sweep.store_key fam ~mode ~shards in
-      let st = Store.open_ ~dir ~key in
-      let total = Pairs.total ~k:fam.Framework.input_bits mode in
-      let plan = Shard.partition ~total ~shards in
-      let present = ref 0 and corrupt = ref 0 in
-      Array.iter
-        (fun s ->
-          match Store.read_block st ~index:(Shard.index s) with
-          | Store.Value v when Array.length v = Shard.count s -> incr present
-          | Store.Value _ | Store.Corrupt -> incr corrupt
-          | Store.Missing -> ())
-        plan;
-      ( false,
-        Jsonx.Obj
-          [
-            ("store", Jsonx.Bool true);
-            ("key", Jsonx.Str key);
-            ("shards", Jsonx.Int (Array.length plan));
-            ("present", Jsonx.Int !present);
-            ("corrupt", Jsonx.Int !corrupt);
-            ( "snapshots",
-              Jsonx.Int
-                (match Store.read_snapshot st with
-                | Store.Missing -> 0
-                | Store.Value _ | Store.Corrupt -> 1) );
-          ] )
-
-let exec_catalog () = (false, Registry.to_json (Families.catalog ()))
+(* ------------------------------------------------------ daemon-state ops *)
 
 let exec_stats t =
-  ( false,
-    Jsonx.Obj
-      [
-        ("warm_entries", Jsonx.Int (Warm.entries t.warm));
-        ("tables_seeded", Jsonx.Int (Warm.tables_seeded t.warm));
-        ("queue_depth", Jsonx.Int (Scheduler.depth t.sched));
-        ("workers", Jsonx.Int t.cfg.cfg_workers);
-        ("queue_bound", Jsonx.Int t.cfg.cfg_queue_depth);
-        ( "store",
-          match t.cfg.cfg_store_dir with
-          | Some d -> Jsonx.Str d
-          | None -> Jsonx.Null );
-      ] )
+  Jsonx.Obj
+    [
+      ("warm_entries", Jsonx.Int (Warm.entries t.warm));
+      ("tables_seeded", Jsonx.Int (Warm.tables_seeded t.warm));
+      ("queue_depth", Jsonx.Int (Scheduler.depth t.sched));
+      ("workers", Jsonx.Int t.cfg.cfg_workers);
+      ("queue_bound", Jsonx.Int t.cfg.cfg_queue_depth);
+      ( "store",
+        match t.cfg.cfg_store_dir with
+        | Some d -> Jsonx.Str d
+        | None -> Jsonx.Null );
+    ]
 
 let uptime_s t = Obs.Clock.seconds_since t.started_ns
 
@@ -354,27 +141,25 @@ let metrics_text t =
   Expose.render ~gauges:(metrics_gauges t r) ~series:t.series r
 
 let exec_metrics t =
-  ( false,
-    Jsonx.Obj
-      [
-        ("text", Jsonx.Str (metrics_text t));
-        ("samples", Jsonx.Int (Obs.Series.length t.series));
-        ("window_s", Jsonx.Float (Obs.Series.window_s t.series));
-      ] )
+  Jsonx.Obj
+    [
+      ("text", Jsonx.Str (metrics_text t));
+      ("samples", Jsonx.Int (Obs.Series.length t.series));
+      ("window_s", Jsonx.Float (Obs.Series.window_s t.series));
+    ]
 
 let exec_health t =
-  ( false,
-    Jsonx.Obj
-      [
-        ("status", Jsonx.Str "ok");
-        ("pid", Jsonx.Int (Unix.getpid ()));
-        ("uptime_s", Jsonx.Float (uptime_s t));
-        ("queue_depth", Jsonx.Int (Scheduler.depth t.sched));
-        ("running", Jsonx.Int (Scheduler.running t.sched));
-        ("workers", Jsonx.Int t.cfg.cfg_workers);
-        ("warm_entries", Jsonx.Int (Warm.entries t.warm));
-        ("samples", Jsonx.Int (Obs.Series.length t.series));
-      ] )
+  Jsonx.Obj
+    [
+      ("status", Jsonx.Str "ok");
+      ("pid", Jsonx.Int (Unix.getpid ()));
+      ("uptime_s", Jsonx.Float (uptime_s t));
+      ("queue_depth", Jsonx.Int (Scheduler.depth t.sched));
+      ("running", Jsonx.Int (Scheduler.running t.sched));
+      ("workers", Jsonx.Int t.cfg.cfg_workers);
+      ("warm_entries", Jsonx.Int (Warm.entries t.warm));
+      ("samples", Jsonx.Int (Obs.Series.length t.series));
+    ]
 
 let op_tag = function
   | Ping -> "ping"
@@ -401,43 +186,28 @@ let exec t rq t0 =
     Int64.to_int (Int64.div (Int64.max 0L (Int64.sub texec t0)) 1000L)
   in
   Obs.observe h_queue_wait queue_us;
+  let failed code msg =
+    Obs.bump (if code = Deadline_exceeded then c_deadline else c_errors);
+    (false, Error (code, msg))
+  in
   let warm_flag, outcome =
-    try
-      (match rq.rq_deadline_ms with
-      | Some d
-        when Obs.Clock.seconds_since t0 *. 1000. >= float_of_int d ->
-          raise (Err (Deadline_exceeded, Printf.sprintf "deadline %dms" d))
-      | _ -> ());
-      let warm_flag, body =
-        Obs.with_span sp_request (fun () ->
-            match rq.rq_op with
-            | Ping -> (false, Jsonx.Obj [ ("pong", Jsonx.Bool true) ])
-            | Catalog -> exec_catalog ()
-            | Stats -> exec_stats t
-            | Metrics -> exec_metrics t
-            | Health -> exec_health t
-            | Verify { family; k; vmode; engine } ->
-                exec_verify t ~family ~k ~vmode ~engine
-            | Simulate { family; k; pairs; seed } ->
-                exec_simulate ~family ~k ~pairs ~seed
-            | Reduction { family; k; exhaustive; pairs; seed } ->
-                exec_reduction ~family ~k ~exhaustive ~pairs ~seed
-            | Sweep_status { family; k; shards; vmode } ->
-                exec_sweep_status t ~family ~k ~shards ~vmode)
-      in
-      (warm_flag, Payload body)
-    with
-    | Err (code, msg) ->
-        (match code with
-        | Deadline_exceeded -> Obs.bump c_deadline
-        | _ -> Obs.bump c_errors);
-        (false, Error (code, msg))
-    | Invalid_argument msg ->
-        Obs.bump c_errors;
-        (false, Error (Bad_request, msg))
-    | e ->
-        Obs.bump c_errors;
-        (false, Error (Internal, Printexc.to_string e))
+    match rq.rq_deadline_ms with
+    | Some d when Obs.Clock.seconds_since t0 *. 1000. >= float_of_int d ->
+        failed Deadline_exceeded (Printf.sprintf "deadline %dms" d)
+    | _ -> (
+        let daemon body = Result.Ok (false, body) in
+        match
+          Obs.with_span sp_request (fun () ->
+              match rq.rq_op with
+              | Ping -> daemon (Jsonx.Obj [ ("pong", Jsonx.Bool true) ])
+              | Stats -> daemon (exec_stats t)
+              | Metrics -> daemon (exec_metrics t)
+              | Health -> daemon (exec_health t)
+              | op -> Ops.exec t.warm op)
+        with
+        | Ok (warm_flag, body) -> (warm_flag, Payload body)
+        | Error (code, msg) -> failed code msg
+        | exception e -> failed Internal (Printexc.to_string e))
   in
   if warm_flag then Obs.bump c_warm_hits;
   let exec_us = int_of_float (Obs.Clock.seconds_since texec *. 1e6) in

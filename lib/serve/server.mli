@@ -4,11 +4,11 @@
     One accept thread takes connections on a Unix or loopback TCP
     socket; one thread per connection reads request batches
     ({!Protocol}), fans each request as a job onto the bounded
-    {!Scheduler}, and answers the batch when every slot resolves.  Jobs
-    run the library paths — registry lookup, incremental or scratch
-    verification over the shared domain pool, reduction sweeps — through
-    the {!Warm} registry, so repeat plans are answered from memory or
-    the sweep store.
+    {!Scheduler}, and answers the batch when every slot resolves.  The
+    daemon answers [ping], [stats], [metrics] and [health] from its own
+    state; every family op runs through {!Ops.exec} — the code the CLI
+    runs in-process — against the daemon's {!Warm} registry, so repeat
+    plans are answered from memory or the sweep store.
 
     {b Backpressure:} a request the scheduler refuses (queue at depth,
     or draining) resolves to an [overloaded] error immediately — the

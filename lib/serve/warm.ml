@@ -53,6 +53,7 @@ let create ~store_dir =
   Obs.incr c_seeded tables_seeded;
   { store_dir; tables_seeded; table = Hashtbl.create 64; lock = Mutex.create () }
 
+let store_dir t = t.store_dir
 let tables_seeded t = t.tables_seeded
 
 let entries t =
@@ -74,12 +75,11 @@ let find_block t ~key ~total =
   match t.store_dir with
   | None -> None
   | Some dir -> (
-      let st = Store.open_ ~dir ~key in
-      match Store.read_block st ~index:0 with
-      | Store.Value v when Array.length v = total ->
+      match Option.map (Store.read_block ~index:0) (Store.find ~dir ~key) with
+      | Some (Store.Value v) when Array.length v = total ->
           Obs.bump c_block_hits;
           Some v
-      | Store.Value _ | Store.Missing | Store.Corrupt -> None)
+      | _ -> None)
 
 let remember ?(write = true) t ~key cached =
   Mutex.lock t.lock;

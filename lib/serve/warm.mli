@@ -39,6 +39,9 @@ val create : store_dir:string option -> t
     snapshot, when valid, into the process-wide [Cache] (corrupt ones
     are skipped, not fatal). *)
 
+val store_dir : t -> string option
+(** The store root the registry was created with. *)
+
 val tables_seeded : t -> int
 (** Memo tables merged in by {!create}. *)
 
@@ -52,7 +55,8 @@ val find : t -> key:string -> cached option
 
 val find_block : t -> key:string -> total:int -> bool array option
 (** The stored single-shard verdict block for the plan, when the store
-    holds a valid one of the right length. *)
+    holds a valid one of the right length.  A miss creates nothing in
+    the store. *)
 
 val remember : ?write:bool -> t -> key:string -> cached -> unit
 (** Publish into the response cache; with [write] (default true) also

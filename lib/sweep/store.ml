@@ -14,6 +14,10 @@ let open_ ~dir ~key =
   mkdir_p sdir;
   { sdir }
 
+let find ~dir ~key =
+  let sdir = Filename.concat dir key in
+  if Sys.file_exists sdir && Sys.is_directory sdir then Some { sdir } else None
+
 let dir t = t.sdir
 
 let block_path t index = Filename.concat t.sdir (Printf.sprintf "shard-%04d.blk" index)

@@ -38,6 +38,11 @@ val open_ : dir:string -> key:string -> t
 (** Create (or reopen) [dir/key], making parent directories as
     needed. *)
 
+val find : dir:string -> key:string -> t option
+(** Reopen [dir/key] when it exists, creating nothing: the reader for
+    status queries and lookups, which must not leave a directory behind
+    for a plan that was never run. *)
+
 val dir : t -> string
 (** The plan directory, [dir/key]. *)
 

@@ -48,9 +48,10 @@ done
 
 # Traffic so the op histograms and cache counters have something in
 # them, plus a traced request captured client-side for the join below.
-"$exe" client verify mds -k 2 --socket "$sock" > /dev/null
-"$exe" client verify mds -k 2 --socket "$sock" --trace-id t-ci-1 \
-  --obs-out "$work/client.jsonl" > /dev/null
+"$exe" client verify mds -k 2 --exhaustive --incremental --socket "$sock" \
+  > /dev/null
+"$exe" client verify mds -k 2 --exhaustive --incremental --socket "$sock" \
+  --trace-id t-ci-1 --obs-out "$work/client.jsonl" > /dev/null
 sleep 0.5  # at least two sampler ticks, so windowed quantiles resolve
 
 # --- metrics op: exposition grammar and required families ---

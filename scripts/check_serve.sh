@@ -49,10 +49,10 @@ done
 
 # Two concurrent clients, different families, every served verdict
 # stream bit-identical to the in-process oracle.
-"$exe" client verify mds -k 2 --socket "$sock" --check-oracle \
-  > "$work/c1.log" 2>&1 &
+"$exe" client verify mds -k 2 --exhaustive --incremental --socket "$sock" \
+  --check-oracle > "$work/c1.log" 2>&1 &
 c1=$!
-"$exe" client verify maxis -k 2 --socket "$sock" \
+"$exe" client verify maxis -k 2 --exhaustive --incremental --socket "$sock" \
   --check-oracle > "$work/c2.log" 2>&1 &
 c2=$!
 wait "$c1" || { echo "FAIL: concurrent client 1 (mds)" >&2; cat "$work/c1.log" >&2; exit 1; }
@@ -60,17 +60,30 @@ wait "$c2" || { echo "FAIL: concurrent client 2 (maxis)" >&2; cat "$work/c2.log"
 grep -q 'oracle differential: ok' "$work/c1.log" || { echo "FAIL: mds stream differs from the oracle" >&2; cat "$work/c1.log" >&2; exit 1; }
 grep -q 'oracle differential: ok' "$work/c2.log" || { echo "FAIL: maxis stream differs from the oracle" >&2; cat "$work/c2.log" >&2; exit 1; }
 
-# A mixed batch of the remaining ops against the same daemon.
+# A mixed batch of the remaining ops against the same daemon.  Each
+# `client OP` takes `hardness OP`'s arguments.
 "$exe" client catalog --socket "$sock" > /dev/null
 "$exe" client stats --socket "$sock" > /dev/null
 "$exe" client simulate mds -k 2 --pairs 2 --socket "$sock" > /dev/null
+"$exe" client reduction mds -k 2 --pairs 2 --socket "$sock" > /dev/null
 "$exe" client sweep-status mds -k 2 --shards 1 --socket "$sock" > /dev/null
+
+# A status query reads the store: for a plan that was never run it
+# reports zeros and creates no plan directory.
+before=$(ls "$work/store" | wc -l)
+"$exe" client sweep-status mds -k 2 --shards 5 --socket "$sock" > /dev/null
+after=$(ls "$work/store" | wc -l)
+if [ "$after" -ne "$before" ]; then
+  echo "FAIL: sweep-status created a plan directory ($before -> $after)" >&2
+  ls "$work/store" >&2
+  exit 1
+fi
 
 # Repeated node-weighted-Steiner verify — the family no earlier request
 # touched, so the first service is genuinely cold: the repeats must be
 # served from the warm registry, measurably faster.
-out=$("$exe" client verify steiner-node-weighted -k 2 --socket "$sock" \
-  --repeat 6 --check-oracle)
+out=$("$exe" client verify steiner-node-weighted -k 2 --exhaustive \
+  --incremental --socket "$sock" --repeat 6 --check-oracle)
 echo "$out" | grep -q 'warm=true' || {
   echo "FAIL: repeated verify never hit the warm registry" >&2
   echo "$out" >&2

@@ -7,8 +7,8 @@
    `hardness list --json` catalog: the catalog's ids must be unique with
    non-empty paper refs, and every verify/reduction/sweep bench entry
    must name a registered family.  Last, every input the CLI cannot run
-   (a bad k, a negative pair count, a missing file) must fail with one
-   stderr line and exit 1. *)
+   (a bad k, a negative pair count, a missing file, a count below 1)
+   must fail with one stderr line and exit 1. *)
 
 module Jsonx = Ch_json.Jsonx
 
@@ -247,6 +247,17 @@ let () =
       ("client ping --socket S --obs-out nodir/c.jsonl", "nodir/c.jsonl");
       ("serve --socket S --obs-out nodir/d.jsonl", "nodir/d.jsonl");
       ("sweep mds --resume log.txt/store", "log.txt/store") ];
+  (* a count that must be positive is refused before the daemon starts or
+     the client connects *)
+  List.iter
+    (fun (args, prefix) -> fails_with_one_line args ~prefix)
+    [ ("serve --socket S --workers 0", "serve: --workers must be at least 1");
+      ("serve --socket S --queue-depth 0",
+       "serve: --queue-depth must be at least 1");
+      ("client verify mds --repeat 0 --socket S",
+       "client: --repeat must be at least 1");
+      ("client verify mds --bench 0 --socket S",
+       "client: --bench must be at least 1") ];
   (* cleanup *)
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir;

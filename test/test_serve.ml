@@ -47,7 +47,7 @@ let with_temp_dir f =
 
 (* One fresh daemon per test: own socket, own warm registry, optional
    store, stopped (idempotently) on the way out. *)
-let with_server ?(workers = 2) ?(queue_depth = 16) ?(store = false) f =
+let with_server ?(workers = 2) ?(queue_depth = 16) ?store_dir f =
   with_temp_dir (fun dir ->
       let sock = Filename.concat dir "serve.sock" in
       let t =
@@ -56,8 +56,7 @@ let with_server ?(workers = 2) ?(queue_depth = 16) ?(store = false) f =
             Server.cfg_addr = Server.Unix_socket sock;
             cfg_workers = workers;
             cfg_queue_depth = queue_depth;
-            cfg_store_dir =
-              (if store then Some (Filename.concat dir "store") else None);
+            cfg_store_dir = store_dir;
             cfg_obs_out = None;
             cfg_sample_period_s = 0.05;
           }
@@ -423,7 +422,8 @@ let test_ping_catalog_stats () =
    the warm registry, and both digests equal the in-process oracle. *)
 let test_cold_then_warm_matches_oracle () =
   Cache.clear ();
-  with_server ~store:true (fun _t addr ->
+  with_temp_dir @@ fun store_dir ->
+  with_server ~store_dir (fun _t addr ->
       let expect = oracle_digest "mds" 2 ~mode:Pairs.Exhaustive in
       let c = Client.connect ~retries:20 addr in
       Fun.protect
@@ -695,6 +695,97 @@ let test_warm_restart_from_store () =
               Alcotest.(check (option string))
                 "from the store tier" (Some "store")
                 (Jsonx.as_str (field "source" (body_exn r)))
+          | _ -> Alcotest.fail "expected 1 response"))
+
+(* A status query only reads the store: for a plan that was never run
+   it reports no blocks and leaves a fresh store empty. *)
+let test_sweep_status_reads_only () =
+  with_temp_dir @@ fun store_dir ->
+  with_server ~store_dir (fun t _addr ->
+      let status =
+        Protocol.Sweep_status
+          { family = "mds"; k = 2; shards = 5; vmode = Protocol.Exhaustive }
+      in
+      match Server.serve_batch t [ simple ~id:1 status ] with
+      | [ r ] ->
+          Alcotest.(check (option int))
+            "no block present" (Some 0)
+            (Jsonx.as_int (field "present" (body_exn r)));
+          Alcotest.(check (array string))
+            "store still empty" [||] (Sys.readdir store_dir)
+      | _ -> Alcotest.fail "expected 1 response")
+
+let json =
+  Alcotest.testable
+    (fun ppf j -> Format.pp_print_string ppf (Jsonx.to_string j))
+    ( = )
+
+(* The same op run in-process ([Ops.exec], as the CLI runs it) and sent
+   to a daemon over its Unix socket: the warm flag and the payload are
+   equal, value for value.  Every verify plan is distinct, so both sides
+   compute it cold; the in-process side has no store, while the daemon
+   writes its verdict blocks through to one, which the sweep-status
+   queries at the end then read from both sides. *)
+let test_ops_differential () =
+  Cache.clear ();
+  with_temp_dir @@ fun store_dir ->
+  with_server ~store_dir (fun _t addr ->
+      let verify family vmode engine =
+        Protocol.Verify { family; k = 2; vmode; engine }
+      in
+      let sampled = Protocol.Sampled { seed = 5; samples = 29 } in
+      let simulate family k pairs =
+        Protocol.Simulate { family; k; pairs; seed = 0 }
+      in
+      let reduction family k pairs =
+        Protocol.Reduction { family; k; exhaustive = false; pairs; seed = 41 }
+      in
+      let status shards =
+        Protocol.Sweep_status
+          { family = "mds"; k = 2; shards; vmode = Protocol.Exhaustive }
+      in
+      let c = Client.connect ~retries:20 addr in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          List.iteri
+            (fun id (label, op, local_store) ->
+              let served =
+                match Client.roundtrip c [ simple ~id op ] with
+                | [ r ] -> (r.Protocol.rs_warm, body_exn r)
+                | _ -> Alcotest.fail "expected 1 response"
+              in
+              match Ops.exec (Warm.create ~store_dir:local_store) op with
+              | Ok local -> Alcotest.(check (pair bool json)) label local served
+              | Error (_, msg) -> Alcotest.failf "%s: %s" label msg)
+            [
+              ( "verify exhaustive scratch",
+                verify "mds" Protocol.Exhaustive Protocol.Scratch,
+                None );
+              ( "verify exhaustive incremental",
+                verify "maxis" Protocol.Exhaustive Protocol.Incremental,
+                None );
+              ( "verify sampled scratch",
+                verify "steiner-node-weighted" sampled Protocol.Scratch,
+                None );
+              ( "verify sampled incremental",
+                verify "mds" sampled Protocol.Incremental,
+                None );
+              ("simulate mds", simulate "mds" 2 5, None);
+              ("simulate bitgadget", simulate "bitgadget" 4 2, None);
+              ("reduction mds", reduction "mds" 2 8, None);
+              ("reduction bitgadget", reduction "bitgadget" 4 2, None);
+              ("sweep-status of a stored plan", status 1, Some store_dir);
+              ("sweep-status of a plan never run", status 5, Some store_dir);
+              ("catalog", Protocol.Catalog, None);
+            ];
+          (* the stored plan is the daemon's write-through of the first
+             verify, so the status comparison above is of a real block *)
+          match Client.roundtrip c [ simple ~id:99 (status 1) ] with
+          | [ r ] ->
+              Alcotest.(check (option int))
+                "stored plan present" (Some 1)
+                (Jsonx.as_int (field "present" (body_exn r)))
           | _ -> Alcotest.fail "expected 1 response"))
 
 (* ---------------------------------------------------------------- *)
@@ -1006,6 +1097,10 @@ let () =
           Alcotest.test_case "drain under load" `Quick test_drain_under_load;
           Alcotest.test_case "warm restart from the store" `Quick
             test_warm_restart_from_store;
+          Alcotest.test_case "sweep-status creates nothing" `Quick
+            test_sweep_status_reads_only;
+          Alcotest.test_case "same op in-process and over the socket" `Quick
+            test_ops_differential;
         ] );
       ( "observability",
         [
