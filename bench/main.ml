@@ -17,8 +17,11 @@
    tracked per PR.  --smoke drops the slow from-scratch Maxcut sweep
    from the verify benches.  --json also switches on the Ch_obs
    telemetry layer and embeds one report per bench entry in an "obs"
-   section (schedule-independent counters, so identical across CH_JOBS);
-   --no-obs keeps telemetry off to measure the disabled-path overhead. *)
+   section.  Its counters are schedule-independent, so identical across
+   CH_JOBS, and they are what the bench gate checks: `hardness
+   bench-diff test/bench_baseline.json BENCH_<ts>.json` exits 1 on any
+   difference.  The wall times are single-shot reports; perfbench/ owns
+   timing. *)
 
 open Ch_cc
 open Ch_core
@@ -55,16 +58,6 @@ let timed f =
   let t0 = Obs.Clock.now_ns () in
   let r = f () in
   (r, Obs.Clock.seconds_since t0)
-
-(* Per-entry telemetry capture: when obs is enabled (--json without
-   --no-obs) every bench entry resets the counters before its runs and
-   snapshots the merged report after, so the JSON "obs" section carries
-   one report per entry.  Counter totals are schedule-independent, so
-   the section is identical under CH_JOBS=1 and CH_JOBS=4 — CI greps
-   the counter lines of two runs and diffs them. *)
-let obs_fresh () = if Obs.enabled () then Obs.reset ()
-
-let obs_snap () = if Obs.enabled () then Some (Obs.report ()) else None
 
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -667,6 +660,10 @@ let all_experiments =
 (* --json: perf trajectory tracking                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Every bench entry below resets the obs counters before its runs and
+   takes the merged report after, so the JSON "obs" section carries one
+   report per entry. *)
+
 (* Verification throughput: the same workload on the CH_JOBS pool and on
    a 1-worker pool.  Results must be bitwise identical (the determinism
    contract); the ratio of wall times is the parallel speedup.  The
@@ -690,30 +687,28 @@ type ventry = {
   vmisses : int;
   vvs_scratch : float option;  (* scratch wall / incremental wall *)
   vdiff_ok : bool option;  (* per-pair trace equality vs scratch *)
-  vobs : Obs.report option;  (* telemetry for this entry's runs *)
-  vnodes : int option;  (* Σ solver.*.nodes over this entry's runs *)
-  vpruned : int option;  (* Σ solver.*.pruned over this entry's runs *)
+  vobs : Obs.report;  (* telemetry for this entry's runs *)
+  vnodes : int;  (* Σ solver.*.nodes over this entry's runs *)
+  vpruned : int;  (* Σ solver.*.pruned over this entry's runs *)
 }
 
 (* The search-effort totals of a bench entry, folded out of its obs
-   report: every [solver.<name>.nodes] / [.pruned] counter summed.  The
-   pruning-regression guard in CI reads these as first-class fields
-   rather than digging through the "obs" section. *)
-let solver_totals = function
-  | None -> (None, None)
-  | Some rep ->
-      let sum suffix =
-        List.fold_left
-          (fun acc (name, v) ->
-            if
-              String.length name > 7
-              && String.sub name 0 7 = "solver."
-              && Filename.check_suffix name suffix
-            then acc + v
-            else acc)
-          0 rep.Obs.r_counters
-      in
-      (Some (sum ".nodes"), Some (sum ".pruned"))
+   report: every [solver.<name>.nodes] / [.pruned] counter summed.  They
+   summarise the entry for a reader; the bench gate checks each counter
+   in the "obs" section itself. *)
+let solver_totals rep =
+  let sum suffix =
+    List.fold_left
+      (fun acc (name, v) ->
+        if
+          String.length name > 7
+          && String.sub name 0 7 = "solver."
+          && Filename.check_suffix name suffix
+        then acc + v
+        else acc)
+      0 rep.Obs.r_counters
+  in
+  (sum ".nodes", sum ".pruned")
 
 let verify_benches ~smoke () =
   let pool = Pool.default () and pool1 = Pool.create ~jobs:1 () in
@@ -724,7 +719,7 @@ let verify_benches ~smoke () =
   in
   let entry ~name ~pairs ~wall ~wall1 ?(hits = 0) ?(misses = 0) ?vs_scratch
       ?diff_ok () =
-    let vobs = obs_snap () in
+    let vobs = Obs.report () in
     let vnodes, vpruned = solver_totals vobs in
     {
       vname = name;
@@ -746,7 +741,7 @@ let verify_benches ~smoke () =
     Framework.verdicts ~pool engine Pairs.Exhaustive
   in
   let bench_scratch ~name fam =
-    obs_fresh ();
+    Obs.reset ();
     let (v, _), wall = timed (fun () -> run ~pool (Framework.Scratch fam)) in
     let (v1, _), wall1 =
       timed (fun () -> run ~pool:pool1 (Framework.Scratch fam))
@@ -758,7 +753,7 @@ let verify_benches ~smoke () =
     entry ~name ~pairs:(Array.length v) ~wall ~wall1 ()
   in
   let bench_inc ~name ~scratch_name inc =
-    obs_fresh ();
+    Obs.reset ();
     let (v, stats), wall =
       timed (fun () -> run ~pool (Framework.Incremental inc))
     in
@@ -782,7 +777,7 @@ let verify_benches ~smoke () =
       ?vs_scratch ?diff_ok ()
   in
   let bench_counts ~name f =
-    obs_fresh ();
+    Obs.reset ();
     let r, wall = timed (fun () -> f pool) in
     let r1, wall1 = timed (fun () -> f pool1) in
     if r <> r1 then
@@ -865,7 +860,7 @@ type rentry = {
   rskipped : int;
   rwall : float;
   rrep : Ch_reduction.Bound.report;
-  robs : Obs.report option;  (* telemetry for this entry's sweep *)
+  robs : Obs.report;  (* telemetry for this entry's sweep *)
 }
 
 let reduction_benches ~smoke () =
@@ -879,11 +874,11 @@ let reduction_benches ~smoke () =
       let name = Printf.sprintf "%s-k%d-reduction" id k in
       let exhaustive = not (List.mem id sampled_only) in
       let samples = if smoke then 4 else 20 in
-      obs_fresh ();
-      let trace = if Obs.enabled () then Some Trace.obs_sink else None in
+      Obs.reset ();
       let r, wall =
         timed (fun () ->
-            Bound.sweep_registry ?trace ~seed:41 ~exhaustive ~samples s ~k)
+            Bound.sweep_registry ~trace:Trace.obs_sink ~seed:41 ~exhaustive
+              ~samples s ~k)
       in
       match r with
       | None -> failwith (Printf.sprintf "reduction bench %s: no reduction" name)
@@ -898,7 +893,7 @@ let reduction_benches ~smoke () =
             rskipped = skipped;
             rwall = wall;
             rrep = rep;
-            robs = obs_snap ();
+            robs = Obs.report ();
           })
     (Registry.filter ~reduction:true (reg ()))
 
@@ -921,7 +916,7 @@ type sentry = {
   srecomputed : int;
   scorrupt : int;
   sdiff_ok : bool;
-  sobs : Obs.report option;
+  sobs : Obs.report;
 }
 
 let rec rm_rf path =
@@ -937,11 +932,11 @@ let sweep_benches ~smoke () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "bench_sweep_%d" (Unix.getpid ()))
   in
-  (* the oracle runs before [obs_fresh], so each entry's obs report (and
+  (* the oracle runs before [Obs.reset], so each entry's obs report (and
      its sweep.shards.* counters) covers the sweep alone *)
   let entry ~name ~fam ~mode ~store run =
     let oracle, _ = Framework.verdicts (Framework.Scratch fam) mode in
-    obs_fresh ();
+    Obs.reset ();
     let o, wall = timed (fun () -> run ~store_dir:(Filename.concat root store)) in
     if o.Sweep.verdicts <> oracle then
       failwith (Printf.sprintf "sweep bench %s: differential mismatch" name);
@@ -957,7 +952,7 @@ let sweep_benches ~smoke () =
       srecomputed = o.Sweep.shards_recomputed;
       scorrupt = o.Sweep.artifacts_corrupt;
       sdiff_ok = true;
-      sobs = obs_snap ();
+      sobs = Obs.report ();
     }
   in
   let fam2 = fam_of "mds" ~k:2 in
@@ -1019,7 +1014,7 @@ type sventry = {
   svwarm_s : float;  (** best of the warm repeats *)
   svwarm_hit : bool;  (** every repeat answered [warm: true] *)
   svdigest_ok : bool;  (** every digest equals the in-process oracle *)
-  svobs : Obs.report option;
+  svobs : Obs.report;
 }
 
 let serve_benches ~smoke () =
@@ -1044,7 +1039,7 @@ let serve_benches ~smoke () =
   in
   let entry ~name ~family ~k ~vmode =
     Ch_solvers.Cache.clear ();
-    obs_fresh ();
+    Obs.reset ();
     let c = Client.connect ~retries:20 (Server.Unix_socket sock) in
     let req id =
       {
@@ -1099,7 +1094,7 @@ let serve_benches ~smoke () =
       svwarm_s = warm;
       svwarm_hit = warm_hit;
       svdigest_ok = digest_ok;
-      svobs = obs_snap ();
+      svobs = Obs.report ();
     }
   in
   let entries =
@@ -1140,8 +1135,7 @@ let write_json ~experiment_times ~verify ~reduction ~sweep ~serve =
        ]
       @ opt "speedup_vs_scratch" (fun s -> Float s) e.vvs_scratch
       @ opt "differential_ok" (fun b -> Bool b) e.vdiff_ok
-      @ opt "solver_nodes" (fun n -> Int n) e.vnodes
-      @ opt "solver_pruned" (fun n -> Int n) e.vpruned)
+      @ [ ("solver_nodes", Int e.vnodes); ("solver_pruned", Int e.vpruned) ])
   in
   let reduction_entry r =
     Ch_reduction.Bound.report_json
@@ -1175,20 +1169,16 @@ let write_json ~experiment_times ~verify ~reduction ~sweep ~serve =
         ("warm_hit", Bool e.svwarm_hit); ("digest_ok", Bool e.svdigest_ok);
       ]
   in
-  (* one telemetry report per bench entry; printed as a document, each
-     counter object sits on its own line, so two runs' counter sets diff
-     with plain grep (the CH_JOBS determinism guard in CI does exactly
-     that) *)
-  let obs name o =
-    Option.map
-      (fun rep -> Obj [ ("family", Str name); ("report", Obs.report_json rep) ])
-      o
+  (* one telemetry report per bench entry: its counters are what
+     `hardness bench-diff` compares *)
+  let obs name rep =
+    Obj [ ("family", Str name); ("report", Obs.report_json rep) ]
   in
   let obs_entries =
-    List.filter_map (fun e -> obs e.vname e.vobs) verify
-    @ List.filter_map (fun r -> obs r.rname r.robs) reduction
-    @ List.filter_map (fun e -> obs e.sname e.sobs) sweep
-    @ List.filter_map (fun e -> obs e.svname e.svobs) serve
+    List.map (fun e -> obs e.vname e.vobs) verify
+    @ List.map (fun r -> obs r.rname r.robs) reduction
+    @ List.map (fun e -> obs e.sname e.sobs) sweep
+    @ List.map (fun e -> obs e.svname e.svobs) serve
   in
   let doc =
     Obj
@@ -1211,13 +1201,8 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let json = List.mem "--json" args in
   let smoke = List.mem "--smoke" args in
-  let no_obs = List.mem "--no-obs" args in
-  let args =
-    List.filter (fun a -> a <> "--json" && a <> "--smoke" && a <> "--no-obs") args
-  in
-  (* --json turns telemetry on so the report carries per-entry counters;
-     --no-obs keeps it off to measure the disabled-path overhead *)
-  if json && not no_obs then Obs.set_enabled true;
+  let args = List.filter (fun a -> a <> "--json" && a <> "--smoke") args in
+  if json then Obs.set_enabled true;
   let selected =
     match args with
     | [] -> List.filter (fun (id, _) -> id <> "bech") all_experiments

@@ -847,72 +847,66 @@ let client_cmd =
         in
         try
           with_client_obs @@ fun () ->
-          if bench > 1 then begin
-            (* concurrent connections, one request each; every verdict
-               digest must agree across clients *)
-            let results = Array.make bench None in
-            let threads =
-              List.init bench (fun i ->
-                  Thread.create
-                    (fun () ->
-                      let c = Client.connect ~retries:20 addr in
-                      let rs = Client.roundtrip c [ request i ] in
-                      Client.close c;
-                      results.(i) <- Some rs)
-                    ())
-            in
-            List.iter Thread.join threads;
-            let all = Array.to_list results in
-            if List.exists Option.is_none all then begin
-              Printf.eprintf "client: a bench connection failed\n";
-              1
-            end
-            else begin
-              let responses = List.concat_map Option.get all in
-              List.iter (print_response ?raw) responses;
-              let digests =
-                List.filter_map
-                  (fun r ->
-                    match r.Protocol.rs_outcome with
-                    | Protocol.Payload body -> opt_str body "digest"
-                    | Protocol.Error _ -> None)
-                  responses
-              in
-              let agree =
-                match digests with
-                | [] -> true
-                | d :: rest -> List.for_all (( = ) d) rest
-              in
-              Printf.printf "bench: %d clients, digests %s\n" bench
-                (if agree then "agree" else "DISAGREE");
-              let ok = agree && List.for_all check responses in
-              if ok then 0 else 1
-            end
-          end
-          else begin
-            let c = Client.connect ~retries:20 addr in
-            let micros = ref [] in
-            let ok = ref true in
-            for rep = 0 to repeat - 1 do
-              let rs = Client.roundtrip c [ request rep ] in
-              List.iter
-                (fun r ->
-                  print_response ?raw r;
-                  (match r.Protocol.rs_outcome with
-                  | Protocol.Payload _ -> micros := r.Protocol.rs_micros :: !micros
-                  | Protocol.Error _ -> ok := false);
-                  if not (check r) then ok := false)
-                rs
-            done;
-            Client.close c;
-            (match List.rev !micros with
-            | cold :: (_ :: _ as warm) ->
-                let best = List.fold_left min max_int warm in
-                Printf.printf "warm_speedup=%.1f\n"
-                  (float_of_int cold /. float_of_int (max 1 best))
-            | _ -> ());
-            if !ok then 0 else 1
-          end
+          (* [bench] connections, [repeat] requests each; a connection's
+             error is raised here, once every thread has joined *)
+          let results = Array.make bench (Ok []) in
+          let connection i () =
+            results.(i) <-
+              (try
+                 let c = Client.connect ~retries:20 addr in
+                 let rs =
+                   List.concat_map
+                     (fun rep ->
+                       Client.roundtrip c [ request ((i * repeat) + rep) ])
+                     (List.init repeat Fun.id)
+                 in
+                 Client.close c;
+                 Ok rs
+               with e -> Error e)
+          in
+          List.iter Thread.join
+            (List.init bench (fun i -> Thread.create (connection i) ()));
+          let per_connection =
+            List.map
+              (function Ok rs -> rs | Error e -> raise e)
+              (Array.to_list results)
+          in
+          let responses = List.concat per_connection in
+          (* every response is printed and checked here, in this one
+             thread: [check] forces the oracle digest, a [Lazy] *)
+          let ok =
+            List.fold_left
+              (fun ok r ->
+                print_response ?raw r;
+                check r && ok)
+              true responses
+          in
+          let payload f r =
+            match r.Protocol.rs_outcome with
+            | Protocol.Payload body -> f body
+            | Protocol.Error _ -> None
+          in
+          let agree =
+            match
+              List.filter_map (payload (fun b -> opt_str b "digest")) responses
+            with
+            | [] -> true
+            | d :: rest -> List.for_all (( = ) d) rest
+          in
+          if bench > 1 || not agree then
+            Printf.printf "bench: %d clients, digests %s\n" bench
+              (if agree then "agree" else "DISAGREE");
+          (match
+             List.filter_map
+               (fun r -> payload (fun _ -> Some r.Protocol.rs_micros) r)
+               (List.hd per_connection)
+           with
+          | cold :: (_ :: _ as warm) ->
+              let best = List.fold_left min max_int warm in
+              Printf.printf "warm_speedup=%.1f\n"
+                (float_of_int cold /. float_of_int (max 1 best))
+          | _ -> ());
+          if ok && agree then 0 else 1
         with
         | Unix.Unix_error (e, _, _) ->
             Printf.eprintf "client: cannot reach daemon: %s\n"
@@ -950,15 +944,15 @@ let client_cmd =
   in
   let repeat_arg =
     let doc =
-      "Send the request $(docv) times on one connection and report the \
-       cold-vs-warm speedup."
+      "Send the request $(docv) times on each connection and report the \
+       cold-vs-warm speedup of the first."
     in
     Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"R" ~doc)
   in
   let bench_arg =
     let doc =
-      "Drive $(docv) concurrent connections, one request each, and assert \
-       the served digests agree."
+      "Drive $(docv) concurrent connections, $(b,--repeat) requests each, \
+       and assert the served digests agree."
     in
     Arg.(value & opt int 1 & info [ "bench" ] ~docv:"C" ~doc)
   in

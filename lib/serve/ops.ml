@@ -55,10 +55,11 @@ let derive fam ~mode verdicts =
     c_digest = Sweep.digest verdicts;
   }
 
-let verify_body fam ~k ~mode ~engine_used ~source (cached : Warm.cached) =
+let verify_body spec fam ~k ~mode ~engine_used ~source
+    (cached : Warm.cached) =
   (* per-family throughput counter; every verify tier lands here *)
   Obs.incr
-    (Obs.counter ("serve.family." ^ fam.Framework.name ^ ".pairs"))
+    (Obs.counter ("serve.family." ^ spec.Registry.id ^ ".pairs"))
     (Array.length cached.Warm.c_verdicts);
   Jsonx.Obj
     [
@@ -82,7 +83,7 @@ let verify_body fam ~k ~mode ~engine_used ~source (cached : Warm.cached) =
 let verify warm ~k ~mode ~engine spec =
   let fam = spec.Registry.scratch k in
   let key = Warm.key fam ~mode in
-  let body = verify_body fam ~k ~mode in
+  let body = verify_body spec fam ~k ~mode in
   match Warm.find warm ~key with
   | Some cached -> (true, body ~engine_used:"cache" ~source:"memory" cached)
   | None -> (

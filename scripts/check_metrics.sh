@@ -1,10 +1,9 @@
 #!/bin/sh
 # Observability smoke: start the daemon with the report sampler on,
-# scrape the metrics op and the HTTP GET surface, lint the exposition
-# grammar, send a traced request with a client-side capture, join the
-# two JSONL streams into one span tree with `hardness profile --from`,
-# smoke `hardness top`, and check that `hardness bench-diff` flags an
-# injected >= 25% pairs/sec regression while passing identical files.
+# scrape the metrics op and the HTTP GET surface (with curl), lint the
+# exposition grammar, send a traced request with a client-side capture,
+# join the two JSONL streams into one span tree with `hardness profile
+# --from`, and smoke `hardness top`.
 #
 # Usage: scripts/check_metrics.sh HARDNESS_EXE
 set -eu
@@ -14,6 +13,10 @@ if [ $# -ne 1 ]; then
   exit 2
 fi
 exe=$1
+command -v curl >/dev/null 2>&1 || {
+  echo "FAIL: curl is needed for the HTTP GET check" >&2
+  exit 1
+}
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/check_metrics.XXXXXX")
 sock="$work/serve.sock"
@@ -86,41 +89,20 @@ grep -q '"status"[[:space:]]*:[[:space:]]*"ok"' "$work/health.txt" || {
   exit 1
 }
 
-# --- HTTP GET on the same socket (curl if present, else python3) ---
+# --- HTTP GET on the same socket ---
 http_get() {
-  path=$1
-  if command -v curl >/dev/null 2>&1; then
-    curl -s --unix-socket "$sock" "http://localhost$path"
-  else
-    python3 - "$sock" "$path" <<'EOF'
-import socket, sys
-s = socket.socket(socket.AF_UNIX)
-s.connect(sys.argv[1])
-s.sendall(("GET %s HTTP/1.0\r\nHost: x\r\n\r\n" % sys.argv[2]).encode())
-buf = b""
-while True:
-    c = s.recv(65536)
-    if not c:
-        break
-    buf += c
-sys.stdout.write(buf.split(b"\r\n\r\n", 1)[1].decode())
-EOF
-  fi
+  curl -s --unix-socket "$sock" "http://localhost$1"
 }
-if command -v curl >/dev/null 2>&1 || command -v python3 >/dev/null 2>&1; then
-  http_get /metrics > "$work/http_metrics.txt"
-  grep -q '^ch_serve_requests ' "$work/http_metrics.txt" || {
-    echo "FAIL: HTTP GET /metrics did not return the exposition" >&2
-    cat "$work/http_metrics.txt" >&2
-    exit 1
-  }
-  [ "$(http_get /health)" = "ok" ] || {
-    echo "FAIL: HTTP GET /health did not answer ok" >&2
-    exit 1
-  }
-else
-  echo "skip: neither curl nor python3 available for the HTTP GET check" >&2
-fi
+http_get /metrics > "$work/http_metrics.txt"
+grep -q '^ch_serve_requests ' "$work/http_metrics.txt" || {
+  echo "FAIL: HTTP GET /metrics did not return the exposition" >&2
+  cat "$work/http_metrics.txt" >&2
+  exit 1
+}
+[ "$(http_get /health)" = "ok" ] || {
+  echo "FAIL: HTTP GET /health did not answer ok" >&2
+  exit 1
+}
 
 # --- hardness top, one plain refresh ---
 "$exe" top --socket "$sock" --iters 1 --plain > "$work/top.txt"
@@ -155,31 +137,4 @@ if [ "$si" -le "$ci" ]; then
   exit 1
 fi
 
-# --- bench-diff: identical files pass, injected regression fails ---
-cat > "$work/old.json" <<'EOF'
-{"timestamp": "2026-01-01T00:00:00Z", "jobs": 2,
- "verify": [{"family": "mds-k2", "pairs_per_s": 1000.0, "solver_nodes": 500,
-             "cache_hits": 90, "cache_misses": 10}],
- "serve": [{"name": "steiner-warm", "warm_speedup": 8.0}]}
-EOF
-sed 's/"pairs_per_s": 1000.0/"pairs_per_s": 700.0/' "$work/old.json" \
-  > "$work/slow.json"
-"$exe" bench-diff "$work/old.json" "$work/old.json" > /dev/null || {
-  echo "FAIL: bench-diff flagged identical files" >&2
-  exit 1
-}
-rc=0
-"$exe" bench-diff "$work/old.json" "$work/slow.json" \
-  > "$work/diff.txt" 2>&1 || rc=$?
-if [ "$rc" -ne 1 ]; then
-  echo "FAIL: bench-diff exited $rc on a 30% pairs/sec drop, expected 1" >&2
-  cat "$work/diff.txt" >&2
-  exit 1
-fi
-grep -q 'REGRESSION' "$work/diff.txt" || {
-  echo "FAIL: bench-diff exit 1 without a REGRESSION line" >&2
-  cat "$work/diff.txt" >&2
-  exit 1
-}
-
-echo "metrics smoke ok: exposition lint, health, HTTP GET, joined trace tree, top, bench-diff gate"
+echo "metrics smoke ok: exposition lint, health, HTTP GET, joined trace tree, top"

@@ -68,6 +68,17 @@ grep -q 'oracle differential: ok' "$work/c2.log" || { echo "FAIL: maxis stream d
 "$exe" client reduction mds -k 2 --pairs 2 --socket "$sock" > /dev/null
 "$exe" client sweep-status mds -k 2 --shards 1 --socket "$sock" > /dev/null
 
+# Concurrent connections that each repeat: every response is printed,
+# and the first connection reports its warm speedup.
+out=$("$exe" client verify mds -k 2 --exhaustive --incremental \
+  --socket "$sock" --bench 2 --repeat 3)
+ids=$(echo "$out" | grep -c '^id=' || true)
+if [ "$ids" -ne 6 ] || ! echo "$out" | grep -q '^warm_speedup='; then
+  echo "FAIL: --bench 2 --repeat 3 printed $ids responses, expected 6 and a warm_speedup line" >&2
+  echo "$out" >&2
+  exit 1
+fi
+
 # A status query reads the store: for a plan that was never run it
 # reports zeros and creates no plan directory.
 before=$(ls "$work/store" | wc -l)

@@ -1,18 +1,28 @@
-(* Schema regression for the --json bench artifact: run a tiny smoke
-   experiment in a temp directory, parse the BENCH_<ts>.json it writes,
-   and look up the entries and fields the perf-trajectory tooling reads,
-   by section and entry name, including the cache counters and the
-   incremental entries, and require a non-empty obs section whose every
-   entry carries an enabled report.  Then cross-check it against the
-   `hardness list --json` catalog: the catalog's ids must be unique with
-   non-empty paper refs, and every verify/reduction/sweep bench entry
-   must name a registered family.  Last, every input the CLI cannot run
-   (a bad k, a negative pair count, a missing file, a count below 1)
-   must fail with one stderr line and exit 1. *)
+(* Schema regression and bench gate for the --json bench artifact: run
+   a tiny smoke experiment in a temp directory, parse the
+   BENCH_<ts>.json it writes, and look up the entries and fields a
+   reader of the file relies on, by section and entry name, including
+   the cache counters and the incremental entries, and require a
+   non-empty obs section whose every entry carries an enabled report.
+   Then require `hardness bench-diff` to find its obs counters equal to
+   the committed baseline (test/bench_baseline.json), and to flag a
+   copy with one counter or entry changed.  Then cross-check it against
+   the `hardness list --json` catalog: the catalog's ids must be unique
+   with non-empty paper refs, and every verify/reduction/sweep bench
+   entry must name a registered family.  Last, every input the CLI
+   cannot run (a bad k, a negative pair count, a missing or malformed
+   file, a count below 1) must fail with one stderr line and exit 1. *)
 
 module Jsonx = Ch_json.Jsonx
 
-let fail fmt = Printf.ksprintf failwith fmt
+(* a failure prints its message as it is, output excerpts included *)
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 1)
+    fmt
+
 let read_file file = In_channel.with_open_bin file In_channel.input_all
 
 let parse_file file =
@@ -53,7 +63,7 @@ let () =
   in
   let rc = Sys.command cmd in
   if rc <> 0 then fail "bench exited with %d" rc;
-  let doc =
+  let bench_file =
     match
       List.filter
         (fun f ->
@@ -61,9 +71,10 @@ let () =
           && Filename.check_suffix f ".json")
         (Array.to_list (Sys.readdir dir))
     with
-    | [ f ] -> parse_file (Filename.concat dir f)
+    | [ f ] -> Filename.concat dir f
     | l -> fail "expected 1 BENCH_*.json, found %d" (List.length l)
   in
+  let doc = parse_file bench_file in
   has_fields doc [ "timestamp"; "jobs" ];
   has_fields (entry ~key:"name" doc "experiments" "e17") [ "wall_s" ];
   (* solver_nodes/solver_pruned: first-class search-effort totals,
@@ -163,8 +174,78 @@ let () =
       (List.exists (has_span "core_build")
          (arr "spans" (report "mds-k2-exhaustive-inc")))
   then fail "mds-k2-exhaustive-inc: no core_build span";
-  (* the registry catalog round-trip: `hardness list --json` *)
+  (* the bench gate: this run's obs counters are the baseline's *)
   let hardness = Filename.concat (Sys.getcwd ()) Sys.argv.(2) in
+  let baseline = Filename.concat (Sys.getcwd ()) Sys.argv.(3) in
+  let bench_diff old_file new_file =
+    let rc =
+      Sys.command
+        (Printf.sprintf "cd %s && %s bench-diff %s %s > diff.txt 2>&1"
+           (Filename.quote dir) (Filename.quote hardness)
+           (Filename.quote old_file) (Filename.quote new_file))
+    in
+    (rc, read_file (Filename.concat dir "diff.txt"))
+  in
+  (match bench_diff baseline bench_file with
+  | 0, _ -> ()
+  | rc, out ->
+      (* this run's directory may not outlive the test runner, so the
+         command runs the bench afresh: its counters are this run's *)
+      fail
+        "bench-diff test/bench_baseline.json %s exited %d:\n%s\n\
+         If the change is meant to move these counters, re-record the \
+         baseline from the repository root:\n  tmp=$(mktemp -d) && (cd \
+         \"$tmp\" && %s e17 --json --smoke > /dev/null) && cp \
+         \"$tmp\"/BENCH_*.json test/bench_baseline.json"
+        bench_file rc out (Filename.quote exe));
+  (* copies of this run's file with one counter changed, one counter
+     removed, or one entry removed each fail it, naming what moved *)
+  let set name v = function
+    | Jsonx.Obj fields ->
+        Jsonx.Obj
+          (List.map (fun (k, x) -> (k, if k = name then v else x)) fields)
+    | j -> j
+  in
+  let inc = "mds-k2-exhaustive-inc" and nodes = "solver.domset.nodes" in
+  let with_obs f = set "obs" (Jsonx.Arr (f (arr "obs" doc))) doc in
+  let with_counters f =
+    with_obs
+      (List.map (fun e ->
+           if str "family" e <> inc then e
+           else
+             let r = field "report" e in
+             let counters = Jsonx.Arr (f (arr "counters" r)) in
+             set "report" (set "counters" counters r) e))
+  in
+  let n =
+    get Jsonx.as_int "value"
+      (List.find (fun c -> str "name" c = nodes)
+         (arr "counters" (field "report" (entry doc "obs" inc))))
+  in
+  List.iter
+    (fun (what, copy, want) ->
+      let file = Filename.concat dir "copy.json" in
+      Out_channel.with_open_bin file (fun oc ->
+          output_string oc (Jsonx.to_document copy));
+      match bench_diff bench_file file with
+      | 1, out when List.mem want (String.split_on_char '\n' out) -> ()
+      | rc, out ->
+          fail "bench-diff with one %s exited %d without the line %S:\n%s"
+            what rc want out)
+    [ ( "counter changed",
+        with_counters
+          (List.map (fun c ->
+               if str "name" c = nodes then set "value" (Jsonx.Int (n + 1)) c
+               else c)),
+        Printf.sprintf "%s: %s %d -> %d" inc nodes n (n + 1) );
+      ( "counter removed",
+        with_counters
+          (List.filter (fun c -> str "name" c <> "cache.domset.queries")),
+        Printf.sprintf "%s: cache.domset.queries only in %s" inc bench_file );
+      ( "entry removed",
+        with_obs (List.filter (fun e -> str "family" e <> "mds-k2-sweep-x4")),
+        Printf.sprintf "mds-k2-sweep-x4: only in %s" bench_file ) ];
+  (* the registry catalog round-trip: `hardness list --json` *)
   let rc =
     Sys.command
       (Printf.sprintf "cd %s && %s list --json > catalog.json 2>> log.txt"
@@ -234,11 +315,16 @@ let () =
       ("replay mds log.txt --pairs=-3", "mds", 2);
       ("reduction mds -k 3", "mds", 3);
       ("reduction mds --pairs=-3", "mds", 2) ];
-  (* a file that cannot be read or written is one "FILE: reason" line
-     and exit 1 *)
+  (* a file that cannot be read or written, or a bench file without
+     obs counters, is one "FILE: reason" line and exit 1 *)
+  Out_channel.with_open_bin (Filename.concat dir "noobs.json") (fun oc ->
+      output_string oc "{\"obs\": []}\n");
   List.iter
     (fun (args, path) -> fails_with_one_line args ~prefix:(path ^ ": "))
-    [ ("replay mds missing.jsonl", "missing.jsonl");
+    [ ("bench-diff missing.json log.txt", "missing.json");
+      ("bench-diff log.txt log.txt", "log.txt");
+      ("bench-diff noobs.json noobs.json", "noobs.json");
+      ("replay mds missing.jsonl", "missing.jsonl");
       ("profile --from missing.jsonl", "missing.jsonl");
       ("verify mds --profile --obs-out nodir/o.jsonl", "nodir/o.jsonl");
       ("sweep mds --profile --obs-out nodir/o.jsonl", "nodir/o.jsonl");

@@ -895,7 +895,7 @@ let test_metrics_health_ops () =
             "# TYPE ch_serve_queue_wait_us summary";
           check_contains "workers gauge" text "# TYPE ch_serve_workers gauge";
           check_contains "cache hit rate" text "ch_cache_hit_rate{kind=\"";
-          check_contains "per-family throughput" text "ch_serve_family_mds";
+          check_contains "per-family throughput" text "ch_serve_family_mds_pairs ";
           Alcotest.(check bool)
             "sampler window live" true
             (match Jsonx.as_int (field "samples" (body_exn m)) with
