@@ -1,10 +1,9 @@
 (* The experiment harness: one table per experiment of DESIGN.md
    (E1..E18), reproducing the *shape* of every lower/upper bound in the
-   paper, plus Bechamel micro-benchmarks of the machinery.
+   paper.
 
      dune exec bench/main.exe                 -- all report tables
      dune exec bench/main.exe -- e1 e7        -- selected tables
-     dune exec bench/main.exe -- bech         -- Bechamel timings
      dune exec bench/main.exe -- e1 --json    -- also write BENCH_<ts>.json
      dune exec bench/main.exe -- e1 --json --smoke
                                               -- CI-sized verify benches
@@ -40,11 +39,6 @@ let spec id = Registry.find_exn (reg ()) id
 let fam_of ?k id =
   let s = spec id in
   s.Registry.scratch (match k with Some k -> k | None -> s.Registry.default_k)
-
-let reduction_of id ~k =
-  match (spec id).Registry.reduction with
-  | Some rd -> rd k
-  | None -> invalid_arg (Printf.sprintf "bench: %s has no reduction" id)
 
 let log2 x = log (float_of_int x) /. log 2.0
 
@@ -519,132 +513,25 @@ let e17 () =
 (* ------------------------------------------------------------------ *)
 
 let e18 () =
+  let open Ch_reduction in
   header "E18 | Theorem 1.1 end-to-end: Alice/Bob solve DISJ by simulating CONGEST";
-  Printf.printf "  %4s %6s %6s %9s %12s %14s\n" "k" "n" "cut" "rounds" "cut bits"
-    "decisions ok";
+  Printf.printf "  %4s %6s %6s %9s %12s %14s %12s\n" "k" "n" "cut" "rounds"
+    "cut bits" "decisions ok" "oracle ok";
   List.iter
     (fun k ->
-      let fam = fam_of "mds" ~k in
-      let rd = reduction_of "mds" ~k in
-      let pairs =
-        List.init 6 (fun i ->
-            ( Bits.random ~seed:(70 + i) ~density:0.7 (k * k),
-              Bits.random ~seed:(80 + i) ~density:0.7 (k * k) ))
-      in
-      let sims =
-        List.map
-          (fun (x, y) ->
-            Framework.simulate_reduction ?partition:rd.Registry.rd_partition
-              fam ~solver:rd.Registry.rd_solver ~accept:rd.Registry.rd_accept x
-              y)
-          pairs
-      in
-      let ok = List.for_all (fun s -> s.Framework.decision_correct) sims in
-      let avg f =
-        List.fold_left (fun acc s -> acc + f s) 0 sims / List.length sims
-      in
-      Printf.printf "  %4d %6d %6d %9d %12d %14b\n" k fam.Framework.nvertices
-        (Framework.cut_size fam)
-        (avg (fun s -> s.Framework.rounds))
-        (avg (fun s -> s.Framework.cut_bits))
-        ok)
+      match Bound.sweep_registry (spec "mds") ~k ~samples:6 with
+      | None -> invalid_arg "bench: mds has no reduction"
+      | Some (rows, rep, _) ->
+          let mean f =
+            List.fold_left (fun acc r -> acc + f r.Bound.bt) 0 rows
+            / List.length rows
+          in
+          Printf.printf "  %4d %6d %6d %9d %12d %14b %12b\n" k rep.Bound.rep_n
+            rep.Bound.rep_cut
+            (mean (fun t -> t.Simulate.rounds))
+            (mean (fun t -> t.Simulate.cut_bits))
+            rep.Bound.rep_all_correct rep.Bound.rep_all_match)
     [ 2; 4 ]
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one per experiment's core operation      *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let x64 = Bits.random ~seed:1 (64 * 64) and y64 = Bits.random ~seed:2 (64 * 64) in
-  let x16 = Bits.random ~seed:1 256 and y16 = Bits.random ~seed:2 256 in
-  let x2 = Bits.random ~seed:1 4 and y2 = Bits.random ~seed:2 4 in
-  let g20 = Ch_graph.Gen.random_connected ~seed:4 20 0.3 in
-  let approx = Maxis_approx_lb.make_params ~ell:2 ~k:2 () in
-  let kparams = Kmds_lb.make_params ~seed:1 ~k:2 ~ell:6 ~t_count:6 ~r:2 () in
-  let kgraph = Kmds_lb.build kparams (Bits.random ~seed:3 6) (Bits.random ~seed:4 6) in
-  let wgraph = Maxis_approx_lb.build_weighted approx x2 y2 in
-  let undirected inst =
-    match inst with Framework.Undirected g -> g | _ -> assert false
-  in
-  let mds2 = undirected ((fam_of "mds" ~k:2).Framework.build x2 y2) in
-  let mds_rd = reduction_of "mds" ~k:2 in
-  let pls_g = Ch_graph.Gen.random_connected ~seed:8 16 0.25 in
-  let pls_parent = Ch_graph.Props.bfs_tree pls_g 0 in
-  let pls_tree =
-    List.filter_map
-      (fun v ->
-        if pls_parent.(v) >= 0 then Some (min v pls_parent.(v), max v pls_parent.(v))
-        else None)
-      (List.init 16 Fun.id)
-  in
-  let pls_inst = Ch_pls.Verif.make pls_g ~h:pls_tree in
-  let split =
-    Ch_limits.Split.make g20 ~side:(Array.init 20 (fun v -> v < 10))
-  in
-  [
-    Test.make ~name:"e1-build-mds-k64"
-      (Staged.stage (fun () -> (fam_of "mds" ~k:64).Framework.build x64 y64));
-    Test.make ~name:"e2-hampath-build+witness-k16"
-      (Staged.stage (fun () ->
-           let dg = H.build ~k:16 x16 y16 in
-           ignore dg;
-           H.witness_path ~k:16 (Bits.ones 256) (Bits.ones 256) ~i:3 ~j:5));
-    Test.make ~name:"e5-steiner-transform-k8"
-      (Staged.stage (fun () ->
-           (fam_of "steiner" ~k:8).Framework.build (Bits.random ~seed:9 64)
-             (Bits.random ~seed:10 64)));
-    Test.make ~name:"e6-maxcut-build-k16"
-      (Staged.stage (fun () -> (fam_of "maxcut" ~k:16).Framework.build x16 y16));
-    Test.make ~name:"e7-maxcut-sample-n20"
-      (Staged.stage (fun () -> Ch_congest.Maxcut_sample.run ~seed:3 g20));
-    Test.make ~name:"e8-bounded-degree-build-k2"
-      (Staged.stage (fun () -> Bounded_degree.build ~k:2 x2 y2));
-    Test.make ~name:"e9-mwis-code-gadget"
-      (Staged.stage (fun () -> Ch_solvers.Mis.max_weight_set wgraph));
-    Test.make ~name:"e11-2mds-solve"
-      (Staged.stage (fun () -> Ch_solvers.Domset.min_weight_set ~radius:2 kgraph));
-    Test.make ~name:"e1-solver-mds-k2-gadget"
-      (Staged.stage (fun () -> Ch_solvers.Domset.min_size mds2));
-    Test.make ~name:"e15-mds-2approx-protocol"
-      (Staged.stage (fun () -> Ch_limits.Approx_protocols.mds_two_approx split));
-    Test.make ~name:"e17-pls-spanning-tree"
-      (Staged.stage (fun () ->
-           match Ch_pls.Schemes.spanning_tree.Ch_pls.Pls.prover pls_inst with
-           | Some labeling ->
-               Ch_pls.Pls.accepts Ch_pls.Schemes.spanning_tree pls_inst labeling
-           | None -> false));
-    Test.make ~name:"ablation-covering-anchored"
-      (Staged.stage (fun () -> Covering.construct ~seed:3 ~ell:12 ~t_count:40 ~r:2 ()));
-    Test.make ~name:"ablation-covering-randomized"
-      (* t_count above the anchored capacity forces the randomized search *)
-      (Staged.stage (fun () -> Covering.construct ~seed:3 ~ell:6 ~t_count:7 ~r:2 ()));
-    Test.make ~name:"e18-alice-bob-sim-k2"
-      (Staged.stage (fun () ->
-           Framework.simulate_reduction (fam_of "mds" ~k:2)
-             ~solver:mds_rd.Registry.rd_solver ~accept:mds_rd.Registry.rd_accept
-             (Bits.ones 4) y2));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  header "Bechamel micro-benchmarks (monotonic clock, ns/run)";
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 500) () in
-  let tests = Test.make_grouped ~name:"congest-hardness" ~fmt:"%s %s" (bechamel_tests ()) in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name result acc -> (name, result) :: acc) results [] in
-  List.iter
-    (fun (name, result) ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "  %-44s %14.0f ns/run\n" name est
-      | _ -> Printf.printf "  %-44s (no estimate)\n" name)
-    (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1202,19 +1089,17 @@ let () =
   let json = List.mem "--json" args in
   let smoke = List.mem "--smoke" args in
   let args = List.filter (fun a -> a <> "--json" && a <> "--smoke") args in
+  (* every id is checked before anything runs *)
+  (match List.filter (fun id -> not (List.mem_assoc id all_experiments)) args with
+  | [] -> ()
+  | id :: _ ->
+      Printf.eprintf "bench: unknown experiment %S (valid: %s)\n" id
+        (String.concat " " (List.map fst all_experiments));
+      exit 1);
   if json then Obs.set_enabled true;
   let selected =
-    match args with
-    | [] -> List.filter (fun (id, _) -> id <> "bech") all_experiments
-    | ids ->
-        List.filter_map
-          (fun id ->
-            match List.assoc_opt id all_experiments with
-            | Some f -> Some (id, f)
-            | None ->
-                if id <> "bech" then Printf.eprintf "unknown experiment %S\n" id;
-                None)
-          ids
+    if args = [] then all_experiments
+    else List.map (fun id -> (id, List.assoc id all_experiments)) args
   in
   if args = [] then
     Printf.printf
@@ -1226,7 +1111,6 @@ let () =
         (name, wall))
       selected
   in
-  if args = [] || List.mem "bech" args then run_bechamel ();
   if json then begin
     header "Verification throughput (CH_JOBS pool vs 1 worker)";
     let verify = verify_benches ~smoke () in

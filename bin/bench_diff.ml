@@ -19,7 +19,11 @@ let load file =
   in
   let text =
     try In_channel.with_open_bin file In_channel.input_all
-    with Sys_error msg -> raise (Bad msg)
+    with Sys_error msg ->
+      (* a failed open names the file, a failed read ("Is a directory")
+         does not *)
+      if String.starts_with ~prefix:(file ^ ": ") msg then raise (Bad msg)
+      else bad "%s" msg
   in
   let doc =
     match Jsonx.parse text with Ok j -> j | Error e -> bad "not JSON: %s" e

@@ -1,14 +1,14 @@
 (* Command-line front end: list, inspect, and verify the lower-bound
-   families, and run the Theorem 1.1 Alice-Bob simulation.
+   families, and run the Theorem 1.1 reduction.
 
    Every subcommand resolves families through the one registry
    ([Ch_lbgraphs.Families.catalog]) — there is no private family list
    here, so a family registered in its construction module is
    immediately listable, verifiable and sweepable.  [verify],
-   [simulate], [reduction] and [replay] build a protocol op and run it
-   in this process through [Ops.exec], the code the daemon runs; their
-   text is a rendering of the op's payload, and [client OP] sends the
-   same op, built from the same arguments, to a daemon instead. *)
+   [reduction] and [replay] build a protocol op and run it in this
+   process through [Ops.exec], the code the daemon runs; their text is
+   a rendering of the op's payload, and [client OP] sends the same op,
+   built from the same arguments, to a daemon instead. *)
 
 open Cmdliner
 open Ch_core
@@ -20,7 +20,12 @@ let catalog = Families.catalog
 module Obs = Ch_obs.Obs
 module Jsonx = Ch_json.Jsonx
 
-let read_lines file = In_channel.with_open_text file In_channel.input_lines
+(* A failed open names the file; a failed read ("Is a directory") does
+   not, so name it there too. *)
+let read_lines file =
+  try In_channel.with_open_text file In_channel.input_lines
+  with Sys_error msg when not (String.starts_with ~prefix:(file ^ ": ") msg) ->
+    raise (Sys_error (file ^ ": " ^ msg))
 
 let k_arg =
   let doc = "Construction parameter k (a power of two, at least 2)." in
@@ -181,19 +186,6 @@ let verify_op =
     const make $ k_arg $ family_arg $ samples_arg $ exhaustive_arg
     $ incremental_arg)
 
-let simulate_op =
-  let family_arg =
-    let doc = "Family id (must carry a reduction algorithm)." in
-    Arg.(value & pos 0 string "mds" & info [] ~docv:"FAMILY" ~doc)
-  in
-  let pairs_arg =
-    Arg.(value & opt int 5 & info [ "pairs" ] ~doc:"Number of input pairs.")
-  in
-  Term.(
-    const (fun k family pairs ->
-        Protocol.Simulate { family; k; pairs; seed = 0 })
-    $ k_arg $ family_arg $ pairs_arg)
-
 let reduction_op =
   let family_arg =
     let doc = "Family id (must carry a reduction algorithm — see list)." in
@@ -284,37 +276,6 @@ let verify_cmd =
        ~doc:"Verify a family's defining iff-property with the exact solvers.")
     Term.(const run $ verify_op $ profile_arg $ obs_out_arg)
 
-let simulate_cmd =
-  let run op =
-    local op ()
-    |> render (fun body ->
-           Printf.printf
-             "Simulating %s CONGEST on G_{x,y} (k=%d, n=%d, t=%d, cut=%d)\n"
-             (jstr body "family") (jint body "k") (jint body "n")
-             (jint body "parties") (jint body "cut");
-           (* the payload lists the connected pairs, in order, by index;
-              the indices it skips were skipped *)
-           let rows = jarr body "pairs" in
-           let total = List.length rows + jint body "skipped" in
-           let rec print i = function
-             | r :: rest when jint r "pair" = i ->
-                 Printf.printf "  pair %2d: rounds=%4d  cut bits=%6d  %s\n" i
-                   (jint r "rounds") (jint r "cut_bits")
-                   (if jbool r "correct" then "correct" else "WRONG");
-                 print (i + 1) rest
-             | rows when i < total ->
-                 Printf.printf "  pair %2d: skipped (G_{x,y} disconnected)\n" i;
-                 print (i + 1) rows
-             | _ -> ()
-           in
-           print 0 rows;
-           if jbool body "all_correct" then 0 else 1)
-  in
-  Cmd.v
-    (Cmd.info "simulate"
-       ~doc:"Run the Theorem 1.1 Alice-Bob simulation on a family.")
-    Term.(const run $ simulate_op)
-
 let reduction_cmd =
   let open Ch_reduction in
   let run op trace_file profile obs_out =
@@ -362,6 +323,15 @@ let reduction_cmd =
                "skipped %d disconnected pair%s (outside the CONGEST model)\n"
                skipped
                (if skipped = 1 then "" else "s");
+           List.iter
+             (fun r ->
+               Printf.printf
+                 "  x=%s y=%s rounds=%d cut-bits=%d %s oracle=%s\n"
+                 (jstr r "x") (jstr r "y") (jint r "rounds")
+                 (jint r "cut_bits")
+                 (if jbool r "correct" then "correct" else "WRONG")
+                 (if jbool r "oracle_ok" then "ok" else "MISMATCH"))
+             (jarr body "rows");
            Option.iter (Printf.printf "trace written to %s\n") trace_file;
            if
              ok "transcript_differential_ok" && ok "decisions_ok"
@@ -750,10 +720,10 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run the verification daemon: batched verify/simulate/reduction \
-          requests over a length-prefixed JSON protocol, with warm solver \
-          caches, bounded admission, live metrics/health exposition, and \
-          graceful SIGTERM drain.")
+         "Run the verification daemon: batched verify/reduction requests \
+          over a length-prefixed JSON protocol, with warm solver caches, \
+          bounded admission, live metrics/health exposition, and graceful \
+          SIGTERM drain.")
     Term.(
       const run $ socket_arg $ port_arg $ workers_arg $ queue_arg $ store_arg
       $ serve_obs_arg $ sample_period_arg)
@@ -987,7 +957,6 @@ let client_cmd =
       op "health" "Liveness: uptime, queue depth, warm entries."
         (Term.const Protocol.Health);
       op "verify" "$(b,verify) on the daemon." verify_op;
-      op "simulate" "$(b,simulate) on the daemon." simulate_op;
       op "reduction" "$(b,reduction) on the daemon." reduction_op;
       op "sweep-status"
         "What the daemon's store holds for a $(b,sweep) plan (same \
@@ -1270,7 +1239,6 @@ let () =
           [
             list_cmd;
             verify_cmd;
-            simulate_cmd;
             reduction_cmd;
             replay_cmd;
             sweep_cmd;

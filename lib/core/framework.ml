@@ -267,54 +267,9 @@ let lower_bound_rounds ~input_bits ~cut ~n =
   float_of_int (Commfn.cc_disj_lower_bound input_bits)
   /. (float_of_int cut *. (log (float_of_int n) /. log 2.0))
 
-type simulation = {
-  decision_correct : bool;
-  cut_bits : int;
-  cut_messages : int;
-  rounds : int;
-}
-
 type solver =
   | Graph_solver of (Graph.t -> int)
   | Digraph_solver of (Digraph.t -> int)
-
-let simulate_reduction ?seed ?bandwidth_factor ?partition fam ~solver ~accept x
-    y =
-  let open Ch_congest in
-  let finish answer ~cut_bits ~cut_messages ~rounds =
-    { decision_correct = accept answer = fam.f x y; cut_bits; cut_messages; rounds }
-  in
-  let of_cut (answer, (cs : Network.cut_stats)) =
-    finish answer ~cut_bits:cs.Network.cut_bits
-      ~cut_messages:cs.Network.cut_messages
-      ~rounds:cs.Network.stats.Network.rounds
-  in
-  match (solver, fam.build x y, partition) with
-  | Graph_solver f, Undirected g, None ->
-      of_cut (Gather.solve_split ?seed ?bandwidth_factor ~side:fam.side g ~f)
-  | Graph_solver f, Undirected g, Some partition ->
-      let answer, ps =
-        Gather.solve_partitioned ?seed ?bandwidth_factor ~partition g ~f
-      in
-      finish answer ~cut_bits:ps.Network.p_cross_bits
-        ~cut_messages:ps.Network.p_cross_messages
-        ~rounds:ps.Network.p_stats.Network.rounds
-  | Digraph_solver f, Directed dg, None ->
-      of_cut
-        (Gather.solve_directed_split ?seed ?bandwidth_factor ~side:fam.side dg
-           ~f)
-  | Digraph_solver _, Directed _, Some _ ->
-      invalid_arg
-        "Framework.simulate_reduction: partitioned directed simulation is not \
-         supported"
-  | Graph_solver _, _, _ ->
-      invalid_arg "Framework.simulate_reduction: undirected instances only"
-  | Digraph_solver _, _, _ ->
-      invalid_arg "Framework.simulate_reduction: directed instances only"
-
-let simulate_alice_bob ?seed ?bandwidth_factor fam ~solver ~accept x y =
-  simulate_reduction ?seed ?bandwidth_factor fam ~solver:(Graph_solver solver)
-    ~accept x y
 
 let reduce ~name ~transform ~nvertices ~side ~predicate fam =
   {

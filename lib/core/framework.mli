@@ -195,52 +195,12 @@ val lower_bound_rounds : input_bits:int -> cut:int -> n:int -> float
 (** CC(f)/(|E_cut|·log₂ n) with CC instantiated as the Ω(K) disjointness
     bound: the round lower bound the family certifies. *)
 
-type simulation = {
-  decision_correct : bool;
-  cut_bits : int;
-  cut_messages : int;
-  rounds : int;
-}
-
 type solver =
   | Graph_solver of (Graph.t -> int)
   | Digraph_solver of (Digraph.t -> int)
       (** the local decision procedure a reduction runs at the gather
           root — on the undirected instance, or on the digraph itself
           for directed constructions (Hamiltonian families) *)
-
-val simulate_reduction :
-  ?seed:int ->
-  ?bandwidth_factor:int ->
-  ?partition:int array ->
-  t ->
-  solver:solver ->
-  accept:(int -> bool) ->
-  Bits.t ->
-  Bits.t ->
-  simulation
-(** Run the generic exact CONGEST algorithm (gather + local [solver]) on
-    the instance of (x,y) and check that [accept answer] equals f(x,y).
-    Without [partition] this is the two-party Theorem 1.1 simulation over
-    [fam.side] (undirected or directed per the solver); with [partition]
-    the t-party run charges every cross-part message against the
-    multicut (undirected instances only). *)
-
-val simulate_alice_bob :
-  ?seed:int ->
-  ?bandwidth_factor:int ->
-  t ->
-  solver:(Graph.t -> int) ->
-  accept:(int -> bool) ->
-  Bits.t ->
-  Bits.t ->
-  simulation
-(** Run the generic exact CONGEST algorithm (gather + local [solver]) on
-    G_{x,y} with Alice simulating V_A and Bob V_B, count the bits crossing
-    E_cut, and check that [accept answer] equals f(x,y): the two players
-    have solved the communication problem, which is exactly the Theorem
-    1.1 argument.  Only undirected instances are supported.
-    [simulate_reduction] with a [Graph_solver] and no partition. *)
 
 (** {1 Theorem 2.6: reductions between families} *)
 

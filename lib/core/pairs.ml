@@ -33,12 +33,3 @@ let pair_at ~k = function
         | i ->
             let s = seed + (2 * (i - 4)) in
             (Bits.random ~seed:s k, Bits.random ~seed:(s + 1) k))
-
-let simulate_density = 0.7
-
-let simulate_pairs ~k ~seed ~pairs =
-  ignore (total ~k (Sampled { seed; samples = pairs }));
-  Array.init pairs (fun i ->
-      let s = seed + (3 * i) in
-      ( Bits.random ~seed:s ~density:simulate_density k,
-        Bits.random ~seed:(s + 1) ~density:simulate_density k ))

@@ -30,9 +30,3 @@ val pair_at : k:int -> mode -> int -> Bits.t * Bits.t
 (** The pair at an index.  Partially apply [pair_at ~k mode] once per
     chunk: the exhaustive input table is built there, and each index is
     then a lookup or two seeded draws.  Indices are not range-checked. *)
-
-val simulate_pairs : k:int -> seed:int -> pairs:int -> (Bits.t * Bits.t) array
-(** The pairs the Theorem 1.1 [simulate] command and daemon op run: pair
-    [i] is drawn at bit density 0.7 from seeds [(seed + 3i,
-    seed + 3i + 1)].  @raise Invalid_argument when {!total} rejects
-    [pairs] as a sample count. *)

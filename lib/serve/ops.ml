@@ -3,7 +3,9 @@ module Framework = Ch_core.Framework
 module Pairs = Ch_core.Pairs
 module Registry = Ch_core.Registry
 module Families = Ch_lbgraphs.Families
+module Bits = Ch_cc.Bits
 module Bound = Ch_reduction.Bound
+module Simulate = Ch_reduction.Simulate
 module Shard = Ch_sweep.Shard
 module Sweep = Ch_sweep.Sweep
 module Store = Ch_sweep.Store
@@ -79,14 +81,17 @@ let verify_body spec fam ~k ~mode ~engine_used ~source
     ]
 
 (* The warm tiers first (memory, then the store's block), else a cold
-   engine run, remembered and written through to the store. *)
+   engine run, remembered and written through to the store.  Past a
+   memory miss this request holds the plan's key, so an identical
+   request waits for its answer instead of running the engine again. *)
 let verify warm ~k ~mode ~engine spec =
   let fam = spec.Registry.scratch k in
   let key = Warm.key fam ~mode in
   let body = verify_body spec fam ~k ~mode in
-  match Warm.find warm ~key with
+  match Warm.claim warm ~key with
   | Some cached -> (true, body ~engine_used:"cache" ~source:"memory" cached)
   | None -> (
+      Fun.protect ~finally:(fun () -> Warm.release warm ~key) @@ fun () ->
       let total = Pairs.total ~k:fam.Framework.input_bits mode in
       match Warm.find_block warm ~key ~total with
       | Some verdicts ->
@@ -107,74 +112,42 @@ let verify warm ~k ~mode ~engine spec =
           Warm.remember warm ~key cached;
           (false, body ~engine_used ~source:"computed" cached))
 
-(* ------------------------------------------------- simulate and reduction *)
+(* ------------------------------------------------------------- reduction *)
 
-let simulate spec ~k ~pairs ~seed =
-  let rd =
-    match spec.Registry.reduction with
-    | Some rd -> rd
-    | None -> raise (no_reduction spec.Registry.id)
-  in
-  let fam = spec.Registry.scratch k in
-  let rd = rd k in
-  let drawn = Pairs.simulate_pairs ~k:fam.Framework.input_bits ~seed ~pairs in
-  let rows =
-    List.filter_map Fun.id
-      (List.mapi
-         (fun i (x, y) ->
-           (* a disconnected instance is outside the CONGEST model (the
-              gather would never terminate): skip the pair *)
-           if not (Framework.connected (fam.Framework.build x y)) then None
-           else
-             let sim =
-               Framework.simulate_reduction
-                 ?partition:rd.Registry.rd_partition fam
-                 ~solver:rd.Registry.rd_solver ~accept:rd.Registry.rd_accept x y
-             in
-             Some
-               ( sim.Framework.decision_correct,
-                 Jsonx.Obj
-                   [
-                     ("pair", Jsonx.Int i);
-                     ("rounds", Jsonx.Int sim.Framework.rounds);
-                     ("cut_bits", Jsonx.Int sim.Framework.cut_bits);
-                     ("cut_messages", Jsonx.Int sim.Framework.cut_messages);
-                     ("correct", Jsonx.Bool sim.Framework.decision_correct);
-                   ] ))
-         (Array.to_list drawn))
-  in
-  Jsonx.Obj
-    [
-      ("family", Jsonx.Str spec.Registry.id);
-      ("k", Jsonx.Int k);
-      ("n", Jsonx.Int fam.Framework.nvertices);
-      ("parties", Jsonx.Int rd.Registry.rd_parties);
-      ( "cut",
-        Jsonx.Int
-          (match rd.Registry.rd_partition with
-          | None -> Framework.cut_size fam
-          | Some partition ->
-              Array.length
-                (Framework.multicut_info fam ~partition).Framework.mc_edges) );
-      ("skipped", Jsonx.Int (Array.length drawn - List.length rows));
-      ("pairs", Jsonx.Arr (List.map snd rows));
-      ("all_correct", Jsonx.Bool (List.for_all fst rows));
-    ]
-
+(* The sweep's report, then one row per swept pair: its inputs, the
+   charged transcript, the decision and whether the oracle agreed. *)
 let reduction ?trace spec ~k ~exhaustive ~pairs ~seed =
   match
     Bound.sweep_registry ?trace ~seed ~exhaustive ~samples:pairs spec ~k
   with
   | None -> raise (no_reduction spec.Registry.id)
-  | Some (_, rep, skipped) ->
-      Bound.report_json
-        ~id:
+  | Some (rows, rep, skipped) -> (
+      let row (r : Bound.row) =
+        let t = r.Bound.bt in
+        Jsonx.Obj
           [
-            ("family", Jsonx.Str rep.Bound.rep_name);
-            ("k", Jsonx.Int k);
-            ("skipped", Jsonx.Int skipped);
+            ("x", Jsonx.Str (Bits.to_string r.Bound.bx));
+            ("y", Jsonx.Str (Bits.to_string r.Bound.by));
+            ("rounds", Jsonx.Int t.Simulate.rounds);
+            ("cut_bits", Jsonx.Int t.Simulate.cut_bits);
+            ("cut_messages", Jsonx.Int t.Simulate.cut_messages);
+            ("correct", Jsonx.Bool t.Simulate.correct);
+            ("oracle_ok", Jsonx.Bool r.Bound.bmatch);
           ]
-        rep
+      in
+      match
+        Bound.report_json
+          ~id:
+            [
+              ("family", Jsonx.Str rep.Bound.rep_name);
+              ("k", Jsonx.Int k);
+              ("skipped", Jsonx.Int skipped);
+            ]
+          rep
+      with
+      | Jsonx.Obj fields ->
+          Jsonx.Obj (fields @ [ ("rows", Jsonx.Arr (List.map row rows)) ])
+      | report -> report)
 
 (* ------------------------------------------------------------ sweep status *)
 
@@ -221,8 +194,6 @@ let exec ?trace warm op =
   | Catalog -> Ok (false, Registry.to_json (Families.catalog ()))
   | Verify { family; k; vmode; engine } ->
       with_family family ~k (verify warm ~k ~mode:vmode ~engine)
-  | Simulate { family; k; pairs; seed } ->
-      with_family family ~k (cold (simulate ~k ~pairs ~seed))
   | Reduction { family; k; exhaustive; pairs; seed } ->
       with_family family ~k
         (cold (reduction ?trace ~k ~exhaustive ~pairs ~seed))

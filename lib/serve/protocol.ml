@@ -13,7 +13,6 @@ type op =
   | Metrics
   | Health
   | Verify of { family : string; k : int; vmode : vmode; engine : engine }
-  | Simulate of { family : string; k : int; pairs : int; seed : int }
   | Reduction of {
       family : string;
       k : int;
@@ -89,14 +88,6 @@ let op_fields = function
         ("k", Jsonx.Int k);
         ("mode", vmode_json vmode);
         ("engine", Jsonx.Str (engine_to_string engine));
-      ]
-  | Simulate { family; k; pairs; seed } ->
-      [
-        ("op", Jsonx.Str "simulate");
-        ("family", Jsonx.Str family);
-        ("k", Jsonx.Int k);
-        ("pairs", Jsonx.Int pairs);
-        ("seed", Jsonx.Int seed);
       ]
   | Reduction { family; k; exhaustive; pairs; seed } ->
       [
@@ -214,12 +205,6 @@ let decode_op v =
       let* vmode = mode_field v in
       let* engine = engine_field v in
       Ok (Verify { family; k; vmode; engine })
-  | "simulate" ->
-      let* family = str_field "family" v in
-      let* k = int_field "k" v in
-      let* pairs = int_field "pairs" v in
-      let* seed = int_field "seed" v in
-      Ok (Simulate { family; k; pairs; seed })
   | "reduction" ->
       let* family = str_field "family" v in
       let* k = int_field "k" v in

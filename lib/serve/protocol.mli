@@ -38,7 +38,6 @@ type op =
   | Metrics  (** Prometheus-style text exposition of the live registry *)
   | Health  (** liveness summary: uptime, queue depth, warm entries *)
   | Verify of { family : string; k : int; vmode : vmode; engine : engine }
-  | Simulate of { family : string; k : int; pairs : int; seed : int }
   | Reduction of {
       family : string;
       k : int;

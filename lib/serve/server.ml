@@ -16,8 +16,8 @@ let h_queue_depth = Obs.histogram "serve.queue.depth"
 
 let op_tags =
   [
-    "ping"; "catalog"; "stats"; "metrics"; "health"; "verify"; "simulate";
-    "reduction"; "sweep-status";
+    "ping"; "catalog"; "stats"; "metrics"; "health"; "verify"; "reduction";
+    "sweep-status";
   ]
 
 (* pre-interned per-op service-time histograms: interning takes the
@@ -168,7 +168,6 @@ let op_tag = function
   | Metrics -> "metrics"
   | Health -> "health"
   | Verify _ -> "verify"
-  | Simulate _ -> "simulate"
   | Reduction _ -> "reduction"
   | Sweep_status _ -> "sweep-status"
 
@@ -322,13 +321,39 @@ let answer_http t path =
     "HTTP/1.0 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
     status ctype (String.length body) body
 
+(* A response batch over the frame cap cannot be sent: each payload in
+   it becomes a typed error naming the size, and the connection stays
+   open for the next batch.  A batch whose errors alone are over the cap
+   gets one error for the whole batch. *)
+let encode_capped responses =
+  let s = Protocol.encode_responses responses in
+  let size = String.length s in
+  if size <= Protocol.max_frame then s
+  else
+    let msg =
+      Printf.sprintf "response batch of %d bytes exceeds the %d-byte frame limit"
+        size Protocol.max_frame
+    in
+    let refused =
+      Protocol.encode_responses
+        (List.map
+           (fun r ->
+             match r.rs_outcome with
+             | Payload _ ->
+                 { r with rs_outcome = Error (Bad_request, msg); rs_warm = false }
+             | Error _ -> r)
+           responses)
+    in
+    if String.length refused <= Protocol.max_frame then refused
+    else Protocol.encode_responses (bad_batch msg)
+
 let serve_payload t ~client fd payload =
   let responses =
     match Protocol.decode_requests payload with
     | Ok reqs -> serve_batch ~client t reqs
     | Error msg -> bad_batch msg
   in
-  Protocol.write_frame fd (Protocol.encode_responses responses)
+  Protocol.write_frame fd (encode_capped responses)
 
 let handle_connection t fd =
   let client = Atomic.fetch_and_add next_client 1 in

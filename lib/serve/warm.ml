@@ -20,7 +20,9 @@ type t = {
   store_dir : string option;
   mutable tables_seeded : int;
   table : (string, cached) Hashtbl.t;
+  running : (string, unit) Hashtbl.t;  (* claimed keys *)
   lock : Mutex.t;
+  released : Condition.t;
 }
 
 (* The store pins every daemon-written artifact under one plan key per
@@ -51,7 +53,14 @@ let create ~store_dir =
     | _ -> 0
   in
   Obs.incr c_seeded tables_seeded;
-  { store_dir; tables_seeded; table = Hashtbl.create 64; lock = Mutex.create () }
+  {
+    store_dir;
+    tables_seeded;
+    table = Hashtbl.create 64;
+    running = Hashtbl.create 8;
+    lock = Mutex.create ();
+    released = Condition.create ();
+  }
 
 let store_dir t = t.store_dir
 let tables_seeded t = t.tables_seeded
@@ -64,12 +73,28 @@ let entries t =
 
 let key fam ~mode = Sweep.store_key fam ~mode ~shards:1
 
-let find t ~key =
+let claim t ~key =
   Mutex.lock t.lock;
-  let r = Hashtbl.find_opt t.table key in
+  let rec go () =
+    match Hashtbl.find_opt t.table key with
+    | Some _ as hit -> hit
+    | None when Hashtbl.mem t.running key ->
+        Condition.wait t.released t.lock;
+        go ()
+    | None ->
+        Hashtbl.replace t.running key ();
+        None
+  in
+  let r = go () in
   Mutex.unlock t.lock;
   if r <> None then Obs.bump c_hits;
   r
+
+let release t ~key =
+  Mutex.lock t.lock;
+  Hashtbl.remove t.running key;
+  Condition.broadcast t.released;
+  Mutex.unlock t.lock
 
 let find_block t ~key ~total =
   match t.store_dir with

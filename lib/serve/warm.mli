@@ -51,7 +51,16 @@ val entries : t -> int
 val key : Framework.t -> mode:Shard.mode -> string
 (** The response-cache / store key for one verify plan. *)
 
-val find : t -> key:string -> cached option
+val claim : t -> key:string -> cached option
+(** The response-cache entry for [key] (a hit), or [None]: the key is
+    now claimed by the caller, who must {!release} it once its result is
+    {!remember}ed or its run has failed.  While another caller holds the
+    claim, this waits for its release and then reads the cache again, so
+    concurrent identical requests share one cold run; after a failed run
+    one waiter claims the key in turn. *)
+
+val release : t -> key:string -> unit
+(** Give up a claim from {!claim} and wake the callers waiting on it. *)
 
 val find_block : t -> key:string -> total:int -> bool array option
 (** The stored single-shard verdict block for the plan, when the store

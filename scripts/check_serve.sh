@@ -64,9 +64,17 @@ grep -q 'oracle differential: ok' "$work/c2.log" || { echo "FAIL: maxis stream d
 # `client OP` takes `hardness OP`'s arguments.
 "$exe" client catalog --socket "$sock" > /dev/null
 "$exe" client stats --socket "$sock" > /dev/null
-"$exe" client simulate mds -k 2 --pairs 2 --socket "$sock" > /dev/null
-"$exe" client reduction mds -k 2 --pairs 2 --socket "$sock" > /dev/null
 "$exe" client sweep-status mds -k 2 --shards 1 --socket "$sock" > /dev/null
+
+# A reduction answers with one row per swept pair.
+out=$("$exe" client reduction mds -k 2 --pairs 2 --socket "$sock")
+pairs=$(echo "$out" | sed -n 's/.*"pairs": \([0-9]*\).*/\1/p')
+rows=$(echo "$out" | grep -o '"oracle_ok"' | wc -l)
+if [ -z "$pairs" ] || [ "$rows" -ne "$pairs" ]; then
+  echo "FAIL: reduction payload has $rows rows for pairs=$pairs" >&2
+  echo "$out" >&2
+  exit 1
+fi
 
 # Concurrent connections that each repeat: every response is printed,
 # and the first connection reports its warm speedup.

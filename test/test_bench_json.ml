@@ -10,8 +10,9 @@
    the `hardness list --json` catalog: the catalog's ids must be unique
    with non-empty paper refs, and every verify/reduction/sweep bench
    entry must name a registered family.  Last, every input the CLI
-   cannot run (a bad k, a negative pair count, a missing or malformed
-   file, a count below 1) must fail with one stderr line and exit 1. *)
+   cannot run (a bad k, a negative pair count, a missing, unreadable or
+   malformed file, a count below 1) must fail with one stderr line and
+   exit 1, as must an unknown bench experiment id. *)
 
 module Jsonx = Ch_json.Jsonx
 
@@ -57,6 +58,18 @@ let () =
       (Printf.sprintf "bench_json_%d" (Unix.getpid ()))
   in
   Unix.mkdir dir 0o755;
+  (* an unknown experiment id is refused before anything runs: one
+     stderr line, exit 1, no BENCH file *)
+  let rc =
+    Sys.command
+      (Printf.sprintf "cd %s && %s bech --json --smoke > /dev/null 2> err.txt"
+         (Filename.quote dir) (Filename.quote exe))
+  in
+  let err = read_file (Filename.concat dir "err.txt") in
+  if rc <> 1 || List.length (String.split_on_char '\n' (String.trim err)) <> 1
+  then fail "bench bech exited %d, expected 1 with one stderr line:\n%s" rc err;
+  if Array.exists (String.starts_with ~prefix:"BENCH_") (Sys.readdir dir) then
+    fail "bench bech wrote a BENCH file";
   let cmd =
     Printf.sprintf "cd %s && %s e17 --json --smoke > log.txt 2>&1"
       (Filename.quote dir) (Filename.quote exe)
@@ -307,9 +320,9 @@ let () =
     [ ("verify steiner -k 4 --incremental", "steiner", 4);
       ("verify hampath -k 4 --incremental", "hampath", 4);
       ("profile steiner -k 4", "steiner", 4); ("list -k 3", "mds", 3);
-      ("simulate mds -k 3", "mds", 3); ("verify mds --samples=-5", "mds", 2);
+      ("verify mds --samples=-5", "mds", 2);
       ("verify mds --samples=-5 --incremental", "mds", 2);
-      ("simulate mds --pairs=-2", "mds", 2); ("sweep mds -k 3", "mds", 3);
+      ("sweep mds -k 3", "mds", 3);
       ("sweep mds --sample=-1", "mds", 2);
       ("replay mds log.txt -k 3", "mds", 3);
       ("replay mds log.txt --pairs=-3", "mds", 2);
@@ -319,6 +332,7 @@ let () =
      obs counters, is one "FILE: reason" line and exit 1 *)
   Out_channel.with_open_bin (Filename.concat dir "noobs.json") (fun oc ->
       output_string oc "{\"obs\": []}\n");
+  Unix.mkdir (Filename.concat dir "adir") 0o755;
   List.iter
     (fun (args, path) -> fails_with_one_line args ~prefix:(path ^ ": "))
     [ ("bench-diff missing.json log.txt", "missing.json");
@@ -332,7 +346,9 @@ let () =
       ("reduction mds --trace nodir/t.jsonl", "nodir/t.jsonl");
       ("client ping --socket S --obs-out nodir/c.jsonl", "nodir/c.jsonl");
       ("serve --socket S --obs-out nodir/d.jsonl", "nodir/d.jsonl");
-      ("sweep mds --resume log.txt/store", "log.txt/store") ];
+      ("sweep mds --resume log.txt/store", "log.txt/store");
+      ("profile --from adir", "adir"); ("replay mds adir", "adir");
+      ("bench-diff adir log.txt", "adir") ];
   (* a count that must be positive is refused before the daemon starts or
      the client connects *)
   List.iter
@@ -345,6 +361,7 @@ let () =
       ("client verify mds --bench 0 --socket S",
        "client: --bench must be at least 1") ];
   (* cleanup *)
+  Unix.rmdir (Filename.concat dir "adir");
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir;
   print_endline "bench json schema ok"

@@ -305,31 +305,31 @@ let test_bitgadget_structure () =
         (Array.length mc.Framework.mc_edges))
     [ 2; 4; 8 ]
 
+(* A registry reduction sweep at scale k: every decision is right, every
+   transcript equals its oracle and stays within the Theorem 1.1 budget,
+   and bits cross the (multi)cut on every pair. *)
+let check_reduction_sweep id ~k =
+  match
+    Ch_reduction.Bound.sweep_registry
+      (Registry.find_exn (Families.catalog ()) id)
+      ~k
+  with
+  | None -> Alcotest.failf "%s has no reduction" id
+  | Some (rows, rep, _) ->
+      let open Ch_reduction.Bound in
+      check (id ^ " decides f") true rep.rep_all_correct;
+      check (id ^ " transcript = oracle") true rep.rep_all_match;
+      check (id ^ " within budget") true rep.rep_all_within_budget;
+      check (id ^ " swept some pairs") true (rows <> []);
+      List.iter
+        (fun r ->
+          check "some bits cross the cut" true
+            (r.bt.Ch_reduction.Simulate.cut_bits > 0))
+        rows
+
 (* the t=4 simulation end-to-end: four parties decide intersection with
    every cross-part message charged against the multicut *)
-let test_bitgadget_t4_simulation () =
-  let k = 4 in
-  let fam = Bitgadget_lb.family ~k in
-  let target = Bitgadget_lb.target_size ~k in
-  let pairs =
-    (Bits.ones k, Bits.ones k)
-    :: (Bits.ones k, Bits.of_fun k (fun b -> b = 2))
-    :: (List.init 6 (fun i ->
-            (Bits.random ~seed:(60 + i) k, Bits.random ~seed:(70 + i) k))
-       |> List.filter (fun (x, y) -> Bits.popcount x > 0 && Bits.popcount y > 0))
-  in
-  List.iter
-    (fun (x, y) ->
-      let sim =
-        Framework.simulate_reduction ~partition:(Bitgadget_lb.partition ~k) fam
-          ~solver:(Framework.Graph_solver Ch_solvers.Domset.min_size)
-          ~accept:(fun gamma -> gamma <= target)
-          x y
-      in
-      check "t=4 simulation decides intersection" true
-        sim.Framework.decision_correct;
-      check "some bits cross the multicut" true (sim.Framework.cut_bits > 0))
-    pairs
+let test_bitgadget_t4_simulation () = check_reduction_sweep "bitgadget" ~k:4
 
 (* ------------------------------------------------------------------ *)
 (* The registry: one catalog drives the CLI, bench and these tests     *)
@@ -403,28 +403,7 @@ let registry_differential_cases =
 (* Theorem 1.1 end-to-end: Alice and Bob solve DISJ by simulation      *)
 (* ------------------------------------------------------------------ *)
 
-let test_theorem_1_1_simulation () =
-  let k = 2 in
-  let fam = Mds_lb.family ~k in
-  let target = Mds_lb.target_size ~k in
-  (* the simulation runs a CONGEST algorithm, so the instance must be
-     connected: in the Figure 1 graph that means x or y is nonzero *)
-  let pairs =
-    (Bits.ones 4, Bits.zeros 4)
-    :: (Bits.ones 4, Bits.ones 4)
-    :: (List.init 6 (fun i -> (Bits.random ~seed:(40 + i) 4, Bits.random ~seed:(50 + i) 4))
-       |> List.filter (fun (x, y) -> Bits.popcount x + Bits.popcount y > 0))
-  in
-  List.iter
-    (fun (x, y) ->
-      let sim =
-        Framework.simulate_alice_bob fam ~solver:Ch_solvers.Domset.min_size
-          ~accept:(fun gamma -> gamma <= target)
-          x y
-      in
-      check "simulation decides DISJ" true sim.Framework.decision_correct;
-      check "some bits cross the cut" true (sim.Framework.cut_bits > 0))
-    pairs
+let test_theorem_1_1_simulation () = check_reduction_sweep "mds" ~k:2
 
 let test_lower_bound_calculator () =
   (* the certified bound grows like n^2 / log^2 n for the MDS family *)

@@ -284,12 +284,6 @@ let sample_requests =
       "steiner-node-weighted" 3;
     verify ~id:5 ~engine:Protocol.Scratch ~trace:"t/esc\"ape" "maxis" 2;
     {
-      Protocol.rq_id = 6;
-      rq_op = Protocol.Simulate { family = "mds"; k = 2; pairs = 3; seed = 42 };
-      rq_deadline_ms = None;
-      rq_trace = None;
-    };
-    {
       Protocol.rq_id = 7;
       rq_op =
         Protocol.Reduction
@@ -368,6 +362,7 @@ let test_request_decode_rejects () =
       {|{"requests": [{"id": 1}]}|};
       {|{"requests": [{"id": 1, "op": "no-such-op"}]}|};
       {|{"requests": [{"id": 1, "op": "verify", "family": "mds"}]}|};
+      {|{"requests": [{"id": 1, "op": "simulate", "family": "mds", "k": 2, "pairs": 3, "seed": 0}]}|};
       "{\"requests\": [{\"id\": 1, \"op\": \"ping\", \"trace\": \"t-\xff\"}]}";
     ]
 
@@ -734,9 +729,6 @@ let test_ops_differential () =
         Protocol.Verify { family; k = 2; vmode; engine }
       in
       let sampled = Protocol.Sampled { seed = 5; samples = 29 } in
-      let simulate family k pairs =
-        Protocol.Simulate { family; k; pairs; seed = 0 }
-      in
       let reduction family k pairs =
         Protocol.Reduction { family; k; exhaustive = false; pairs; seed = 41 }
       in
@@ -755,9 +747,18 @@ let test_ops_differential () =
                 | [ r ] -> (r.Protocol.rs_warm, body_exn r)
                 | _ -> Alcotest.fail "expected 1 response"
               in
-              match Ops.exec (Warm.create ~store_dir:local_store) op with
+              (match Ops.exec (Warm.create ~store_dir:local_store) op with
               | Ok local -> Alcotest.(check (pair bool json)) label local served
-              | Error (_, msg) -> Alcotest.failf "%s: %s" label msg)
+              | Error (_, msg) -> Alcotest.failf "%s: %s" label msg);
+              (* so the comparison above covers one row per swept pair *)
+              match op with
+              | Protocol.Reduction _ ->
+                  let body = snd served in
+                  Alcotest.(check (option int))
+                    (label ^ ": one row per pair")
+                    (Jsonx.as_int (field "pairs" body))
+                    (Option.map List.length (Jsonx.as_arr (field "rows" body)))
+              | _ -> ())
             [
               ( "verify exhaustive scratch",
                 verify "mds" Protocol.Exhaustive Protocol.Scratch,
@@ -771,8 +772,6 @@ let test_ops_differential () =
               ( "verify sampled incremental",
                 verify "mds" sampled Protocol.Incremental,
                 None );
-              ("simulate mds", simulate "mds" 2 5, None);
-              ("simulate bitgadget", simulate "bitgadget" 4 2, None);
               ("reduction mds", reduction "mds" 2 8, None);
               ("reduction bitgadget", reduction "bitgadget" 4 2, None);
               ("sweep-status of a stored plan", status 1, Some store_dir);
@@ -1051,6 +1050,69 @@ let test_trace_propagation () =
             (List.exists (has_span "serve_request") report.Obs.r_spans)))
     [ "t-123"; "t-caf\xc3\xa9\001\"\\"; "t-\xff" ]
 
+(* Four identical cold verifies in one batch on four workers: one request
+   runs the engine, the other three wait for it and answer from memory. *)
+let test_one_cold_run_per_plan () =
+  Cache.clear ();
+  with_server ~workers:4 (fun t _addr ->
+      let rs =
+        Server.serve_batch t
+          (List.init 4 (fun id -> verify ~id ~engine:Protocol.Scratch "mds" 2))
+      in
+      let count p = List.length (List.filter p rs) in
+      Alcotest.(check int)
+        "one computed" 1
+        (count (fun r ->
+             Jsonx.as_str (field "source" (body_exn r)) = Some "computed"));
+      Alcotest.(check int) "three warm" 3 (count (fun r -> r.Protocol.rs_warm));
+      Alcotest.(check int)
+        "one digest" 1
+        (List.length (List.sort_uniq compare (List.map digest_of rs))))
+
+(* A batch whose response would exceed the frame cap gets typed errors,
+   and the connection then serves a ping. *)
+let oversized_then_ping ~queue_depth reqs expect =
+  with_server ~queue_depth (fun _t addr ->
+      let c = Client.connect ~retries:20 addr in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          expect (Client.roundtrip c reqs);
+          match Client.roundtrip c [ simple ~id:1 Protocol.Ping ] with
+          | [ r ] -> ignore (body_exn r)
+          | _ -> Alcotest.fail "expected 1 response"))
+
+(* A catalog is about 4.3 KB, so 2 500 of them encode past 8 MiB: each
+   request gets a typed error with its id. *)
+let test_oversized_response () =
+  let n = 2500 in
+  oversized_then_ping ~queue_depth:n
+    (List.init n (fun id -> simple ~id Protocol.Catalog))
+    (fun rs ->
+      Alcotest.(check (list int))
+        "ids echoed" (List.init n Fun.id)
+        (List.map (fun r -> r.Protocol.rs_id) rs);
+      List.iter
+        (fun r ->
+          match r.Protocol.rs_outcome with
+          | Protocol.Error (Protocol.Bad_request, msg) ->
+              check_contains "size error" msg
+                (Printf.sprintf "%d-byte frame limit" Protocol.max_frame)
+          | _ -> Alcotest.failf "request %d: no size error" r.Protocol.rs_id)
+        rs)
+
+(* An unknown family's error lists the valid ids, about 350 bytes, so
+   30 000 of them encode past 8 MiB: one error answers the batch. *)
+let test_oversized_errors () =
+  let n = 30_000 in
+  oversized_then_ping ~queue_depth:n
+    (List.init n (fun id -> verify ~id "no-such-family" 2))
+    (function
+      | [ { Protocol.rs_id = -1;
+            rs_outcome = Protocol.Error (Protocol.Bad_request, msg); _ } ] ->
+          check_contains "batch error" msg "frame limit"
+      | rs -> Alcotest.failf "%d responses, expected one" (List.length rs))
+
 (* ---------------------------------------------------------------- *)
 
 let () =
@@ -1101,6 +1163,12 @@ let () =
             test_sweep_status_reads_only;
           Alcotest.test_case "same op in-process and over the socket" `Quick
             test_ops_differential;
+          Alcotest.test_case "one cold run per plan" `Quick
+            test_one_cold_run_per_plan;
+          Alcotest.test_case "oversized response batch" `Quick
+            test_oversized_response;
+          Alcotest.test_case "oversized error batch" `Quick
+            test_oversized_errors;
         ] );
       ( "observability",
         [
