@@ -124,10 +124,11 @@ let e2 () =
             (* completeness at scale, via the Claim 2.1 witness path *)
             let kk = k * k in
             let x = Bits.of_fun kk (fun b -> b = k + 1) in
-            let dg = H.build ~k x x in
             let p = H.witness_path ~k x x ~i:1 ~j:1 in
-            if Ch_solvers.Hamilton.is_directed_path dg p then "witness ok"
-            else "WITNESS FAIL"
+            match fam.Framework.build x x with
+            | Framework.Directed dg when Ch_solvers.Hamilton.is_directed_path dg p ->
+                "witness ok"
+            | _ -> "WITNESS FAIL"
           end
         in
         family_row fam ~verified)
@@ -373,7 +374,7 @@ let e14 () =
   Printf.printf "  family: n=%d, verified %s\n" fam.Framework.nvertices
     (quick_verify ~samples:10 fam);
   let x = Bits.random ~seed:3 6 and y = Bits.random ~seed:4 6 in
-  let g = Mds_restricted_lb.build p x y in
+  let g = Framework.graph_of (fam.Framework.build x y) in
   let owner v =
     match Mds_restricted_lb.owner p v with
     | `Alice -> Ch_limits.Aggregate.Alice
@@ -561,9 +562,8 @@ let all_experiments =
    trace: the failure count is [Framework.failures], and each
    incremental "<id>-inc" entry is differenced pair by pair against its
    from-scratch counterpart's trace.  The workload is the registry's
-   incremental slice — every family ported to the core/apply-inputs
-   split is benched scratch-vs-incremental with no per-family wiring
-   here.  [--smoke] drops the slow from-scratch sweep (so that -inc
+   incremental slice — every family with a cache query is benched
+   scratch-vs-incremental with no per-family wiring here.  [--smoke] drops the slow from-scratch sweep (so that -inc
    entry carries no differential) for CI-sized runs. *)
 type ventry = {
   vname : string;

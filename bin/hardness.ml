@@ -116,7 +116,7 @@ let below_one cmd counts =
 let list_cmd =
   let run k json =
     if json then begin
-      print_string (Jsonx.to_document (Registry.to_json (catalog ())));
+      print_string (Jsonx.to_document (Families.catalog_json ()));
       0
     end
     else begin

@@ -36,14 +36,14 @@ let () =
 
   (* randomized verification plus the Definition 1.1 side conditions:
      the engine answers P(G_xy) on the four corner pairs and 30 seeded
-     draws, and the fold against f counts the pairs where they differ *)
+     draws, and the fold against f counts the pairs where they differ;
+     the side conditions are checked exactly, on the declared encoding *)
   let mode = Pairs.Sampled { seed = 42; samples = 30 } in
   let verdicts, _ = Framework.verdicts (Framework.Scratch fam) mode in
   Printf.printf "\nRandomized verification: %d failures out of %d pairs\n"
     (Framework.failures fam mode verdicts)
     (Array.length verdicts);
-  Printf.printf "Definition 1.1 side conditions hold: %b\n"
-    (Framework.check_sidedness ~seed:7 ~samples:10 fam);
+  Printf.printf "Definition 1.1 side conditions hold: %b\n" (Framework.sided fam);
 
   (* what Theorem 1.1 gives: Ω(K / (|E_cut| log n)) rounds *)
   Printf.printf "\nTheorem 1.1 lower bounds certified by this family:\n";

@@ -4,13 +4,11 @@ module Obs = Ch_obs.Obs
 
 (* Telemetry spans shared by every verification path: [apply_inputs]
    wraps instance construction, [solver] wraps the predicate (scratch or
-   prepared), [core_build] wraps per-chunk incremental preparation, and
-   [sidedness] wraps Definition 1.1 fingerprint checks.  All no-ops
-   unless Obs is enabled. *)
+   prepared) and [core_build] wraps per-chunk incremental preparation.
+   All no-ops unless Obs is enabled. *)
 let sp_apply = Obs.span "apply_inputs"
 let sp_solver = Obs.span "solver"
 let sp_core = Obs.span "core_build"
-let sp_sided = Obs.span "sidedness"
 
 type instance =
   | Undirected of Graph.t
@@ -18,51 +16,213 @@ type instance =
   | With_terminals of Graph.t * int list
   | Rooted_digraph of Digraph.t * int * int list
 
-type t = {
-  name : string;
-  params : (string * int) list;
-  input_bits : int;
-  nvertices : int;
-  side : bool array;
-  build : Bits.t -> Bits.t -> instance;
-  predicate : instance -> bool;
-  f : Bits.t -> Bits.t -> bool;
-}
-
 let graph_of = function
   | Undirected g -> g
   | Directed dg -> Digraph.to_undirected dg
   | With_terminals (g, _) -> g
   | Rooted_digraph (dg, _, _) -> Digraph.to_undirected dg
 
-(* weighted edge fingerprints of the two sides and the cut, plus vertex
-   weights per side: everything Definition 1.1 constrains *)
-let fingerprint fam instance =
-  let g = graph_of instance in
-  let side = fam.side in
-  let a_edges = ref [] and b_edges = ref [] and cut = ref [] in
-  Graph.iter_edges
-    (fun u v w ->
-      match (side.(u), side.(v)) with
-      | true, true -> a_edges := (u, v, w) :: !a_edges
-      | false, false -> b_edges := (u, v, w) :: !b_edges
-      | _ -> cut := (u, v, w) :: !cut)
-    g;
-  let weights_of keep =
-    List.filter_map
-      (fun v -> if keep v then Some (v, Graph.vweight g v) else None)
-      (List.init (Graph.n g) Fun.id)
-  in
-  ( List.sort compare !a_edges,
-    List.sort compare !b_edges,
-    List.sort compare !cut,
-    weights_of (fun v -> side.(v)),
-    weights_of (fun v -> not side.(v)) )
+(* ---- input encodings ------------------------------------------------- *)
 
+type element =
+  | Edge of int * int * int
+  | Weight of int * int * int
+  | Vweight of int * int
+
+type bit = { at0 : element list; at1 : element list }
+
+(* One bit's elements with the cache queries' views of them, each
+   indexed by the bit's value: the per-pair [~extra] lists are
+   concatenations of these. *)
+type bit_tables = {
+  elements : element list array;
+  edges : (int * int) list array;
+  wedges : (int * int * int) list array;
+}
+
+type tables = {
+  xbits : bit_tables array;
+  ybits : bit_tables array;
+  volatile : int list;
+  candidates : (int * int) list;
+}
+
+(* The core stays a constructor and the declaration a function of the
+   bit: the shared core and the tables are built on first use, once per
+   family value, so a family that is only measured (n, K) builds
+   neither, and every scratch build and patcher gets a fresh core from
+   [fresh], which is cheaper than copying the shared one's hash
+   tables. *)
+type encoding = {
+  fresh : unit -> instance;
+  shared : unit -> instance;
+  xdecl : int -> bit;
+  ydecl : int -> bit;
+  tables : unit -> tables;
+}
+
+type t = {
+  name : string;
+  params : (string * int) list;
+  input_bits : int;
+  nvertices : int;
+  side : bool array;
+  encoding : encoding;
+  build : Bits.t -> Bits.t -> instance;
+  predicate : instance -> bool;
+  f : Bits.t -> Bits.t -> bool;
+}
+
+let vertex_count = function
+  | Undirected g | With_terminals (g, _) -> Graph.n g
+  | Directed dg | Rooted_digraph (dg, _, _) -> Digraph.n dg
+
+let vweight inst v =
+  match inst with
+  | Undirected g | With_terminals (g, _) -> Graph.vweight g v
+  | Directed dg | Rooted_digraph (dg, _, _) -> Digraph.vweight dg v
+
+(* Add an element to [inst], or take it back out ([add = false]): a
+   removed vertex weight returns to its weight in the core. *)
+let change ~core ~add inst e =
+  match (inst, e) with
+  | (Undirected g | With_terminals (g, _)), Edge (u, v, w) ->
+      if add then Graph.add_edge ~w g u v else Graph.remove_edge g u v
+  | (Undirected g | With_terminals (g, _)), Weight (u, v, d) ->
+      Graph.set_edge_weight g u v (Graph.edge_weight g u v + if add then d else -d)
+  | (Undirected g | With_terminals (g, _)), Vweight (v, w) ->
+      Graph.set_vweight g v (if add then w else vweight (core ()) v)
+  | (Directed dg | Rooted_digraph (dg, _, _)), Edge (u, v, w) ->
+      if add then Digraph.add_arc ~w dg u v else Digraph.remove_arc dg u v
+  | (Directed dg | Rooted_digraph (dg, _, _)), Weight (u, v, d) ->
+      let w = Digraph.arc_weight dg u v in
+      Digraph.remove_arc dg u v;
+      Digraph.add_arc ~w:(if add then w + d else w - d) dg u v
+  | (Directed dg | Rooted_digraph (dg, _, _)), Vweight (v, w) ->
+      Digraph.set_vweight dg v (if add then w else vweight (core ()) v)
+
+let rec apply ~core ~add inst = function
+  | [] -> ()
+  | e :: rest ->
+      change ~core ~add inst e;
+      apply ~core ~add inst rest
+
+let endpoints = function Edge (u, v, _) | Weight (u, v, _) -> [ u; v ] | Vweight (v, _) -> [ v ]
+
+let tables_of ~input_bits x y =
+  let bit b =
+    let elements = [| b.at0; b.at1 |] in
+    {
+      elements;
+      edges = Array.map (List.filter_map (function Edge (u, v, _) -> Some (u, v) | _ -> None)) elements;
+      wedges =
+        Array.map
+          (List.filter_map (function
+            | Edge (u, v, w) | Weight (u, v, w) -> Some (u, v, w)
+            | Vweight _ -> None))
+          elements;
+    }
+  in
+  let xbits = Array.init input_bits (fun i -> bit (x i))
+  and ybits = Array.init input_bits (fun i -> bit (y i)) in
+  let all = Array.to_list (Array.append xbits ybits) in
+  {
+    xbits;
+    ybits;
+    volatile =
+      List.concat_map (fun b -> List.concat_map endpoints (b.elements.(0) @ b.elements.(1))) all
+      |> List.sort_uniq compare;
+    candidates =
+      List.concat_map (fun b -> b.edges.(0) @ b.edges.(1)) all |> List.sort_uniq compare;
+  }
+
+let value x i = if Bits.get x i then 1 else 0
+
+let check_inputs t x y =
+  let k = Array.length t.xbits in
+  if Bits.length x <> k || Bits.length y <> k then
+    invalid_arg (Printf.sprintf "Framework: inputs must have %d bits" k)
+
+(* The pair's per-bit lists in bit order, x's before y's at each bit. *)
+let collect t view x y =
+  check_inputs t x y;
+  let acc = ref [] in
+  for b = Array.length t.xbits - 1 downto 0 do
+    acc := view t.xbits.(b) (value x b) @ view t.ybits.(b) (value y b) @ !acc
+  done;
+  !acc
+
+let build_of enc x y =
+  let t = enc.tables () in
+  check_inputs t x y;
+  let core = enc.shared and inst = enc.fresh () in
+  for b = 0 to Array.length t.xbits - 1 do
+    apply ~core ~add:true inst t.xbits.(b).elements.(value x b);
+    apply ~core ~add:true inst t.ybits.(b).elements.(value y b)
+  done;
+  inst
+
+let family ~name ~params ~side ~core ~input_bits ~x ~y ~predicate ~f =
+  let encoding =
+    {
+      fresh = core;
+      shared = Pool.once core;
+      xdecl = x;
+      ydecl = y;
+      tables = Pool.once (fun () -> tables_of ~input_bits x y);
+    }
+  in
+  {
+    name;
+    params;
+    input_bits;
+    nvertices = Array.length side;
+    side;
+    encoding;
+    build = build_of encoding;
+    predicate;
+    f;
+  }
+
+let core fam = fam.encoding.shared ()
+
+let edges fam x y = collect (fam.encoding.tables ()) (fun b v -> b.edges.(v)) x y
+
+let weighted_edges fam x y = collect (fam.encoding.tables ()) (fun b v -> b.wedges.(v)) x y
+
+let volatile fam = (fam.encoding.tables ()).volatile
+
+let candidates fam = (fam.encoding.tables ()).candidates
+
+(* every element of every bit, at both values, with its player *)
+let all_elements fam =
+  let t = fam.encoding.tables () in
+  let of_bits alice bits =
+    Array.to_list bits
+    |> List.concat_map (fun b -> List.map (fun e -> (alice, e)) (b.elements.(0) @ b.elements.(1)))
+  in
+  of_bits true t.xbits @ of_bits false t.ybits
+
+(* Conditions 1-3 of Definition 1.1, exactly: the core is the fixed
+   part, so only the elements can depend on the inputs, and they do so
+   inside their player's side. *)
+let sided fam =
+  let n = vertex_count (core fam) in
+  let on alice v = v >= 0 && v < n && fam.side.(v) = alice in
+  Array.length fam.side = n
+  && List.for_all
+       (fun (alice, e) ->
+         match e with
+         | Edge (u, v, _) | Weight (u, v, _) -> on alice u && on alice v
+         | Vweight (v, _) -> on alice v)
+       (all_elements fam)
+
+(* By Definition 1.1 the elements stay inside a side, so E_cut is the
+   core's crossing edges. *)
 let cut_edges fam =
-  let x = Bits.zeros fam.input_bits and y = Bits.zeros fam.input_bits in
-  let _, _, cut, _, _ = fingerprint fam (fam.build x y) in
-  List.map (fun (u, v, _) -> (u, v)) cut
+  List.filter_map
+    (fun (u, v, _) -> if fam.side.(u) <> fam.side.(v) then Some (u, v) else None)
+    (Graph.edges (graph_of (core fam)))
 
 let cut_size fam = List.length (cut_edges fam)
 
@@ -106,16 +266,22 @@ type multicut_info = {
   mc_part_sizes : int array;
 }
 
-(* Like [cut_info], measured on the zero-input instance: Definition 1.1
-   (and its multiparty analogue) requires the multicut to be input
-   independent, so families registering a partition must keep their
-   input edges inside parts. *)
+(* Like [cut_info], the multicut is the core's: an element joining two
+   parts would make it input dependent, so such a partition is refused
+   (measured on the core it would undercount the cross traffic). *)
 let multicut_info fam ~partition =
   if Array.length partition <> fam.nvertices then
     invalid_arg "Framework.multicut_info: partition length";
   let t = Ch_congest.Network.partition_parts partition in
-  let x = Bits.zeros fam.input_bits and y = Bits.zeros fam.input_bits in
-  let g = graph_of (fam.build x y) in
+  if
+    List.exists
+      (fun (_, e) ->
+        match e with
+        | Edge (u, v, _) | Weight (u, v, _) -> partition.(u) <> partition.(v)
+        | Vweight _ -> false)
+      (all_elements fam)
+  then invalid_arg "Framework.multicut_info: an input element crosses parts";
+  let g = graph_of (core fam) in
   let cross = ref [] in
   Graph.iter_edges
     (fun u v _ ->
@@ -137,10 +303,8 @@ let multicut_info fam ~partition =
 
 let multicut_index mc u v = Hashtbl.find_opt mc.mc_index (u, v)
 
-let build_timed fam x y = Obs.with_span sp_apply (fun () -> fam.build x y)
-
 let verdict fam x y =
-  let inst = build_timed fam x y in
+  let inst = Obs.with_span sp_apply (fun () -> fam.build x y) in
   Obs.with_span sp_solver (fun () -> fam.predicate inst)
 
 (* CONGEST assumes a connected network: the single-rooted gather cannot
@@ -170,6 +334,75 @@ type prepared = {
 }
 
 type incremental = { scratch : t; prepare : unit -> prepared }
+
+(* A private core holding the elements of the pair in [px]/[py], built
+   by the first [patch]: queries that never patch build nothing. *)
+type patcher = {
+  pfam : t;
+  ptables : tables;
+  mutable pinst : instance option;
+  px : bool array;
+  py : bool array;
+}
+
+let patcher fam =
+  let k = fam.input_bits in
+  {
+    pfam = fam;
+    ptables = fam.encoding.tables ();
+    pinst = None;
+    px = Array.make k false;
+    py = Array.make k false;
+  }
+
+(* Take bit [b]'s elements at its held value out of [inst] and add those
+   at its value in [z], if the two differ. *)
+let flip ~core inst bits held z b =
+  let v = Bits.get z b in
+  if v <> held.(b) then begin
+    apply ~core ~add:false inst bits.(b).elements.(if v then 0 else 1);
+    apply ~core ~add:true inst bits.(b).elements.(if v then 1 else 0);
+    held.(b) <- v
+  end
+
+let patch p x y =
+  let t = p.ptables in
+  check_inputs t x y;
+  match p.pinst with
+  | None ->
+      let inst = p.pfam.build x y in
+      Array.iteri (fun b _ -> p.px.(b) <- Bits.get x b; p.py.(b) <- Bits.get y b) p.px;
+      p.pinst <- Some inst;
+      inst
+  | Some inst ->
+      let core = p.pfam.encoding.shared in
+      for b = 0 to Array.length p.px - 1 do
+        flip ~core inst t.xbits p.px x b;
+        flip ~core inst t.ybits p.py y b
+      done;
+      inst
+
+type query = {
+  verdict : Bits.t -> Bits.t -> bool;
+  stats : unit -> Ch_solvers.Cache.stats;
+}
+
+let incremental fam query =
+  {
+    scratch = fam;
+    prepare =
+      (fun () ->
+        let p = patcher fam in
+        let q = query ~patch:(patch p) in
+        {
+          pbuild = patch p;
+          pverdict = q.verdict;
+          pstats =
+            (fun () ->
+              let s = q.stats () in
+              { cache_hits = s.Ch_solvers.Cache.hits; cache_misses = s.Ch_solvers.Cache.misses });
+        });
+  }
 
 (* ---- the verdict engine --------------------------------------------- *)
 
@@ -230,39 +463,6 @@ let failures fam mode verdicts =
 let random_pair_at fam ~seed =
   Pairs.pair_at ~k:fam.input_bits (Pairs.Sampled { seed; samples = 0 })
 
-(* Sample [i] uses seeds (seed + 4i .. seed + 4i + 3). *)
-let check_sidedness ?pool ~seed ~samples fam =
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let k = fam.input_bits in
-  let sample_ok i =
-    Obs.with_span sp_sided (fun () ->
-        let ok = ref true in
-        let x = Bits.random ~seed:(seed + (4 * i)) k in
-        let x' = Bits.random ~seed:(seed + (4 * i) + 1) k in
-        let y = Bits.random ~seed:(seed + (4 * i) + 2) k in
-        let y' = Bits.random ~seed:(seed + (4 * i) + 3) k in
-        let _, b1, c1, _, wb1 = fingerprint fam (build_timed fam x y) in
-        let _, b2, c2, _, wb2 = fingerprint fam (build_timed fam x' y) in
-        (* changing x must leave Bob's side and the cut untouched *)
-        if not (b1 = b2 && c1 = c2 && wb1 = wb2) then ok := false;
-        let a1, _, c1, wa1, _ = fingerprint fam (build_timed fam x y) in
-        let a2, _, c2, wa2, _ = fingerprint fam (build_timed fam x y') in
-        if not (a1 = a2 && c1 = c2 && wa1 = wa2) then ok := false;
-        (* the vertex count is fixed *)
-        if Graph.n (graph_of (build_timed fam x y)) <> fam.nvertices then
-          ok := false;
-        !ok)
-  in
-  let oks =
-    Pool.parallel_chunks pool ~lo:0 ~hi:samples (fun lo hi ->
-        let ok = ref true in
-        for i = lo to hi - 1 do
-          if not (sample_ok i) then ok := false
-        done;
-        !ok)
-  in
-  List.for_all Fun.id oks
-
 let lower_bound_rounds ~input_bits ~cut ~n =
   float_of_int (Commfn.cc_disj_lower_bound input_bits)
   /. (float_of_int cut *. (log (float_of_int n) /. log 2.0))
@@ -271,14 +471,14 @@ type solver =
   | Graph_solver of (Graph.t -> int)
   | Digraph_solver of (Digraph.t -> int)
 
-let reduce ~name ~transform ~nvertices ~side ~predicate fam =
-  {
-    name;
-    params = fam.params;
-    input_bits = fam.input_bits;
-    nvertices;
-    side;
-    build = (fun x y -> transform (fam.build x y));
-    predicate;
-    f = fam.f;
-  }
+(* The transform is edge-local, so it maps the core once and each
+   declared element on its own, and the result is again an encoding. *)
+let reduce ~name ~transform ~element ~side ~predicate fam =
+  let map decl i =
+    let b = decl i in
+    { at0 = List.concat_map element b.at0; at1 = List.concat_map element b.at1 }
+  in
+  family ~name ~params:fam.params ~side
+    ~core:(fun () -> transform (fam.encoding.fresh ()))
+    ~input_bits:fam.input_bits ~x:(map fam.encoding.xdecl) ~y:(map fam.encoding.ydecl)
+    ~predicate ~f:fam.f

@@ -19,24 +19,104 @@ type instance =
   | Rooted_digraph of Digraph.t * int * int list
       (** graph, root, terminals — the directed Steiner instances *)
 
+(** {1 Input encodings}
+
+    Every construction is a fixed core plus a few elements per input
+    bit: the family declares its core instance — everything that does
+    not depend on the input, terminals and root included — and, for
+    each bit of x and of y, the elements the bit adds at 0 and at 1.
+    From that declaration this module derives the scratch [build], the
+    patcher behind the incremental engine, the per-pair [~extra] lists
+    of the solver caches, the volatile vertices, the cut and the exact
+    Definition 1.1 check {!sided}. *)
+
+type element =
+  | Edge of int * int * int
+      (** [Edge (u, v, w)]: the edge \{u,v\} of weight w — the arc u→v on
+          a directed core *)
+  | Weight of int * int * int
+      (** [Weight (u, v, d)]: d added to the weight of the core edge (or
+          arc) \{u,v\} *)
+  | Vweight of int * int
+      (** [Vweight (v, w)]: vertex v weighs w (at most one bit sets a
+          given vertex's weight) *)
+
+type bit = { at0 : element list; at1 : element list }
+(** What one input bit adds to the core when it is 0 and when it is 1. *)
+
+type encoding
+(** A core constructor with its per-bit declaration.  The shared core
+    and the tables derived from the declaration are built on first use,
+    at most once per family value and under a lock (see {!Pool.once}),
+    and only read afterwards, so one family is safe to share across
+    domains. *)
+
 type t = {
   name : string;
   params : (string * int) list;  (** construction parameters, e.g. [("k", 4)] *)
   input_bits : int;  (** K: the length of each player's input *)
-  nvertices : int;
+  nvertices : int;  (** |V|, the length of [side] *)
   side : bool array;  (** [side.(v)] iff v ∈ V_A *)
+  encoding : encoding;
   build : Bits.t -> Bits.t -> instance;
+      (** G_{x,y} from scratch: a fresh core plus the pair's elements,
+          x's before y's at each bit *)
   predicate : instance -> bool;  (** P, decided by an exact solver *)
   f : Bits.t -> Bits.t -> bool;  (** the communication function (e.g. ¬DISJ) *)
 }
+
+val family :
+  name:string ->
+  params:(string * int) list ->
+  side:bool array ->
+  core:(unit -> instance) ->
+  input_bits:int ->
+  x:(int -> bit) ->
+  y:(int -> bit) ->
+  predicate:(instance -> bool) ->
+  f:(Bits.t -> Bits.t -> bool) ->
+  t
+(** The family of an encoding: bit i of x adds [x i] and bit i of y adds
+    [y i], for i < [input_bits].  [core ()] constructs the core and must
+    return a fresh instance on every call: it is called once for the
+    shared core ({!core}) and once per scratch build and per patcher. *)
+
+val core : t -> instance
+(** The declared core, built on first use — shared, so read it, never
+    mutate it. *)
+
+val sided : t -> bool
+(** Conditions 1–3 of Definition 1.1, exactly: [side] has the core's
+    length, every element of an x-bit lies inside V_A and every element
+    of a y-bit inside V_B.  The core is the same for every pair, so the
+    vertex set, and G[V_B] and E_cut under x (symmetrically G[V_A] and
+    E_cut under y), then cannot change. *)
+
+val volatile : t -> int list
+(** Every vertex an element touches, ascending: the only vertices whose
+    edges or weights depend on the input — the volatile set the
+    conditioned solver caches range over. *)
+
+val candidates : t -> (int * int) list
+(** Every [Edge] element's endpoints, ascending: the arcs an input may
+    add (the candidates of [Cache.hampath_prepare]). *)
+
+val edges : t -> Bits.t -> Bits.t -> (int * int) list
+(** The pair's [Edge] elements as endpoint pairs: the [~extra] of the
+    edge-keyed cache queries. *)
+
+val weighted_edges : t -> Bits.t -> Bits.t -> (int * int * int) list
+(** The pair's [Edge] and [Weight] elements as [(u, v, w)]: the
+    [~extra] of the weighted cache queries, where a weight added to a
+    core edge counts like a parallel edge of that weight. *)
 
 val graph_of : instance -> Graph.t
 (** The underlying undirected graph (directed instances forget
     orientation) — used for structural measurements. *)
 
 val cut_edges : t -> (int * int) list
-(** E_cut of the family, measured on the all-zeros instance (by
-    Definition 1.1 it is the same for every instance). *)
+(** E_cut of the family: the core's edges between V_A and V_B, sorted
+    (the elements stay inside a side — see {!sided}). *)
 
 val cut_size : t -> int
 
@@ -66,13 +146,12 @@ type multicut_info = {
 }
 
 val multicut_info : t -> partition:int array -> multicut_info
-(** The t-party analogue of {!cut_info} for a vertex partition: the cross
-    edges of the zero-input instance, indexed for per-edge traffic
-    attribution.  Like the 2-party cut, the multicut must be input
-    independent — families registering a partition keep their input
-    edges inside parts.
-    @raise Invalid_argument on a partition of the wrong length or with
-    an empty part. *)
+(** The t-party analogue of {!cut_info} for a vertex partition: the
+    core's cross edges, indexed for per-edge traffic attribution.  Like
+    the 2-party cut, the multicut must be input independent, so every
+    element must stay inside one part.
+    @raise Invalid_argument on a partition of the wrong length, with an
+    empty part, or split by an element. *)
 
 val multicut_index : multicut_info -> int -> int -> int option
 
@@ -113,15 +192,16 @@ val connected : instance -> bool
 
 (** {2 Incremental verification}
 
-    Per Definition 1.1 only the input encoding — O(k) edges — varies
-    across the 2^K × 2^K pair space; the gadget core is fixed.  An
-    {!incremental} descriptor exploits that: {!field-prepare} builds the
-    core (and any solver cache, see [Ch_solvers.Cache]) once, and the
-    returned {!prepared} patches input edges and answers the predicate
-    per pair.  The plain {!field-scratch} family is kept alongside as the
-    reference oracle — the incremental engine promises a stream
-    bit-identical to the scratch engine's, which the differential tests
-    and the bench harness assert pair by pair. *)
+    Per Definition 1.1 only the elements — O(k) of them — vary across
+    the 2^K × 2^K pair space; the core is fixed.  {!incremental} builds
+    a family's descriptor from one cache query: {!field-prepare} makes a
+    {!patcher} and runs the query's solver-cache preparation on the
+    core (see [Ch_solvers.Cache]) once, and the
+    returned {!prepared} answers the predicate per pair.  The plain
+    {!field-scratch} family is kept alongside as the reference oracle —
+    the incremental engine promises a stream bit-identical to the
+    scratch engine's, which the differential tests and the bench harness
+    assert pair by pair. *)
 
 type cache_stats = { cache_hits : int; cache_misses : int }
 (** Summed solver-cache counters: a miss is a core-table computation, a
@@ -152,8 +232,36 @@ type prepared = {
 type incremental = {
   scratch : t;  (** the from-scratch family — the reference oracle *)
   prepare : unit -> prepared;
-      (** build the core and solver caches; call once per worker *)
+      (** build the patcher and solver caches; call once per worker *)
 }
+
+type patcher
+(** A private core of a family holding one pair's elements. *)
+
+val patcher : t -> patcher
+(** A patcher holding no pair yet. *)
+
+val patch : patcher -> Bits.t -> Bits.t -> instance
+(** Move the patcher to (x, y) — its first call builds the pair from
+    scratch, later calls take out and add the elements of only the bits
+    that changed since the pair it held — and return its instance,
+    structurally equal to [build x y].  The instance is the
+    patcher's own: valid until the next [patch].
+    @raise Invalid_argument on inputs of the wrong length. *)
+
+type query = {
+  verdict : Bits.t -> Bits.t -> bool;
+      (** P(G_{x,y}), answered from the query's prepared tables *)
+  stats : unit -> Ch_solvers.Cache.stats;  (** those tables' counters *)
+}
+
+val incremental : t -> (patch:(Bits.t -> Bits.t -> instance) -> query) -> incremental
+(** [incremental fam q]: each [prepare] makes a fresh {!patcher} and
+    calls [q ~patch], which prepares its cache on {!core} (once per
+    worker; the memo shares the tables) and returns the per-pair query.
+    The verdict reads its [~extra] from {!edges} or {!weighted_edges},
+    and calls [patch] only when the solver needs the patched instance
+    itself. *)
 
 (** {2 Running the engine} *)
 
@@ -181,14 +289,6 @@ val random_pair_at : t -> seed:int -> int -> Bits.t * Bits.t
 (** {!Pairs.pair_at} of the sampled mode with this seed — a shim kept for
     the benchmark ([perfbench/]), which calls it; nothing else does. *)
 
-val check_sidedness : ?pool:Pool.t -> seed:int -> samples:int -> t -> bool
-(** Conditions 1–3 of Definition 1.1: the vertex set is fixed, G[V_B] and
-    E_cut (edges, weights, vertex weights) do not depend on x, and
-    symmetrically for y.  Checked on random input pairs; sample [i] draws
-    its four strings from seeds [seed + 4i .. seed + 4i + 3] — a check of
-    the construction, not a verdict stream, so it keeps its own draw.
-    Fans out over the pool like {!verdicts}, with the same determinism. *)
-
 (** {1 Theorem 1.1} *)
 
 val lower_bound_rounds : input_bits:int -> cut:int -> n:int -> float
@@ -207,11 +307,16 @@ type solver =
 val reduce :
   name:string ->
   transform:(instance -> instance) ->
-  nvertices:int ->
+  element:(element -> element list) ->
   side:bool array ->
   predicate:(instance -> bool) ->
   t ->
   t
-(** A new family G′_{x,y} = transform(G_{x,y}).  The Theorem 2.6 side
-    conditions (V′ and E′ determined side-by-side) are not assumed — they
-    are re-checked by {!check_sidedness} on the result. *)
+(** A new family G′_{x,y} = transform(G_{x,y}) for an edge-local
+    transform: the core becomes [transform core] (applied to a fresh
+    base core each time one is needed) and each element e of each bit
+    becomes [element e], so transform(core + E) must equal
+    transform(core) + the mapped E.  Every transform in the registry is
+    such (Theorem 2.6's copies, the 2-spanner hub, Lemma 2.2's vertex
+    split, Lemma 2.3's split of vertex 0); the result is an encoding
+    again, so {!sided} checks it exactly. *)

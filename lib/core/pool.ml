@@ -154,6 +154,20 @@ let default () =
   Mutex.unlock registry_mutex;
   t
 
+let once f =
+  let cell = Atomic.make None and lock = Mutex.create () in
+  fun () ->
+    match Atomic.get cell with
+    | Some v -> v
+    | None ->
+        Mutex.protect lock (fun () ->
+            match Atomic.get cell with
+            | Some v -> v
+            | None ->
+                let v = f () in
+                Atomic.set cell (Some v);
+                v)
+
 let run_sequential tasks = List.iteri (fun i f -> f i) tasks
 
 let run t tasks =

@@ -52,6 +52,13 @@ val default : unit -> t
     [create ()].  The verification layer and the benchmark harness use
     this unless handed an explicit pool. *)
 
+val once : (unit -> 'a) -> unit -> 'a
+(** [once f] is a thunk returning [f ()], computed on the first call
+    and shared by every later one.  Safe when domains or threads make
+    their first calls at the same time (two concurrent forces of one
+    [Lazy.t] raise [CamlinternalLazy.Undefined]): the first call runs
+    [f] under a lock and the others wait for its value. *)
+
 val run : t -> (int -> unit) list -> unit
 (** [run pool tasks] executes every task exactly once, in parallel, and
     returns when all have finished.  Each task receives its own index.

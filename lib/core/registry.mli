@@ -59,8 +59,8 @@ type spec = {
   sweep_ks : int list;  (** default bench sweep bounds (scales per row) *)
   scratch : int -> Framework.t;  (** [k] ↦ the from-scratch family *)
   incremental : (int -> Framework.incremental) option;
-      (** [k] ↦ the incremental descriptor, when the family is ported to
-          the core/apply-inputs split *)
+      (** [k] ↦ the incremental descriptor, when the family has a solver
+          cache query ({!Framework.incremental}) *)
   reduction : (int -> reduction) option;
       (** [k] ↦ the Theorem 1.1 reduction algorithm, when the family has a
           gather codec (undirected instances only) *)

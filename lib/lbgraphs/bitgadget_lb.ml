@@ -83,42 +83,9 @@ let core_graph ~k =
     [ true; false ];
   g
 
-let input_edges ~k x y =
-  if Bits.length x <> k || Bits.length y <> k then
-    invalid_arg "Bitgadget_lb.input_edges: inputs must have k bits";
-  let acc = ref [] in
-  for i = k - 1 downto 0 do
-    if Bits.get y i then acc := (Ix.pb ~k, Ix.b ~k i) :: !acc
-  done;
-  for i = k - 1 downto 0 do
-    if Bits.get x i then acc := (Ix.pa ~k, Ix.a ~k i) :: !acc
-  done;
-  !acc
-
-let build ~k x y =
-  let g = core_graph ~k in
-  List.iter (fun (u, v) -> Graph.add_edge g u v) (input_edges ~k x y);
-  g
-
-type core = {
-  ck : int;
-  cg : Graph.t;
-  mutable applied : (Bits.t * Bits.t) option;
-}
-
-let build_core ~k =
-  let _ = Bitgadget.check_k "Bitgadget_lb.build_core" k in
-  { ck = k; cg = core_graph ~k; applied = None }
-
-let apply_inputs c x y =
-  let k = c.ck in
-  (match c.applied with
-  | Some (px, py) ->
-      List.iter (fun (u, v) -> Graph.remove_edge c.cg u v) (input_edges ~k px py)
-  | None -> ());
-  List.iter (fun (u, v) -> Graph.add_edge c.cg u v) (input_edges ~k x y);
-  c.applied <- Some (x, y);
-  c.cg
+(* bit i of a player wires its pool vertex to its row i when set *)
+let pool_bits pool row i =
+  { Framework.at0 = []; at1 = [ Framework.Edge (pool, row i, 1) ] }
 
 let side ~k =
   let n = Ix.n ~k in
@@ -157,47 +124,26 @@ let partition ~k =
 
 let family ~k =
   let target = target_size ~k in
-  {
-    Framework.name = "bit-gadget intersection";
-    params = [ ("k", k) ];
-    input_bits = k;
-    nvertices = Ix.n ~k;
-    side = side ~k;
-    build = (fun x y -> Framework.Undirected (build ~k x y));
-    predicate =
-      (fun inst ->
-        match inst with
-        | Framework.Undirected g -> Ch_solvers.Domset.min_size g <= target
-        | _ -> invalid_arg "bitgadget family: undirected expected");
-    f = Commfn.intersecting;
-  }
+  Framework.family ~name:"bit-gadget intersection" ~params:[ ("k", k) ] ~side:(side ~k)
+    ~core:(fun () -> Framework.Undirected (core_graph ~k)) ~input_bits:k
+    ~x:(pool_bits (Ix.pa ~k) (Ix.a ~k)) ~y:(pool_bits (Ix.pb ~k) (Ix.b ~k))
+    ~predicate:(fun inst ->
+      match inst with
+      | Framework.Undirected g -> Ch_solvers.Domset.min_size g <= target
+      | _ -> invalid_arg "bitgadget family: undirected expected")
+    ~f:Commfn.intersecting
 
 let incremental ~k =
-  let target = target_size ~k in
-  {
-    Framework.scratch = family ~k;
-    prepare =
-      (fun () ->
-        let c = build_core ~k in
-        let dc = Ch_solvers.Cache.domset_prepare c.cg ~radius:1 in
-        {
-          Framework.pbuild = (fun x y -> Framework.Undirected (apply_inputs c x y));
-          pverdict =
-            (fun x y ->
-              let g = apply_inputs c x y in
-              let balls =
-                Ch_solvers.Cache.domset_balls dc ~extra:(input_edges ~k x y)
-              in
-              Ch_solvers.Domset.exists_of_size ~balls g target);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.domset_stats dc in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
-        });
-  }
+  let fam = family ~k and target = target_size ~k in
+  Framework.incremental fam (fun ~patch ->
+      let dc = Ch_solvers.Cache.domset_prepare (Framework.graph_of (Framework.core fam)) ~radius:1 in
+      {
+        Framework.verdict =
+          (fun x y ->
+            let balls = Ch_solvers.Cache.domset_balls dc ~extra:(Framework.edges fam x y) in
+            Ch_solvers.Domset.exists_of_size ~balls (Framework.graph_of (patch x y)) target);
+        stats = (fun () -> Ch_solvers.Cache.domset_stats dc);
+      })
 
 let specs =
   [

@@ -1,5 +1,3 @@
-open Ch_cc
-open Ch_graph
 open Ch_core
 
 (** The multiparty bit-gadget family: set intersection decided by exact
@@ -17,8 +15,6 @@ open Ch_core
 
 val target_size : k:int -> int
 (** 2·log₂ k + 2. *)
-
-val build : k:int -> Bits.t -> Bits.t -> Graph.t
 
 val side : k:int -> bool array
 

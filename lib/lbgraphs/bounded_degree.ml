@@ -11,8 +11,9 @@ type instance = {
 }
 
 let build ?(seed = 0) ~k x y =
-  let base = Maxis_lb.build ~k x y in
-  let base_side = Maxis_lb.side ~k in
+  let fam = Maxis_lb.family ~k in
+  let base = Ch_core.Framework.graph_of (fam.Ch_core.Framework.build x y) in
+  let base_side = fam.Ch_core.Framework.side in
   let phi = Sat_reductions.graph_to_cnf base in
   let e = Sat_reductions.expand ~seed phi in
   let sg = Sat_reductions.cnf_to_graph e.Sat_reductions.cnf in

@@ -79,3 +79,6 @@ let construct ?(seed = 0) ~ell ~t_count ~r () =
       go 0
 
 let mem t ~set j = (t.sets.(set) lsr j) land 1 = 1
+
+let cheap_when_set vertex i =
+  { Ch_core.Framework.at0 = []; at1 = [ Ch_core.Framework.Vweight (vertex i, 1) ] }

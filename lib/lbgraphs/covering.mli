@@ -17,3 +17,8 @@ val construct : ?seed:int -> ell:int -> t_count:int -> r:int -> unit -> t
 
 val mem : t -> set:int -> int -> bool
 (** Is element j in S_set? *)
+
+val cheap_when_set : (int -> int) -> int -> Ch_core.Framework.bit
+(** The covering-design families' input encoding: bit i makes its set
+    vertex [vertex i] cheap (weight 1) when set, and the core weighs it
+    α otherwise. *)

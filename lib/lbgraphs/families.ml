@@ -7,6 +7,9 @@ let all =
   @ Kmds_lb.specs @ Steiner_approx_lb.specs @ Mds_restricted_lb.specs
   @ Bitgadget_lb.specs
 
-let catalog =
-  let t = lazy (Ch_core.Registry.of_specs all) in
-  fun () -> Lazy.force t
+(* Both are shared by the daemon's scheduler threads, whose first
+   requests may race: Pool.once, not a Lazy.t, which raises on a
+   concurrent force. *)
+let catalog = Ch_core.Pool.once (fun () -> Ch_core.Registry.of_specs all)
+
+let catalog_json = Ch_core.Pool.once (fun () -> Ch_core.Registry.to_json (catalog ()))

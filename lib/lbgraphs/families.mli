@@ -9,3 +9,9 @@ val all : Ch_core.Registry.spec list
 val catalog : unit -> Ch_core.Registry.t
 (** The registry over {!all}, built once (id uniqueness is checked on
     first use). *)
+
+val catalog_json : unit -> Ch_json.Jsonx.t
+(** {!Ch_core.Registry.to_json} of {!catalog} — the serve [catalog]
+    answer and [hardness list --json] — built once per process (it
+    builds every family at its default k), so every call returns the
+    same value. *)

@@ -107,44 +107,12 @@ let core_digraph ~k =
   done;
   dg
 
-let input_arcs ~k x y =
-  if Bits.length x <> k * k || Bits.length y <> k * k then
-    invalid_arg "Hampath_lb.input_arcs: inputs must have k^2 bits";
-  let acc = ref [] in
-  for i = 0 to k - 1 do
-    for j = 0 to k - 1 do
-      if Bits.get_pair ~k x i j then
-        acc := (Ix.row ~k Mds_lb.A1 i, Ix.row ~k Mds_lb.A2 j) :: !acc;
-      if Bits.get_pair ~k y i j then
-        acc := (Ix.row ~k Mds_lb.B1 i, Ix.row ~k Mds_lb.B2 j) :: !acc
-    done
-  done;
-  List.rev !acc
-
-let build ~k x y =
-  let dg = core_digraph ~k in
-  List.iter (fun (u, v) -> Digraph.add_arc dg u v) (input_arcs ~k x y);
-  dg
-
-type core = {
-  ck : int;
-  cdg : Digraph.t;
-  mutable applied : (Bits.t * Bits.t) option;
-}
-
-let build_core ~k =
-  let _ = Bitgadget.check_k "Hampath_lb.build_core" k in
-  { ck = k; cdg = core_digraph ~k; applied = None }
-
-let apply_inputs c x y =
-  let k = c.ck in
-  (match c.applied with
-  | Some (px, py) ->
-      List.iter (fun (u, v) -> Digraph.remove_arc c.cdg u v) (input_arcs ~k px py)
-  | None -> ());
-  List.iter (fun (u, v) -> Digraph.add_arc c.cdg u v) (input_arcs ~k x y);
-  c.applied <- Some (x, y);
-  c.cdg
+(* bit (i, j) of a player adds the arc (s₁^i, s₂^j) when set *)
+let row_bits ~k s1 s2 b =
+  {
+    Framework.at0 = [];
+    at1 = [ Framework.Edge (Ix.row ~k s1 (b / k), Ix.row ~k s2 (b mod k), 1) ];
+  }
 
 let witness_path ~k x y ~i ~j =
   let t = Bitgadget.check_k "Hampath_lb.witness_path" k in
@@ -230,82 +198,62 @@ let side ~k =
   side
 
 let path_family ~k =
-  {
-    Framework.name = "directed-hamiltonian-path (Thm 2.2)";
-    params = [ ("k", k) ];
-    input_bits = k * k;
-    nvertices = Ix.n ~k;
-    side = side ~k;
-    build = (fun x y -> Framework.Directed (build ~k x y));
-    predicate =
-      (fun inst ->
-        match inst with
-        | Framework.Directed dg -> Ch_solvers.Hamilton.directed_path dg <> None
-        | _ -> invalid_arg "hampath family: directed expected");
-    f = Commfn.intersecting;
-  }
+  Framework.family ~name:"directed-hamiltonian-path (Thm 2.2)" ~params:[ ("k", k) ]
+    ~side:(side ~k) ~core:(fun () -> Framework.Directed (core_digraph ~k))
+    ~input_bits:(k * k)
+    ~x:(row_bits ~k Mds_lb.A1 Mds_lb.A2) ~y:(row_bits ~k Mds_lb.B1 Mds_lb.B2)
+    ~predicate:(fun inst ->
+      match inst with
+      | Framework.Directed dg -> Ch_solvers.Hamilton.directed_path dg <> None
+      | _ -> invalid_arg "hampath family: directed expected")
+    ~f:Commfn.intersecting
 
 let incremental ~k =
-  {
-    Framework.scratch = path_family ~k;
-    prepare =
-      (fun () ->
-        let c = build_core ~k in
-        (* the pattern table of the unpatched core, over every arc an
-           input may add *)
-        let all = Bits.ones (k * k) in
-        let hp =
-          Ch_solvers.Cache.hampath_prepare c.cdg ~candidates:(input_arcs ~k all all)
-        in
-        {
-          Framework.pbuild = (fun x y -> Framework.Directed (apply_inputs c x y));
-          pverdict =
-            (fun x y ->
-              Ch_solvers.Cache.hampath_directed_path hp
-                ~extra:(input_arcs ~k x y)
-              <> None);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.hampath_stats hp in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
-        });
-  }
+  let fam = path_family ~k in
+  Framework.incremental fam (fun ~patch:_ ->
+      (* the pattern table of the core, over every arc an input may add *)
+      let hp =
+        match Framework.core fam with
+        | Framework.Directed dg ->
+            Ch_solvers.Cache.hampath_prepare dg ~candidates:(Framework.candidates fam)
+        | _ -> assert false
+      in
+      {
+        Framework.verdict =
+          (fun x y ->
+            Ch_solvers.Cache.hampath_directed_path hp ~extra:(Framework.edges fam x y) <> None);
+        stats = (fun () -> Ch_solvers.Cache.hampath_stats hp);
+      })
+
+(* the arcs and edges of the transforms below are all unit-weight *)
+let edge_only what = function
+  | Framework.Edge (u, v, _) -> (u, v)
+  | _ -> invalid_arg (what ^ ": edge elements only")
 
 (* Theorem 2.3: add middle with arcs end -> middle -> start *)
-let build_cycle ~k x y =
-  let dg = build ~k x y in
-  let n = Digraph.n dg in
-  let dg' = Digraph.create (n + 1) in
-  Digraph.iter_arcs (fun u v w -> Digraph.add_arc ~w dg' u v) dg;
-  Digraph.add_arc dg' Ix.end_ n;
-  Digraph.add_arc dg' n Ix.start;
-  dg'
-
-let cycle_side ~k = Array.append (side ~k) [| true |]
-
 let cycle_family ~k =
-  {
-    Framework.name = "directed-hamiltonian-cycle (Thm 2.3)";
-    params = [ ("k", k) ];
-    input_bits = k * k;
-    nvertices = Ix.n ~k + 1;
-    side = cycle_side ~k;
-    build = (fun x y -> Framework.Directed (build_cycle ~k x y));
-    predicate =
-      (fun inst ->
-        match inst with
-        | Framework.Directed dg -> Ch_solvers.Hamilton.directed_cycle dg <> None
-        | _ -> invalid_arg "hamcycle family: directed expected");
-    f = Commfn.intersecting;
-  }
+  let base = path_family ~k in
+  Framework.reduce ~name:"directed-hamiltonian-cycle (Thm 2.3)"
+    ~transform:(fun inst ->
+      match inst with
+      | Framework.Directed dg ->
+          let n = Digraph.n dg in
+          let dg' = Digraph.create (n + 1) in
+          Digraph.iter_arcs (fun u v w -> Digraph.add_arc ~w dg' u v) dg;
+          Digraph.add_arc dg' Ix.end_ n;
+          Digraph.add_arc dg' n Ix.start;
+          Framework.Directed dg'
+      | _ -> invalid_arg "expected directed")
+    ~element:(fun e -> [ e ])
+    ~side:(Array.append base.Framework.side [| true |])
+    ~predicate:(fun inst ->
+      match inst with
+      | Framework.Directed dg -> Ch_solvers.Hamilton.directed_cycle dg <> None
+      | _ -> invalid_arg "hamcycle family: directed expected")
+    base
 
-(* Theorem 2.4 via Lemma 2.2: v -> (v_in, v_mid, v_out) *)
-let expand_side_3x side =
-  Array.concat (Array.to_list (Array.map (fun s -> [| s; s; s |]) side))
-
+(* Theorem 2.4 via Lemma 2.2: v -> (v_in, v_mid, v_out), an arc (u, v)
+   becomes the edge (u_out, v_in) *)
 let undirected_cycle_family ~k =
   let base = cycle_family ~k in
   Framework.reduce ~name:"undirected-hamiltonian-cycle (Thm 2.4)"
@@ -314,8 +262,10 @@ let undirected_cycle_family ~k =
       | Framework.Directed dg ->
           Framework.Undirected (Transform.directed_to_undirected_hc dg)
       | _ -> invalid_arg "expected directed")
-    ~nvertices:(3 * base.Framework.nvertices)
-    ~side:(expand_side_3x base.Framework.side)
+    ~element:(fun e ->
+      let u, v = edge_only "Lemma 2.2" e in
+      [ Framework.Edge ((3 * u) + 2, 3 * v, 1) ])
+    ~side:(Array.concat (Array.to_list (Array.map (fun s -> [| s; s; s |]) base.Framework.side)))
     ~predicate:(fun inst ->
       match inst with
       | Framework.Undirected g ->
@@ -327,17 +277,21 @@ let undirected_cycle_family ~k =
       | _ -> invalid_arg "expected undirected")
     base
 
-(* Theorem 2.4 via Lemma 2.3 on top: split vertex 0 and add s, t *)
+(* Theorem 2.4 via Lemma 2.3 on top: split vertex 0 into 0 and v₂ = n,
+   so an edge at 0 gets a twin at v₂, and add s, t *)
 let undirected_path_family ~k =
   let base = undirected_cycle_family ~k in
   let n = base.Framework.nvertices in
-  let side' = Array.append base.Framework.side [| true; true; true |] in
   Framework.reduce ~name:"undirected-hamiltonian-path (Thm 2.4)"
     ~transform:(fun inst ->
       match inst with
       | Framework.Undirected g -> Framework.Undirected (fst (Transform.hc_to_hp g))
       | _ -> invalid_arg "expected undirected")
-    ~nvertices:(n + 3) ~side:side'
+    ~element:(fun e ->
+      let u, v = edge_only "Lemma 2.3" e in
+      (Framework.Edge (u, v, 1) :: (if u = 0 then [ Framework.Edge (n, v, 1) ] else []))
+      @ if v = 0 then [ Framework.Edge (n, u, 1) ] else [])
+    ~side:(Array.append base.Framework.side [| true; true; true |])
     ~predicate:(fun inst ->
       match inst with
       | Framework.Undirected g ->

@@ -1,4 +1,3 @@
-open Ch_graph
 open Ch_cc
 
 (** The Figure 2 / Theorems 2.2–2.5 constructions: directed Hamiltonian
@@ -49,25 +48,6 @@ module Ix : sig
   (** The row vertex serving as wheel^{c,d}_q. *)
 end
 
-val build : k:int -> Bits.t -> Bits.t -> Digraph.t
-
-val core_digraph : k:int -> Digraph.t
-(** The fixed part — {!build} minus the input-dependent row arcs. *)
-
-val input_arcs : k:int -> Bits.t -> Bits.t -> (int * int) list
-(** The input-dependent arcs: (a₁^i, a₂^j) per set x-bit and (b₁^i, b₂^j)
-    per set y-bit.  [build] = [core_digraph] + these. *)
-
-type core
-(** A core digraph plus the currently applied input pair. *)
-
-val build_core : k:int -> core
-
-val apply_inputs : core -> Bits.t -> Bits.t -> Digraph.t
-(** Patch the core in place to the pair's digraph: remove the previous
-    pair's input arcs, add this pair's.  The result aliases the core —
-    valid until the next [apply_inputs] on the same core. *)
-
 val witness_path : k:int -> Bits.t -> Bits.t -> i:int -> j:int -> int list
 (** The explicit Hamiltonian path of Claim 2.1 for an intersecting index
     pair (x_{i,j} = y_{i,j} = 1 required): forward wheel/beta steps along
@@ -79,14 +59,16 @@ val witness_path : k:int -> Bits.t -> Bits.t -> i:int -> j:int -> int list
 val side : k:int -> bool array
 
 val path_family : k:int -> Ch_core.Framework.t
-(** Directed Hamiltonian path (Theorem 2.2). *)
+(** Directed Hamiltonian path (Theorem 2.2).  The core is everything but
+    the row-to-row arcs; bit (i, j) of x adds the arc (a₁^i, a₂^j) when
+    set, and bit (i, j) of y adds (b₁^i, b₂^j). *)
 
 val incremental : k:int -> Ch_core.Framework.incremental
 (** Incremental descriptor for {!path_family}.  [prepare] builds the
     pattern table of {!Ch_solvers.Cache.hampath_prepare} over the core
-    digraph, with the 2k² arcs of {!input_arcs} at every bit set as
-    candidates; each verdict is then a scan of the minimal patterns for
-    one inside the pair's {!input_arcs}, with no search.  At k = 2 the
+    digraph, with the family's 2k² input arcs as candidates; each
+    verdict is then a scan of the minimal patterns for one inside the
+    pair's arcs, with no search.  At k = 2 the
     table has 4 minimal patterns, one per (i, j): the arcs (a₁^i, a₂^j)
     and (b₁^i, b₂^j), which is Claim 2.1.  At k ≥ 4 the pattern count is
     over the cache's cap and [prepare] raises [Invalid_argument]; the
@@ -94,13 +76,17 @@ val incremental : k:int -> Ch_core.Framework.incremental
     k. *)
 
 val cycle_family : k:int -> Ch_core.Framework.t
-(** Directed Hamiltonian cycle: adds [middle] (Theorem 2.3). *)
+(** Directed Hamiltonian cycle: adds [middle] to the core (Theorem 2.3);
+    the input arcs are those of {!path_family}. *)
 
 val undirected_cycle_family : k:int -> Ch_core.Framework.t
-(** Via the Lemma 2.2 transform (Theorem 2.4). *)
+(** Via the Lemma 2.2 transform (Theorem 2.4): each vertex v becomes
+    (3v, 3v+1, 3v+2) and each arc (u, v), input arcs included, the edge
+    (3u+2, 3v). *)
 
 val undirected_path_family : k:int -> Ch_core.Framework.t
-(** Via the Lemma 2.3 transform on top (Theorem 2.4). *)
+(** Via the Lemma 2.3 transform on top (Theorem 2.4): vertex 0 is split,
+    each edge at 0 gaining a twin at the new vertex. *)
 
 val ecss_family : k:int -> Ch_core.Framework.t
 (** Minimum 2-ECSS (Theorem 2.5): the undirected-cycle graph has a

@@ -56,18 +56,13 @@ let yes_weight = 2
 
 let no_weight_exceeds p = p.collection.Covering.r
 
-let build p x y =
+(* the fixed topology, every set vertex at the heavy weight α *)
+let core_graph p =
   let ell = p.collection.Covering.ell in
   let t_count = Array.length p.collection.Covering.sets in
-  if Bits.length x <> t_count || Bits.length y <> t_count then
-    invalid_arg "Kmds_lb.build: inputs must have T bits";
   let g = Graph.create ~default_vweight:p.alpha (nvertices p) in
-  Graph.set_vweight g (Ix.root p) 0;
   (* the paper gives a and b weight α; only R is free *)
-  for i = 0 to t_count - 1 do
-    Graph.set_vweight g (Ix.s p i) (if Bits.get x i then 1 else p.alpha);
-    Graph.set_vweight g (Ix.s_bar p i) (if Bits.get y i then 1 else p.alpha)
-  done;
+  Graph.set_vweight g (Ix.root p) 0;
   for j = 0 to ell - 1 do
     Graph.add_edge g (Ix.a_elt p j) (Ix.b_elt p j)
   done;
@@ -121,80 +116,47 @@ let side p =
   side
 
 let family p =
-  {
-    Framework.name = Printf.sprintf "%d-mds-log-approx (Thm 4.%d)" p.k (if p.k = 2 then 4 else 5);
-    params =
+  Framework.family
+    ~name:(Printf.sprintf "%d-mds-log-approx (Thm 4.%d)" p.k (if p.k = 2 then 4 else 5))
+    ~params:
       [
         ("ell", p.collection.Covering.ell);
         ("T", Array.length p.collection.Covering.sets);
         ("r", p.collection.Covering.r);
         ("k", p.k);
-      ];
-    input_bits = Array.length p.collection.Covering.sets;
-    nvertices = nvertices p;
-    side = side p;
-    build = (fun x y -> Framework.Undirected (build p x y));
-    predicate =
-      (fun inst ->
-        match inst with
-        | Framework.Undirected g ->
-            fst (Ch_solvers.Domset.min_weight_set ~radius:p.k g) <= yes_weight
-        | _ -> invalid_arg "kmds family: undirected expected");
-    f = Commfn.intersecting;
-  }
+      ]
+    ~side:(side p) ~core:(fun () -> Framework.Undirected (core_graph p))
+    ~input_bits:(Array.length p.collection.Covering.sets)
+    ~x:(Covering.cheap_when_set (Ix.s p)) ~y:(Covering.cheap_when_set (Ix.s_bar p))
+    ~predicate:(fun inst ->
+      match inst with
+      | Framework.Undirected g ->
+          fst (Ch_solvers.Domset.min_weight_set ~radius:p.k g) <= yes_weight
+      | _ -> invalid_arg "kmds family: undirected expected")
+    ~f:Commfn.intersecting
 
 let gap_holds p x y =
-  let g = build p x y in
+  let g = Framework.graph_of ((family p).Framework.build x y) in
   let w = fst (Ch_solvers.Domset.min_weight_set ~radius:p.k g) in
   if Commfn.intersecting x y then w <= yes_weight else w > no_weight_exceeds p
 
 (* The topology is fixed: inputs only move the S_i / S̄_i vertex weights
-   between 1 and α.  The core is the all-zero-bits build (every set
-   vertex heavy) and applying a pair overwrites exactly the 2T set
-   weights — nothing to undo. *)
-
-type core = { cp : params; cg : Ch_graph.Graph.t }
-
-let build_core p =
-  let t_count = Array.length p.collection.Covering.sets in
-  { cp = p; cg = build p (Bits.zeros t_count) (Bits.zeros t_count) }
-
-let apply_inputs c x y =
-  let p = c.cp in
-  let t_count = Array.length p.collection.Covering.sets in
-  if Bits.length x <> t_count || Bits.length y <> t_count then
-    invalid_arg "Kmds_lb.apply_inputs: inputs must have T bits";
-  for i = 0 to t_count - 1 do
-    Graph.set_vweight c.cg (Ix.s p i) (if Bits.get x i then 1 else p.alpha);
-    Graph.set_vweight c.cg (Ix.s_bar p i) (if Bits.get y i then 1 else p.alpha)
-  done;
-  c.cg
-
+   between α and 1, so the radius-k balls of the core serve every pair
+   unpatched. *)
 let incremental p =
-  {
-    Framework.scratch = family p;
-    prepare =
-      (fun () ->
-        (* balls of the pristine core: weight changes never move them *)
-        let c = build_core p in
-        let dc = Ch_solvers.Cache.domset_prepare c.cg ~radius:p.k in
-        {
-          Framework.pbuild = (fun x y -> Framework.Undirected (apply_inputs c x y));
-          pverdict =
-            (fun x y ->
-              let g = apply_inputs c x y in
-              let balls = Ch_solvers.Cache.domset_balls dc ~extra:[] in
-              Ch_solvers.Domset.exists_within ~radius:p.k ~balls g
-                ~bound:yes_weight);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.domset_stats dc in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
-        });
-  }
+  let fam = family p in
+  Framework.incremental fam (fun ~patch ->
+      let dc =
+        Ch_solvers.Cache.domset_prepare (Framework.graph_of (Framework.core fam)) ~radius:p.k
+      in
+      {
+        Framework.verdict =
+          (fun x y ->
+            let balls = Ch_solvers.Cache.domset_balls dc ~extra:[] in
+            Ch_solvers.Domset.exists_within ~radius:p.k ~balls
+              (Framework.graph_of (patch x y)) ~bound:yes_weight);
+        stats = (fun () -> Ch_solvers.Cache.domset_stats dc);
+      })
 
 (* registry scale: k selects the covering-collection size; the domination
    radius is fixed per id *)

@@ -28,33 +28,21 @@ val yes_weight : int
 val no_weight_exceeds : params -> int
 (** r: every no-instance k-MDS weighs more than this. *)
 
-val build : params -> Bits.t -> Bits.t -> Ch_graph.Graph.t
-
 val family : params -> Ch_core.Framework.t
-(** Predicate: minimum-weight radius-k dominating set ≤ 2. *)
+(** The core is the fixed topology with every set vertex at weight α;
+    bit i of x makes S_i cheap (weight 1) when set, bit i of y S̄_i.
+    Predicate: minimum-weight radius-k dominating set ≤ 2. *)
 
 val gap_holds : params -> Bits.t -> Bits.t -> bool
 (** The full gap statement on one instance: weight ≤ 2 when intersecting,
     and > r when disjoint. *)
 
-(** {1 Incremental verification}
-
-    The topology never depends on the inputs — only the 2T set-vertex
-    weights do — so the radius-k closed balls are computed once on the
-    core and every pair is a weight overwrite plus a ball-reusing
-    weighted domination solve. *)
-
-type core
-
-val build_core : params -> core
-
-val apply_inputs : core -> Bits.t -> Bits.t -> Ch_graph.Graph.t
-(** Overwrite the S_i / S̄_i weights for this pair (the shared graph is
-    returned; topology untouched). *)
-
 val incremental : params -> Ch_core.Framework.incremental
-(** Memoized radius-k balls (see {!Ch_solvers.Cache.domset_prepare});
-    verdicts bit-identical to {!family}. *)
+(** The topology never depends on the inputs — only the 2T set-vertex
+    weights do — so the radius-k closed balls of the core are computed
+    once ({!Ch_solvers.Cache.domset_prepare}) and every pair is a weight
+    patch plus a ball-reusing weighted domination solve; verdicts
+    bit-identical to {!family}. *)
 
 val specs : Ch_core.Registry.spec list
 (** Registry entries ["2mds"] and ["3mds"], both incremental. *)

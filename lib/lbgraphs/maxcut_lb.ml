@@ -82,72 +82,25 @@ let core_graph ~k =
       (Mds_lb.B1, Ix.cb ~k);
       (Mds_lb.B2, Ix.cb ~k);
     ];
+  (* the N budget edges, at weight 0 until the set bits add theirs *)
+  for i = 0 to k - 1 do
+    edge 0 (Ix.row ~k Mds_lb.A1 i) (Ix.na ~k);
+    edge 0 (Ix.row ~k Mds_lb.A2 i) (Ix.na ~k);
+    edge 0 (Ix.row ~k Mds_lb.B1 i) (Ix.nb ~k);
+    edge 0 (Ix.row ~k Mds_lb.B2 i) (Ix.nb ~k)
+  done;
   g
 
-(* input-dependent part: complement edges of weight 1 and the N budget
-   edges, keeping every row vertex's weight into (row₂ ∪ N) exactly k *)
-let input_edges ~k x y =
-  if Bits.length x <> k * k || Bits.length y <> k * k then
-    invalid_arg "Maxcut_lb.input_edges: inputs must have k^2 bits";
-  let row_sum get i =
-    let acc = ref 0 in
-    for j = 0 to k - 1 do
-      if get i j then incr acc
-    done;
-    !acc
-  in
-  let acc = ref [] in
-  let edge w u v = acc := (u, v, w) :: !acc in
-  for i = 0 to k - 1 do
-    for j = 0 to k - 1 do
-      if not (Bits.get_pair ~k x i j) then
-        edge 1 (Ix.row ~k Mds_lb.A1 i) (Ix.row ~k Mds_lb.A2 j);
-      if not (Bits.get_pair ~k y i j) then
-        edge 1 (Ix.row ~k Mds_lb.B1 i) (Ix.row ~k Mds_lb.B2 j)
-    done
-  done;
-  for i = 0 to k - 1 do
-    edge (row_sum (Bits.get_pair ~k x) i) (Ix.row ~k Mds_lb.A1 i) (Ix.na ~k);
-    edge (row_sum (fun a b -> Bits.get_pair ~k x b a) i) (Ix.row ~k Mds_lb.A2 i) (Ix.na ~k);
-    edge (row_sum (Bits.get_pair ~k y) i) (Ix.row ~k Mds_lb.B1 i) (Ix.nb ~k);
-    edge (row_sum (fun a b -> Bits.get_pair ~k y b a) i) (Ix.row ~k Mds_lb.B2 i) (Ix.nb ~k)
-  done;
-  List.rev !acc
-
-(* every input edge stays within the rows and {N_A, N_B} — the volatile
-   set the conditioned max-cut table ranges over (4k + 2 vertices) *)
-let volatile ~k =
-  List.concat_map
-    (fun s -> List.init k (fun i -> Ix.row ~k s i))
-    [ Mds_lb.A1; Mds_lb.A2; Mds_lb.B1; Mds_lb.B2 ]
-  @ [ Ix.na ~k; Ix.nb ~k ]
-
-let build ~k x y =
-  let g = core_graph ~k in
-  List.iter (fun (u, v, w) -> Graph.add_edge ~w g u v) (input_edges ~k x y);
-  g
-
-type core = {
-  ck : int;
-  cg : Graph.t;
-  mutable applied : (Bits.t * Bits.t) option;
-}
-
-let build_core ~k =
-  let _ = Bitgadget.check_k "Maxcut_lb.build_core" k in
-  { ck = k; cg = core_graph ~k; applied = None }
-
-let apply_inputs c x y =
-  let k = c.ck in
-  (match c.applied with
-  | Some (px, py) ->
-      List.iter
-        (fun (u, v, _) -> Graph.remove_edge c.cg u v)
-        (input_edges ~k px py)
-  | None -> ());
-  List.iter (fun (u, v, w) -> Graph.add_edge ~w c.cg u v) (input_edges ~k x y);
-  c.applied <- Some (x, y);
-  c.cg
+(* bit (i, j) of a player: the complement edge (s₁^i, s₂^j) of weight 1
+   when it is 0, one unit on the budget edges (s₁^i, N) and (s₂^j, N)
+   when it is 1 — so every row vertex's weight into (row₂ ∪ N) stays
+   exactly k *)
+let row_bits ~k s1 s2 n b =
+  let u = Ix.row ~k s1 (b / k) and v = Ix.row ~k s2 (b mod k) in
+  {
+    Framework.at0 = [ Framework.Edge (u, v, 1) ];
+    at1 = [ Framework.Weight (u, n, 1); Framework.Weight (v, n, 1) ];
+  }
 
 let side ~k =
   let side = Array.make (Ix.n ~k) false in
@@ -168,46 +121,32 @@ let side ~k =
 
 let family ~k =
   let target = target_weight ~k in
-  {
-    Framework.name = "weighted-max-cut (Thm 2.8)";
-    params = [ ("k", k) ];
-    input_bits = k * k;
-    nvertices = Ix.n ~k;
-    side = side ~k;
-    build = (fun x y -> Framework.Undirected (build ~k x y));
-    predicate =
-      (fun inst ->
-        match inst with
-        | Framework.Undirected g -> fst (Ch_solvers.Maxcut.max_cut g) >= target
-        | _ -> invalid_arg "maxcut family: undirected expected");
-    f = Commfn.intersecting;
-  }
+  Framework.family ~name:"weighted-max-cut (Thm 2.8)" ~params:[ ("k", k) ] ~side:(side ~k)
+    ~core:(fun () -> Framework.Undirected (core_graph ~k)) ~input_bits:(k * k)
+    ~x:(row_bits ~k Mds_lb.A1 Mds_lb.A2 (Ix.na ~k))
+    ~y:(row_bits ~k Mds_lb.B1 Mds_lb.B2 (Ix.nb ~k))
+    ~predicate:(fun inst ->
+      match inst with
+      | Framework.Undirected g -> fst (Ch_solvers.Maxcut.max_cut g) >= target
+      | _ -> invalid_arg "maxcut family: undirected expected")
+    ~f:Commfn.intersecting
 
 let incremental ~k =
-  let target = target_weight ~k in
-  {
-    Framework.scratch = family ~k;
-    prepare =
-      (fun () ->
-        let c = build_core ~k in
-        (* n ≤ 30 — so k = 2 only, exactly like the scratch solver *)
-        let mc = Ch_solvers.Cache.maxcut_prepare c.cg ~volatile:(volatile ~k) in
-        {
-          Framework.pbuild = (fun x y -> Framework.Undirected (apply_inputs c x y));
-          pverdict =
-            (fun x y ->
-              Ch_solvers.Cache.maxcut_max ~stop_at:target mc
-                ~extra:(input_edges ~k x y)
-              >= target);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.maxcut_stats mc in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
-        });
-  }
+  let fam = family ~k and target = target_weight ~k in
+  Framework.incremental fam (fun ~patch:_ ->
+      (* n ≤ 30 — so k = 2 only, exactly like the scratch solver *)
+      let mc =
+        Ch_solvers.Cache.maxcut_prepare (Framework.graph_of (Framework.core fam))
+          ~volatile:(Framework.volatile fam)
+      in
+      {
+        Framework.verdict =
+          (fun x y ->
+            Ch_solvers.Cache.maxcut_max ~stop_at:target mc
+              ~extra:(Framework.weighted_edges fam x y)
+            >= target);
+        stats = (fun () -> Ch_solvers.Cache.maxcut_stats mc);
+      })
 
 let specs =
   [

@@ -1,6 +1,3 @@
-open Ch_graph
-open Ch_cc
-
 (** The Figure 3 / Theorem 2.8 family: deciding whether a weighted graph
     has a cut of weight M requires Ω(n²/log² n) rounds.
 
@@ -36,32 +33,19 @@ end
 val target_weight : k:int -> int
 (** M. *)
 
-val build : k:int -> Bits.t -> Bits.t -> Graph.t
-
-val core_graph : k:int -> Graph.t
-(** The fixed part: the k⁴ skeleton, 4-cycles and row attachments. *)
-
-val input_edges : k:int -> Bits.t -> Bits.t -> (int * int * int) list
-(** The input-dependent weighted edges [(u, v, w)]: weight-1 complement
-    edges plus the 4k N-budget edges (weights may be 0). *)
-
-val volatile : k:int -> int list
-(** The 4k + 2 vertices input edges may touch: the rows and N_A, N_B. *)
-
-type core
-
-val build_core : k:int -> core
-
-val apply_inputs : core -> Bits.t -> Bits.t -> Graph.t
-(** In-place patch to G_{x,y}; the result aliases the core. *)
-
 val side : k:int -> bool array
 
 val family : k:int -> Ch_core.Framework.t
+(** The core is the k⁴ skeleton, the 4-cycles, the row attachments and
+    the 4k N-budget edges at weight 0.  Bit (i, j) of x adds the
+    complement edge (a₁^i, a₂^j) of weight 1 when it is 0, and one unit
+    of weight on (a₁^i, N_A) and on (a₂^j, N_A) when it is 1 (of y, the
+    same on the B rows and N_B). *)
 
 val incremental : k:int -> Ch_core.Framework.incremental
 (** Incremental descriptor backed by the conditioned max-cut table
-    ({!Ch_solvers.Cache.maxcut_prepare} over {!volatile}): one full
+    ({!Ch_solvers.Cache.maxcut_prepare} over the 4k + 2 vertices the
+    inputs touch: the rows and N_A, N_B): one full
     enumeration at prepare time, then 2^(4k+2) work per pair.  Like the
     from-scratch exact solver it is limited to n ≤ 30, i.e. k = 2 (the
     prepare raises instead of the solve). *)

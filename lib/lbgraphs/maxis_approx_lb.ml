@@ -100,25 +100,16 @@ let weighted_core_graph p =
   add_common_structure p g ~row_vertices ~gadget:(WIx.gadget p);
   g
 
-(* inputs: edge present iff the bit is 0 *)
-let weighted_input_edges p x y =
-  if Bits.length x <> p.k * p.k || Bits.length y <> p.k * p.k then
-    invalid_arg "Maxis_approx_lb: inputs must have k^2 bits";
-  let acc = ref [] in
-  for i = 0 to p.k - 1 do
-    for j = 0 to p.k - 1 do
-      if not (Bits.get_pair ~k:p.k x i j) then
-        acc := (WIx.row p Mds_lb.A1 i, WIx.row p Mds_lb.A2 j) :: !acc;
-      if not (Bits.get_pair ~k:p.k y i j) then
-        acc := (WIx.row p Mds_lb.B1 i, WIx.row p Mds_lb.B2 j) :: !acc
-    done
-  done;
-  List.rev !acc
-
-let build_weighted p x y =
-  let g = weighted_core_graph p in
-  List.iter (fun (u, v) -> Graph.add_edge g u v) (weighted_input_edges p x y);
-  g
+(* bit (i, j) of a player adds the edges between the vertex sets
+   [batch s₁ i] and [batch s₂ j] when it is 0 *)
+let complement_bits p ~batch s1 s2 b =
+  {
+    Framework.at0 =
+      List.concat_map
+        (fun u -> List.map (fun v -> Framework.Edge (u, v, 1)) (batch s2 (b mod p.k)))
+        (batch s1 (b / p.k));
+    at1 = [];
+  }
 
 let weighted_side p =
   let side = Array.make (WIx.n p) false in
@@ -137,71 +128,35 @@ let weighted_side p =
 
 let weighted_family p =
   let target = yes_weight p in
-  {
-    Framework.name = "maxis-7/8-approx weighted (Thm 4.3)";
-    params = [ ("k", p.k); ("ell", p.ell); ("t", p.t); ("q", p.q) ];
-    input_bits = p.k * p.k;
-    nvertices = WIx.n p;
-    side = weighted_side p;
-    build = (fun x y -> Framework.Undirected (build_weighted p x y));
-    predicate =
-      (fun inst ->
-        match inst with
-        | Framework.Undirected g -> fst (Ch_solvers.Mis.max_weight_set g) >= target
-        | _ -> invalid_arg "expected undirected");
-    f = Commfn.intersecting;
-  }
+  let row s i = [ WIx.row p s i ] in
+  Framework.family ~name:"maxis-7/8-approx weighted (Thm 4.3)"
+    ~params:[ ("k", p.k); ("ell", p.ell); ("t", p.t); ("q", p.q) ]
+    ~side:(weighted_side p) ~core:(fun () -> Framework.Undirected (weighted_core_graph p))
+    ~input_bits:(p.k * p.k)
+    ~x:(complement_bits p ~batch:row Mds_lb.A1 Mds_lb.A2)
+    ~y:(complement_bits p ~batch:row Mds_lb.B1 Mds_lb.B2)
+    ~predicate:(fun inst ->
+      match inst with
+      | Framework.Undirected g -> fst (Ch_solvers.Mis.max_weight_set g) >= target
+      | _ -> invalid_arg "expected undirected")
+    ~f:Commfn.intersecting
 
-(* The inputs only add edges among the 4k row vertices and every row of a
-   set is already a core clique, so the conditioned MWIS table
-   (Cache.mwis) has at most (k+1)^4 entries. *)
-
-type w_core = {
-  wp : params;
-  wg : Graph.t;
-  mutable wapplied : (Bits.t * Bits.t) option;
-}
-
-let build_weighted_core p = { wp = p; wg = weighted_core_graph p; wapplied = None }
-
-let apply_weighted_inputs c x y =
-  let p = c.wp in
-  (match c.wapplied with
-  | Some (px, py) ->
-      List.iter
-        (fun (u, v) -> Graph.remove_edge c.wg u v)
-        (weighted_input_edges p px py)
-  | None -> ());
-  List.iter (fun (u, v) -> Graph.add_edge c.wg u v) (weighted_input_edges p x y);
-  c.wapplied <- Some (x, y);
-  c.wg
+(* Each variant conditions an independent-set table on the vertices its
+   inputs touch.  The inputs only add edges among the 4k row vertices
+   and every row of a set is already a core clique, so the conditioned
+   MWIS table (Cache.mwis) has at most (k+1)^4 entries. *)
+let mis_incremental fam ~target ~prepare ~value ~stats =
+  Framework.incremental fam (fun ~patch:_ ->
+      let c = prepare (Framework.graph_of (Framework.core fam)) ~volatile:(Framework.volatile fam) in
+      {
+        Framework.verdict = (fun x y -> value c ~extra:(Framework.edges fam x y) >= target);
+        stats = (fun () -> stats c);
+      })
 
 let weighted_incremental p =
-  let target = yes_weight p in
-  let volatile = List.init (4 * p.k) Fun.id in
-  {
-    Framework.scratch = weighted_family p;
-    prepare =
-      (fun () ->
-        let c = build_weighted_core p in
-        let mw = Ch_solvers.Cache.mwis_prepare c.wg ~volatile in
-        {
-          Framework.pbuild =
-            (fun x y -> Framework.Undirected (apply_weighted_inputs c x y));
-          pverdict =
-            (fun x y ->
-              Ch_solvers.Cache.mwis_weight mw
-                ~extra:(weighted_input_edges p x y)
-              >= target);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.mwis_stats mw in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
-        });
-  }
+  mis_incremental (weighted_family p) ~target:(yes_weight p)
+    ~prepare:Ch_solvers.Cache.mwis_prepare ~value:Ch_solvers.Cache.mwis_weight
+    ~stats:Ch_solvers.Cache.mwis_stats
 
 (* ------------------------------------------------------------------ *)
 (* Unweighted construction (Theorem 4.1): rows become ℓ-vertex batches *)
@@ -243,28 +198,6 @@ let unweighted_core_graph p =
   add_common_structure p g ~row_vertices ~gadget:(UIx.gadget p);
   g
 
-let unweighted_input_edges p x y =
-  if Bits.length x <> p.k * p.k || Bits.length y <> p.k * p.k then
-    invalid_arg "Maxis_approx_lb: inputs must have k^2 bits";
-  let acc = ref [] in
-  let cross b1 b2 =
-    List.iter (fun u -> List.iter (fun v -> acc := (u, v) :: !acc) b2) b1
-  in
-  for i = 0 to p.k - 1 do
-    for j = 0 to p.k - 1 do
-      if not (Bits.get_pair ~k:p.k x i j) then
-        cross (ubatch p Mds_lb.A1 i) (ubatch p Mds_lb.A2 j);
-      if not (Bits.get_pair ~k:p.k y i j) then
-        cross (ubatch p Mds_lb.B1 i) (ubatch p Mds_lb.B2 j)
-    done
-  done;
-  List.rev !acc
-
-let build_unweighted p x y =
-  let g = unweighted_core_graph p in
-  List.iter (fun (u, v) -> Graph.add_edge g u v) (unweighted_input_edges p x y);
-  g
-
 let unweighted_side p =
   let side = Array.make (UIx.n p) false in
   List.iter
@@ -284,73 +217,26 @@ let unweighted_side p =
 
 let unweighted_family p =
   let target = yes_weight p in
-  {
-    Framework.name = "maxis-7/8-approx unweighted (Thm 4.1)";
-    params = [ ("k", p.k); ("ell", p.ell); ("t", p.t); ("q", p.q) ];
-    input_bits = p.k * p.k;
-    nvertices = UIx.n p;
-    side = unweighted_side p;
-    build = (fun x y -> Framework.Undirected (build_unweighted p x y));
-    predicate =
-      (fun inst ->
-        match inst with
-        | Framework.Undirected g -> Ch_solvers.Mis.alpha g >= target
-        | _ -> invalid_arg "unweighted: expected undirected");
-    f = Commfn.intersecting;
-  }
+  Framework.family ~name:"maxis-7/8-approx unweighted (Thm 4.1)"
+    ~params:[ ("k", p.k); ("ell", p.ell); ("t", p.t); ("q", p.q) ]
+    ~side:(unweighted_side p) ~core:(fun () -> Framework.Undirected (unweighted_core_graph p))
+    ~input_bits:(p.k * p.k)
+    ~x:(complement_bits p ~batch:(ubatch p) Mds_lb.A1 Mds_lb.A2)
+    ~y:(complement_bits p ~batch:(ubatch p) Mds_lb.B1 Mds_lb.B2)
+    ~predicate:(fun inst ->
+      match inst with
+      | Framework.Undirected g -> Ch_solvers.Mis.alpha g >= target
+      | _ -> invalid_arg "unweighted: expected undirected")
+    ~f:Commfn.intersecting
 
-(* Volatile vertices: all 4kℓ batch vertices.  A core-independent subset
-   picks vertices of at most one batch per set (batches of a set are
-   pairwise fully connected, batches themselves are edge-free), so the
-   conditioned table has (1 + k(2^ℓ - 1))^4 entries. *)
-
-type u_core = {
-  up : params;
-  ug : Graph.t;
-  mutable uapplied : (Bits.t * Bits.t) option;
-}
-
-let build_unweighted_core p =
-  { up = p; ug = unweighted_core_graph p; uapplied = None }
-
-let apply_unweighted_inputs c x y =
-  let p = c.up in
-  (match c.uapplied with
-  | Some (px, py) ->
-      List.iter
-        (fun (u, v) -> Graph.remove_edge c.ug u v)
-        (unweighted_input_edges p px py)
-  | None -> ());
-  List.iter (fun (u, v) -> Graph.add_edge c.ug u v) (unweighted_input_edges p x y);
-  c.uapplied <- Some (x, y);
-  c.ug
-
+(* The volatile vertices are all 4kℓ batch vertices.  A core-independent
+   subset picks vertices of at most one batch per set (batches of a set
+   are pairwise fully connected, batches themselves are edge-free), so
+   the conditioned table has (1 + k(2^ℓ - 1))^4 entries. *)
 let unweighted_incremental p =
-  let target = yes_weight p in
-  let volatile = List.init (4 * p.k * p.ell) Fun.id in
-  {
-    Framework.scratch = unweighted_family p;
-    prepare =
-      (fun () ->
-        let c = build_unweighted_core p in
-        let mc = Ch_solvers.Cache.mis_prepare c.ug ~volatile in
-        {
-          Framework.pbuild =
-            (fun x y -> Framework.Undirected (apply_unweighted_inputs c x y));
-          pverdict =
-            (fun x y ->
-              Ch_solvers.Cache.mis_alpha mc
-                ~extra:(unweighted_input_edges p x y)
-              >= target);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.mis_stats mc in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
-        });
-  }
+  mis_incremental (unweighted_family p) ~target:(yes_weight p)
+    ~prepare:Ch_solvers.Cache.mis_prepare ~value:Ch_solvers.Cache.mis_alpha
+    ~stats:Ch_solvers.Cache.mis_stats
 
 (* ------------------------------------------------------------------ *)
 (* Linear variant (Theorem 4.2): only A₂/B₂ plus batches v_A, v_B      *)
@@ -432,25 +318,6 @@ let linear_core_graph p =
     [ false; true ];
   g
 
-(* inputs of length k *)
-let linear_input_edges p x y =
-  if Bits.length x <> p.k || Bits.length y <> p.k then
-    invalid_arg "Maxis_approx_lb.linear: inputs must have k bits";
-  let acc = ref [] in
-  let cross b1 b2 =
-    List.iter (fun u -> List.iter (fun v -> acc := (u, v) :: !acc) b2) b1
-  in
-  for i = 0 to p.k - 1 do
-    if not (Bits.get x i) then cross (lva p) (lbatch p false i);
-    if not (Bits.get y i) then cross (lvb p) (lbatch p true i)
-  done;
-  List.rev !acc
-
-let build_linear p x y =
-  let g = linear_core_graph p in
-  List.iter (fun (u, v) -> Graph.add_edge g u v) (linear_input_edges p x y);
-  g
-
 let linear_side p =
   let side = Array.make (LIx.n p) false in
   for xi = 0 to p.ell - 1 do
@@ -468,77 +335,37 @@ let linear_side p =
   done;
   side
 
+(* inputs of length k: bit i adds the edges between the player's batch
+   (v_A or v_B) and its row batch i when it is 0 *)
+let linear_bits p v side_b i =
+  {
+    Framework.at0 =
+      List.concat_map
+        (fun u -> List.map (fun w -> Framework.Edge (u, w, 1)) (lbatch p side_b i))
+        v;
+    at1 = [];
+  }
+
 let linear_family p =
   let target = linear_yes_size p in
-  {
-    Framework.name = "maxis-5/6-approx (Thm 4.2)";
-    params = [ ("k", p.k); ("ell", p.ell); ("t", p.t); ("q", p.q) ];
-    input_bits = p.k;
-    nvertices = LIx.n p;
-    side = linear_side p;
-    build = (fun x y -> Framework.Undirected (build_linear p x y));
-    predicate =
-      (fun inst ->
-        match inst with
-        | Framework.Undirected g -> Ch_solvers.Mis.alpha g >= target
-        | _ -> invalid_arg "expected undirected");
-    f = Commfn.intersecting;
-  }
+  Framework.family ~name:"maxis-5/6-approx (Thm 4.2)"
+    ~params:[ ("k", p.k); ("ell", p.ell); ("t", p.t); ("q", p.q) ]
+    ~side:(linear_side p) ~core:(fun () -> Framework.Undirected (linear_core_graph p))
+    ~input_bits:p.k
+    ~x:(linear_bits p (lva p) false) ~y:(linear_bits p (lvb p) true)
+    ~predicate:(fun inst ->
+      match inst with
+      | Framework.Undirected g -> Ch_solvers.Mis.alpha g >= target
+      | _ -> invalid_arg "expected undirected")
+    ~f:Commfn.intersecting
 
-(* Volatile vertices: v_A, v_B and the 2kℓ batch vertices.  v_A/v_B are
-   core-edge-free, each side's batches are pairwise fully connected, so
-   the table has (2^ℓ (1 + k(2^ℓ - 1)))^2 entries. *)
-
-type l_core = {
-  lp : params;
-  lg : Graph.t;
-  mutable lapplied : (Bits.t * Bits.t) option;
-}
-
-let build_linear_core p = { lp = p; lg = linear_core_graph p; lapplied = None }
-
-let apply_linear_inputs c x y =
-  let p = c.lp in
-  (match c.lapplied with
-  | Some (px, py) ->
-      List.iter
-        (fun (u, v) -> Graph.remove_edge c.lg u v)
-        (linear_input_edges p px py)
-  | None -> ());
-  List.iter (fun (u, v) -> Graph.add_edge c.lg u v) (linear_input_edges p x y);
-  c.lapplied <- Some (x, y);
-  c.lg
-
+(* The volatile vertices are v_A, v_B and the 2kℓ batch vertices.
+   v_A/v_B are core-edge-free, each side's batches are pairwise fully
+   connected, so the table has (2^ℓ (1 + k(2^ℓ - 1)))^2 entries. *)
 let linear_incremental p =
-  let target = linear_yes_size p in
-  let volatile =
-    lva p @ lvb p
-    @ List.concat_map
-        (fun side_b -> List.concat_map (fun i -> lbatch p side_b i) (List.init p.k Fun.id))
-        [ false; true ]
-  in
-  {
-    Framework.scratch = linear_family p;
-    prepare =
-      (fun () ->
-        let c = build_linear_core p in
-        let mc = Ch_solvers.Cache.mis_prepare c.lg ~volatile in
-        {
-          Framework.pbuild =
-            (fun x y -> Framework.Undirected (apply_linear_inputs c x y));
-          pverdict =
-            (fun x y ->
-              Ch_solvers.Cache.mis_alpha mc ~extra:(linear_input_edges p x y)
-              >= target);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.mis_stats mc in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
-        });
-  }
+  mis_incremental (linear_family p) ~target:(linear_yes_size p)
+    ~prepare:Ch_solvers.Cache.mis_prepare ~value:Ch_solvers.Cache.mis_alpha
+    ~stats:Ch_solvers.Cache.mis_stats
 
 (* registry scale: k is the construction k; ell/t/q follow make_params
    defaults (k = 2 gives ell = 2, matching the historical CLI scale) *)

@@ -1,5 +1,3 @@
-open Ch_cc
-
 (** Section 4.1: hardness of approximating MaxIS, built on Reed–Solomon
     code gadgets (Figure 4).
 
@@ -42,40 +40,20 @@ val linear_yes_size : params -> int
 val linear_family : params -> Ch_core.Framework.t
 (** Input length K = k (set disjointness on singletons ⇒ Ω̃(n) bound). *)
 
-val build_weighted : params -> Bits.t -> Bits.t -> Ch_graph.Graph.t
-
 (** {1 Incremental verification}
 
     Inputs only ever add edges among the row/batch vertices (bit = 0 ⇒
-    edge), so each variant conditions an independent-set table on that
-    volatile set once per core ({!Ch_solvers.Cache.mwis_prepare} for the
-    weighted variant, {!Ch_solvers.Cache.mis_prepare} for the other two)
-    and answers every pair by scanning for the best entry compatible with
-    the pair's edges. *)
-
-type w_core
-
-val build_weighted_core : params -> w_core
-
-val apply_weighted_inputs : w_core -> Bits.t -> Bits.t -> Ch_graph.Graph.t
+    edge), so each variant conditions an independent-set table on those
+    volatile vertices once per core ({!Ch_solvers.Cache.mwis_prepare} for
+    the weighted variant, {!Ch_solvers.Cache.mis_prepare} for the other
+    two) and answers every pair by scanning for the best entry
+    compatible with the pair's edges. *)
 
 val weighted_incremental : params -> Ch_core.Framework.incremental
 (** Verdicts bit-identical to {!weighted_family}. *)
 
-type u_core
-
-val build_unweighted_core : params -> u_core
-
-val apply_unweighted_inputs : u_core -> Bits.t -> Bits.t -> Ch_graph.Graph.t
-
 val unweighted_incremental : params -> Ch_core.Framework.incremental
 (** Verdicts bit-identical to {!unweighted_family}. *)
-
-type l_core
-
-val build_linear_core : params -> l_core
-
-val apply_linear_inputs : l_core -> Bits.t -> Bits.t -> Ch_graph.Graph.t
 
 val linear_incremental : params -> Ch_core.Framework.incremental
 (** Verdicts bit-identical to {!linear_family}. *)

@@ -56,48 +56,12 @@ let core_graph ~k =
     [ Mds_lb.A1; Mds_lb.A2; Mds_lb.B1; Mds_lb.B2 ];
   g
 
-(* inputs: the edge is present iff the bit is 0 *)
-let input_edges ~k x y =
-  if Bits.length x <> k * k || Bits.length y <> k * k then
-    invalid_arg "Maxis_lb.input_edges: inputs must have k^2 bits";
-  let acc = ref [] in
-  for i = 0 to k - 1 do
-    for j = 0 to k - 1 do
-      if not (Bits.get_pair ~k x i j) then
-        acc := (Ix.row ~k Mds_lb.A1 i, Ix.row ~k Mds_lb.A2 j) :: !acc;
-      if not (Bits.get_pair ~k y i j) then
-        acc := (Ix.row ~k Mds_lb.B1 i, Ix.row ~k Mds_lb.B2 j) :: !acc
-    done
-  done;
-  List.rev !acc
-
-let build ~k x y =
-  let g = core_graph ~k in
-  List.iter (fun (u, v) -> Graph.add_edge g u v) (input_edges ~k x y);
-  g
-
-type core = {
-  ck : int;
-  cg : Graph.t;
-  mutable applied : (Bits.t * Bits.t) option;
-}
-
-let build_core ~k =
-  let _ = Bitgadget.check_k "Maxis_lb.build_core" k in
-  { ck = k; cg = core_graph ~k; applied = None }
-
-let apply_inputs c x y =
-  let k = c.ck in
-  (match c.applied with
-  | Some (px, py) ->
-      List.iter (fun (u, v) -> Graph.remove_edge c.cg u v) (input_edges ~k px py)
-  | None -> ());
-  List.iter (fun (u, v) -> Graph.add_edge c.cg u v) (input_edges ~k x y);
-  c.applied <- Some (x, y);
-  c.cg
-
-(* the 4k row vertices — the only endpoints of input edges *)
-let volatile ~k = List.init (4 * k) Fun.id
+(* inputs: bit (i, j) adds the edge (s₁^i, s₂^j) when it is 0 *)
+let row_bits ~k s1 s2 b =
+  {
+    Framework.at0 = [ Framework.Edge (Ix.row ~k s1 (b / k), Ix.row ~k s2 (b mod k), 1) ];
+    at1 = [];
+  }
 
 let side ~k =
   let side = Array.make (Ix.n ~k) false in
@@ -115,44 +79,29 @@ let side ~k =
 
 let family ~k =
   let target = alpha_target ~k in
-  {
-    Framework.name = "maxis-exact ([10] reimplementation)";
-    params = [ ("k", k) ];
-    input_bits = k * k;
-    nvertices = Ix.n ~k;
-    side = side ~k;
-    build = (fun x y -> Framework.Undirected (build ~k x y));
-    predicate =
-      (fun inst ->
-        match inst with
-        | Framework.Undirected g -> Ch_solvers.Mis.alpha g >= target
-        | _ -> invalid_arg "maxis family: undirected expected");
-    f = Commfn.intersecting;
-  }
+  Framework.family ~name:"maxis-exact ([10] reimplementation)" ~params:[ ("k", k) ]
+    ~side:(side ~k) ~core:(fun () -> Framework.Undirected (core_graph ~k))
+    ~input_bits:(k * k)
+    ~x:(row_bits ~k Mds_lb.A1 Mds_lb.A2) ~y:(row_bits ~k Mds_lb.B1 Mds_lb.B2)
+    ~predicate:(fun inst ->
+      match inst with
+      | Framework.Undirected g -> Ch_solvers.Mis.alpha g >= target
+      | _ -> invalid_arg "maxis family: undirected expected")
+    ~f:Commfn.intersecting
 
 let incremental ~k =
-  let target = alpha_target ~k in
-  {
-    Framework.scratch = family ~k;
-    prepare =
-      (fun () ->
-        let c = build_core ~k in
-        (* conditioned α table of the unpatched core over the rows *)
-        let mc = Ch_solvers.Cache.mis_prepare c.cg ~volatile:(volatile ~k) in
-        {
-          Framework.pbuild = (fun x y -> Framework.Undirected (apply_inputs c x y));
-          pverdict =
-            (fun x y ->
-              Ch_solvers.Cache.mis_alpha mc ~extra:(input_edges ~k x y) >= target);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.mis_stats mc in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
-        });
-  }
+  let fam = family ~k and target = alpha_target ~k in
+  Framework.incremental fam (fun ~patch:_ ->
+      (* conditioned α table of the core over the rows *)
+      let mc =
+        Ch_solvers.Cache.mis_prepare (Framework.graph_of (Framework.core fam))
+          ~volatile:(Framework.volatile fam)
+      in
+      {
+        Framework.verdict =
+          (fun x y -> Ch_solvers.Cache.mis_alpha mc ~extra:(Framework.edges fam x y) >= target);
+        stats = (fun () -> Ch_solvers.Cache.mis_stats mc);
+      })
 
 let mvc_family ~k =
   let base = family ~k in

@@ -1,6 +1,3 @@
-open Ch_graph
-open Ch_cc
-
 (** The MaxIS/MVC bit-gadget family of Censor-Hillel–Khoury–Paz [10],
     re-derived from the description in the paper (Sections 3.2 and 4.1):
     rows A₁, A₂, B₁, B₂ are k-cliques; per-set bit gadgets F_S, T_S with
@@ -28,32 +25,17 @@ end
 val alpha_target : k:int -> int
 (** Z = 4·log k + 4. *)
 
-val build : k:int -> Bits.t -> Bits.t -> Graph.t
-
-val core_graph : k:int -> Graph.t
-(** The fixed part: cliques, bit gadgets, conflict edges. *)
-
-val input_edges : k:int -> Bits.t -> Bits.t -> (int * int) list
-(** The complement edges: (a₁^i, a₂^j) iff x_{i,j} = 0 (resp. y / B). *)
-
-val volatile : k:int -> int list
-(** The 4k row vertices — the only endpoints input edges may touch. *)
-
-type core
-
-val build_core : k:int -> core
-
-val apply_inputs : core -> Bits.t -> Bits.t -> Graph.t
-(** In-place patch to G_{x,y}; the result aliases the core. *)
-
 val side : k:int -> bool array
 
 val family : k:int -> Ch_core.Framework.t
-(** Predicate: α(G) ≥ Z. *)
+(** The core holds the cliques, bit gadgets and conflict edges; bit
+    (i, j) of x adds the complement edge (a₁^i, a₂^j) when it is 0 (of
+    y, (b₁^i, b₂^j)).  Predicate: α(G) ≥ Z. *)
 
 val incremental : k:int -> Ch_core.Framework.incremental
 (** Incremental descriptor backed by the conditioned α table
-    ({!Ch_solvers.Cache.mis_prepare} over {!volatile}): one enumeration of
+    ({!Ch_solvers.Cache.mis_prepare} over the 4k row vertices, the
+    family's volatile set): one enumeration of
     the (k+1)^4 row-independent subsets at prepare time, then a per-pair
     verdict that never rebuilds the graph or re-runs the branch and
     bound. *)

@@ -58,44 +58,12 @@ let core_graph ~k =
     [ A1; A2; B1; B2 ];
   g
 
-let input_edges ~k x y =
-  if Bits.length x <> k * k || Bits.length y <> k * k then
-    invalid_arg "Mds_lb.input_edges: inputs must have k^2 bits";
-  let acc = ref [] in
-  for i = 0 to k - 1 do
-    for j = 0 to k - 1 do
-      if Bits.get_pair ~k x i j then
-        acc := (Ix.row ~k A1 i, Ix.row ~k A2 j) :: !acc;
-      if Bits.get_pair ~k y i j then
-        acc := (Ix.row ~k B1 i, Ix.row ~k B2 j) :: !acc
-    done
-  done;
-  List.rev !acc
-
-let build ~k x y =
-  let g = core_graph ~k in
-  List.iter (fun (u, v) -> Graph.add_edge g u v) (input_edges ~k x y);
-  g
-
-type core = {
-  ck : int;
-  cg : Graph.t;
-  mutable applied : (Bits.t * Bits.t) option;
-}
-
-let build_core ~k =
-  let _ = Bitgadget.check_k "Mds_lb.build_core" k in
-  { ck = k; cg = core_graph ~k; applied = None }
-
-let apply_inputs c x y =
-  let k = c.ck in
-  (match c.applied with
-  | Some (px, py) ->
-      List.iter (fun (u, v) -> Graph.remove_edge c.cg u v) (input_edges ~k px py)
-  | None -> ());
-  List.iter (fun (u, v) -> Graph.add_edge c.cg u v) (input_edges ~k x y);
-  c.applied <- Some (x, y);
-  c.cg
+(* bit (i, j) of a player adds the edge (s₁^i, s₂^j) when set *)
+let row_bits ~k s1 s2 b =
+  {
+    Framework.at0 = [];
+    at1 = [ Framework.Edge (Ix.row ~k s1 (b / k), Ix.row ~k s2 (b mod k), 1) ];
+  }
 
 let side ~k =
   let n = Ix.n ~k in
@@ -115,50 +83,29 @@ let side ~k =
 
 let family ~k =
   let target = target_size ~k in
-  {
-    Framework.name = "mds-exact (Thm 2.1)";
-    params = [ ("k", k) ];
-    input_bits = k * k;
-    nvertices = Ix.n ~k;
-    side = side ~k;
-    build = (fun x y -> Framework.Undirected (build ~k x y));
-    predicate =
-      (fun inst ->
-        match inst with
-        | Framework.Undirected g -> Ch_solvers.Domset.min_size g <= target
-        | _ -> invalid_arg "mds family: undirected expected");
-    f = Commfn.intersecting;
-  }
+  Framework.family ~name:"mds-exact (Thm 2.1)" ~params:[ ("k", k) ] ~side:(side ~k)
+    ~core:(fun () -> Framework.Undirected (core_graph ~k)) ~input_bits:(k * k)
+    ~x:(row_bits ~k A1 A2) ~y:(row_bits ~k B1 B2)
+    ~predicate:(fun inst ->
+      match inst with
+      | Framework.Undirected g -> Ch_solvers.Domset.min_size g <= target
+      | _ -> invalid_arg "mds family: undirected expected")
+    ~f:Commfn.intersecting
 
 let incremental ~k =
-  let target = target_size ~k in
-  {
-    Framework.scratch = family ~k;
-    prepare =
-      (fun () ->
-        let c = build_core ~k in
-        (* balls snapshot of the unpatched core *)
-        let dc = Ch_solvers.Cache.domset_prepare c.cg ~radius:1 in
-        {
-          Framework.pbuild = (fun x y -> Framework.Undirected (apply_inputs c x y));
-          pverdict =
-            (fun x y ->
-              let g = apply_inputs c x y in
-              let balls =
-                Ch_solvers.Cache.domset_balls dc ~extra:(input_edges ~k x y)
-              in
-              (* decision-bounded: the incremental sweep only needs the
-                 ≤ target verdict, not the optimum itself *)
-              Ch_solvers.Domset.exists_of_size ~balls g target);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.domset_stats dc in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
-        });
-  }
+  let fam = family ~k and target = target_size ~k in
+  Framework.incremental fam (fun ~patch ->
+      (* balls of the core, patched per pair by the input edges *)
+      let dc = Ch_solvers.Cache.domset_prepare (Framework.graph_of (Framework.core fam)) ~radius:1 in
+      {
+        Framework.verdict =
+          (fun x y ->
+            let balls = Ch_solvers.Cache.domset_balls dc ~extra:(Framework.edges fam x y) in
+            (* decision-bounded: the incremental sweep only needs the
+               ≤ target verdict, not the optimum itself *)
+            Ch_solvers.Domset.exists_of_size ~balls (Framework.graph_of (patch x y)) target);
+        stats = (fun () -> Ch_solvers.Cache.domset_stats dc);
+      })
 
 let specs =
   [

@@ -1,6 +1,3 @@
-open Ch_graph
-open Ch_cc
-
 (** The Figure 1 / Theorem 2.1 family: deciding whether a graph has a
     dominating set of size 4·log k + 2 requires Ω(n²/log² n) rounds.
 
@@ -33,34 +30,17 @@ end
 val target_size : k:int -> int
 (** 4·log k + 2. *)
 
-val build : k:int -> Bits.t -> Bits.t -> Graph.t
-
-val core_graph : k:int -> Graph.t
-(** The fixed gadget core — {!build} minus the input-dependent edges. *)
-
-val input_edges : k:int -> Bits.t -> Bits.t -> (int * int) list
-(** The input-dependent edges of the pair: (a₁^i, a₂^j) per set x-bit and
-    (b₁^i, b₂^j) per set y-bit.  [build] = [core_graph] + these. *)
-
-type core
-(** A core graph plus the currently applied input pair. *)
-
-val build_core : k:int -> core
-
-val apply_inputs : core -> Bits.t -> Bits.t -> Graph.t
-(** Patch the core in place to G_{x,y}: remove the previous pair's input
-    edges, add this pair's.  The returned graph aliases the core — valid
-    until the next [apply_inputs] on the same core. *)
-
 val side : k:int -> bool array
 (** V_A = A₁ ∪ A₂ ∪ (their bit gadgets). *)
 
 val family : k:int -> Ch_core.Framework.t
+(** The core is the gadget graph; bit (i, j) of x adds (a₁^i, a₂^j) when
+    set, and bit (i, j) of y adds (b₁^i, b₂^j). *)
 
 val incremental : k:int -> Ch_core.Framework.incremental
-(** The incremental descriptor: per-pair edge patching plus shared
-    dominating-set balls ({!Ch_solvers.Cache.domset_prepare}) instead of
-    a fresh build + BFS sweep per pair. *)
+(** The incremental descriptor: shared dominating-set balls of the core
+    ({!Ch_solvers.Cache.domset_prepare}), patched per pair by its input
+    edges, instead of a fresh build + BFS sweep per pair. *)
 
 val specs : Ch_core.Registry.spec list
 (** Registry entry ["mds"]: incremental + Theorem 1.1 reduction. *)

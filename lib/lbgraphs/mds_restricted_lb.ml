@@ -27,18 +27,15 @@ let nvertices p = Ix.n p
 
 let element p j = Ix.element p j
 
-let build p x y =
+(* the fixed topology, every set vertex at the heavy weight α *)
+let core_graph p =
   let ell = p.collection.Covering.ell in
   let t_count = Array.length p.collection.Covering.sets in
-  if Bits.length x <> t_count || Bits.length y <> t_count then
-    invalid_arg "Mds_restricted_lb.build: inputs must have T bits";
   let g = Graph.create ~default_vweight:p.alpha (Ix.n p) in
   Graph.set_vweight g (Ix.hub_a p) 0;
   Graph.set_vweight g (Ix.hub_b p) 0;
   Graph.set_vweight g (Ix.root p) 0;
   for i = 0 to t_count - 1 do
-    Graph.set_vweight g (Ix.s p i) (if Bits.get x i then 1 else p.alpha);
-    Graph.set_vweight g (Ix.s_bar p i) (if Bits.get y i then 1 else p.alpha);
     Graph.add_edge g (Ix.hub_a p) (Ix.s p i);
     Graph.add_edge g (Ix.hub_b p) (Ix.s_bar p i);
     for j = 0 to ell - 1 do
@@ -64,74 +61,39 @@ let side p =
       match owner p v with `Alice | `Shared -> true | `Bob -> false)
 
 let family p =
-  {
-    Framework.name = "restricted-mds-log-approx (Thm 4.8)";
-    params =
+  Framework.family ~name:"restricted-mds-log-approx (Thm 4.8)"
+    ~params:
       [
         ("ell", p.collection.Covering.ell);
         ("T", Array.length p.collection.Covering.sets);
         ("r", p.collection.Covering.r);
-      ];
-    input_bits = Array.length p.collection.Covering.sets;
-    nvertices = Ix.n p;
-    side = side p;
-    build = (fun x y -> Framework.Undirected (build p x y));
-    predicate =
-      (fun inst ->
-        match inst with
-        | Framework.Undirected g ->
-            fst (Ch_solvers.Domset.min_weight_set g) <= 2
-        | _ -> invalid_arg "expected undirected");
-    f = Commfn.intersecting;
-  }
+      ]
+    ~side:(side p) ~core:(fun () -> Framework.Undirected (core_graph p))
+    ~input_bits:(Array.length p.collection.Covering.sets)
+    ~x:(Covering.cheap_when_set (Ix.s p)) ~y:(Covering.cheap_when_set (Ix.s_bar p))
+    ~predicate:(fun inst ->
+      match inst with
+      | Framework.Undirected g -> fst (Ch_solvers.Domset.min_weight_set g) <= 2
+      | _ -> invalid_arg "expected undirected")
+    ~f:Commfn.intersecting
 
 let gap_holds p x y =
-  let g = build p x y in
+  let g = Framework.graph_of ((family p).Framework.build x y) in
   let w = fst (Ch_solvers.Domset.min_weight_set g) in
   if Commfn.intersecting x y then w <= 2 else w > p.collection.Covering.r
 
 (* Fixed topology, weights-only inputs — the same split as Kmds_lb. *)
-
-type core = { cp : params; cg : Ch_graph.Graph.t }
-
-let build_core p =
-  let t_count = Array.length p.collection.Covering.sets in
-  { cp = p; cg = build p (Bits.zeros t_count) (Bits.zeros t_count) }
-
-let apply_inputs c x y =
-  let p = c.cp in
-  let t_count = Array.length p.collection.Covering.sets in
-  if Bits.length x <> t_count || Bits.length y <> t_count then
-    invalid_arg "Mds_restricted_lb.apply_inputs: inputs must have T bits";
-  for i = 0 to t_count - 1 do
-    Graph.set_vweight c.cg (Ix.s p i) (if Bits.get x i then 1 else p.alpha);
-    Graph.set_vweight c.cg (Ix.s_bar p i) (if Bits.get y i then 1 else p.alpha)
-  done;
-  c.cg
-
 let incremental p =
-  {
-    Framework.scratch = family p;
-    prepare =
-      (fun () ->
-        let c = build_core p in
-        let dc = Ch_solvers.Cache.domset_prepare c.cg ~radius:1 in
-        {
-          Framework.pbuild = (fun x y -> Framework.Undirected (apply_inputs c x y));
-          pverdict =
-            (fun x y ->
-              let g = apply_inputs c x y in
-              let balls = Ch_solvers.Cache.domset_balls dc ~extra:[] in
-              Ch_solvers.Domset.exists_within ~balls g ~bound:2);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.domset_stats dc in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
-        });
-  }
+  let fam = family p in
+  Framework.incremental fam (fun ~patch ->
+      let dc = Ch_solvers.Cache.domset_prepare (Framework.graph_of (Framework.core fam)) ~radius:1 in
+      {
+        Framework.verdict =
+          (fun x y ->
+            let balls = Ch_solvers.Cache.domset_balls dc ~extra:[] in
+            Ch_solvers.Domset.exists_within ~balls (Framework.graph_of (patch x y)) ~bound:2);
+        stats = (fun () -> Ch_solvers.Cache.domset_stats dc);
+      })
 
 let registry_params k =
   let ell, t_count =

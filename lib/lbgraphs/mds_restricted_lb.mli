@@ -14,8 +14,6 @@ val make_params : ?seed:int -> ell:int -> t_count:int -> r:int -> unit -> params
 
 val nvertices : params -> int
 
-val build : params -> Bits.t -> Bits.t -> Ch_graph.Graph.t
-
 val element : params -> int -> int
 (** Vertex id of element j (jointly simulated). *)
 
@@ -23,23 +21,17 @@ val owner : params -> int -> [ `Alice | `Bob | `Shared ]
 (** Which player simulates each vertex. *)
 
 val family : params -> Ch_core.Framework.t
-(** For the Definition 1.1 checks the shared vertices are assigned to
-    Alice; the Theorem 4.8 simulation accounts for them separately. *)
+(** The core is the fixed topology with every set vertex at weight α;
+    bit i of x makes S_i cheap (weight 1) when set, bit i of y S̄_i.  For
+    the Definition 1.1 checks the shared vertices are assigned to Alice;
+    the Theorem 4.8 simulation accounts for them separately. *)
 
 val gap_holds : params -> Bits.t -> Bits.t -> bool
 
-(** {1 Incremental verification} — fixed topology, weights-only inputs
-    (the same split as {!Kmds_lb}). *)
-
-type core
-
-val build_core : params -> core
-
-val apply_inputs : core -> Bits.t -> Bits.t -> Ch_graph.Graph.t
-(** Overwrite the S_i / S̄_i weights for this pair. *)
-
 val incremental : params -> Ch_core.Framework.incremental
-(** Memoized radius-1 balls; verdicts bit-identical to {!family}. *)
+(** Fixed topology, weights-only inputs (the same split as {!Kmds_lb}):
+    memoized radius-1 balls of the core; verdicts bit-identical to
+    {!family}. *)
 
 val specs : Ch_core.Registry.spec list
 (** Registry entry ["mds-restricted"], incremental. *)

@@ -18,11 +18,10 @@ let hub_reduction g ~w =
   done;
   g'
 
-let build ~k x y = hub_reduction (Mds_lb.build ~k x y) ~w:(hub_weight ~k)
-
+(* the hub transform is edge-local: an input edge keeps its endpoints
+   at weight 0 *)
 let family ~k =
   let base = Mds_lb.family ~k in
-  let side' = Array.append base.Framework.side [| true |] in
   let target = target_cost ~k in
   Framework.reduce ~name:"weighted-2-spanner (Thm 3.4 variant)"
     ~transform:(fun inst ->
@@ -30,8 +29,10 @@ let family ~k =
       | Framework.Undirected g ->
           Framework.Undirected (hub_reduction g ~w:(hub_weight ~k))
       | _ -> invalid_arg "expected undirected")
-    ~nvertices:(base.Framework.nvertices + 1)
-    ~side:side'
+    ~element:(function
+      | Framework.Edge (u, v, _) -> [ Framework.Edge (u, v, 0) ]
+      | _ -> invalid_arg "Spanner_lb: edge elements only")
+    ~side:(Array.append base.Framework.side [| true |])
     ~predicate:(fun inst ->
       match inst with
       | Framework.Undirected g ->

@@ -1,5 +1,3 @@
-open Ch_cc
-
 (** Exact minimum weighted 2-spanner hardness, in the spirit of
     Theorem 3.4.
 
@@ -24,8 +22,6 @@ val target_cost : k:int -> int
 val hub_reduction : Ch_graph.Graph.t -> w:int -> Ch_graph.Graph.t
 (** The generic transform: a fresh hub adjacent to all, hub edges of
     weight [w], original edges re-weighted to 0. *)
-
-val build : k:int -> Bits.t -> Bits.t -> Ch_graph.Graph.t
 
 val family : k:int -> Ch_core.Framework.t
 

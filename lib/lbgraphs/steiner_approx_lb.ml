@@ -33,15 +33,15 @@ let terminals p =
 
 (* ---------------- node-weighted (Theorem 4.6) ---------------- *)
 
-let build_node_weighted p x y =
+(* the fixed topology: every set vertex at the heavy weight α, the rest
+   free *)
+let node_weighted_core p =
   let ell = p.collection.Covering.ell in
   let t_count = Array.length p.collection.Covering.sets in
-  if Bits.length x <> t_count || Bits.length y <> t_count then
-    invalid_arg "Steiner_approx_lb: inputs must have T bits";
   let g = Graph.create ~default_vweight:0 (Ix.n p) in
   for i = 0 to t_count - 1 do
-    Graph.set_vweight g (Ix.s p i) (if Bits.get x i then 1 else p.alpha);
-    Graph.set_vweight g (Ix.s_bar p i) (if Bits.get y i then 1 else p.alpha)
+    Graph.set_vweight g (Ix.s p i) p.alpha;
+    Graph.set_vweight g (Ix.s_bar p i) p.alpha
   done;
   for j = 0 to ell - 1 do
     Graph.add_edge g (Ix.a_elt p j) (Ix.b_elt p j)
@@ -70,86 +70,52 @@ let side p =
   side.(Ix.hub_a p) <- true;
   side
 
-let node_weighted_cost p x y =
-  let g = build_node_weighted p x y in
-  Ch_solvers.Steiner.node_weighted g (terminals p)
+let params_of p =
+  [
+    ("ell", p.collection.Covering.ell);
+    ("T", Array.length p.collection.Covering.sets);
+    ("r", p.collection.Covering.r);
+  ]
 
 let node_weighted_family p =
-  {
-    Framework.name = "node-weighted-steiner-log-approx (Thm 4.6)";
-    params =
-      [
-        ("ell", p.collection.Covering.ell);
-        ("T", Array.length p.collection.Covering.sets);
-        ("r", p.collection.Covering.r);
-      ];
-    input_bits = Array.length p.collection.Covering.sets;
-    nvertices = Ix.n p;
-    side = side p;
-    build = (fun x y -> Framework.With_terminals (build_node_weighted p x y, terminals p));
-    predicate =
-      (fun inst ->
-        match inst with
-        | Framework.With_terminals (g, terms) ->
-            Ch_solvers.Steiner.node_weighted g terms <= 2
-        | _ -> invalid_arg "expected terminals");
-    f = Commfn.intersecting;
-  }
+  Framework.family ~name:"node-weighted-steiner-log-approx (Thm 4.6)" ~params:(params_of p)
+    ~side:(side p)
+    ~core:(fun () -> Framework.With_terminals (node_weighted_core p, terminals p))
+    ~input_bits:(Array.length p.collection.Covering.sets)
+    ~x:(Covering.cheap_when_set (Ix.s p)) ~y:(Covering.cheap_when_set (Ix.s_bar p))
+    ~predicate:(fun inst ->
+      match inst with
+      | Framework.With_terminals (g, terms) ->
+          Ch_solvers.Steiner.node_weighted g terms <= 2
+      | _ -> invalid_arg "expected terminals")
+    ~f:Commfn.intersecting
 
 let node_weighted_gap_holds p x y =
-  let cost = node_weighted_cost p x y in
+  let cost =
+    match (node_weighted_family p).Framework.build x y with
+    | Framework.With_terminals (g, terms) -> Ch_solvers.Steiner.node_weighted g terms
+    | _ -> assert false
+  in
   if Commfn.intersecting x y then cost <= 2
   else cost > p.collection.Covering.r
 
 (* Fixed topology, weights-only inputs: the same split as Kmds_lb, but
    the solve goes through the connector-feasibility table of
    Cache.nwsteiner rather than domination balls. *)
-
-type nw_core = { np : params; ng : Graph.t }
-
-let build_node_weighted_core p =
-  let t_count = Array.length p.collection.Covering.sets in
-  { np = p; ng = build_node_weighted p (Bits.zeros t_count) (Bits.zeros t_count) }
-
-let apply_node_weighted_inputs c x y =
-  let p = c.np in
-  let t_count = Array.length p.collection.Covering.sets in
-  if Bits.length x <> t_count || Bits.length y <> t_count then
-    invalid_arg "Steiner_approx_lb: inputs must have T bits";
-  for i = 0 to t_count - 1 do
-    Graph.set_vweight c.ng (Ix.s p i) (if Bits.get x i then 1 else p.alpha);
-    Graph.set_vweight c.ng (Ix.s_bar p i) (if Bits.get y i then 1 else p.alpha)
-  done;
-  c.ng
-
 let node_weighted_incremental p =
-  {
-    Framework.scratch = node_weighted_family p;
-    prepare =
-      (fun () ->
-        let c = build_node_weighted_core p in
-        let nc =
-          Ch_solvers.Cache.nwsteiner_prepare c.ng ~terminals:(terminals p)
-        in
-        {
-          Framework.pbuild =
-            (fun x y ->
-              Framework.With_terminals
-                (apply_node_weighted_inputs c x y, terminals p));
-          pverdict =
-            (fun x y ->
-              let g = apply_node_weighted_inputs c x y in
-              Ch_solvers.Cache.nwsteiner_cost nc ~weights:(Graph.vweights g)
-              <= 2);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.nwsteiner_stats nc in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
-        });
-  }
+  let fam = node_weighted_family p in
+  Framework.incremental fam (fun ~patch ->
+      let nc =
+        Ch_solvers.Cache.nwsteiner_prepare (Framework.graph_of (Framework.core fam))
+          ~terminals:(terminals p)
+      in
+      {
+        Framework.verdict =
+          (fun x y ->
+            let weights = Graph.vweights (Framework.graph_of (patch x y)) in
+            Ch_solvers.Cache.nwsteiner_cost nc ~weights <= 2);
+        stats = (fun () -> Ch_solvers.Cache.nwsteiner_stats nc);
+      })
 
 (* ---------------- directed (Theorem 4.7) ---------------- *)
 
@@ -173,124 +139,66 @@ let directed_core_digraph p =
   done;
   dg
 
-let directed_input_arcs p x y =
-  let ell = p.collection.Covering.ell in
-  let t_count = Array.length p.collection.Covering.sets in
-  if Bits.length x <> t_count || Bits.length y <> t_count then
-    invalid_arg "Steiner_approx_lb: inputs must have T bits";
-  let acc = ref [] in
-  for i = 0 to t_count - 1 do
-    for j = 0 to ell - 1 do
-      if Covering.mem p.collection ~set:i j then begin
-        if Bits.get x i then acc := (Ix.s p i, Ix.a_elt p j, 0) :: !acc
-      end
-      else if Bits.get y i then acc := (Ix.s_bar p i, Ix.b_elt p j, 0) :: !acc
-    done
-  done;
-  List.rev !acc
-
-let build_directed p x y =
-  let dg = directed_core_digraph p in
-  let arcs = directed_input_arcs p x y in
-  List.iter (fun (u, v, w) -> Digraph.add_arc ~w dg u v) arcs;
-  dg
-
-type dir_core = {
-  dp_ : params;
-  dg_ : Digraph.t;
-  mutable dapplied : (Bits.t * Bits.t) option;
-}
-
-let build_directed_core p =
-  { dp_ = p; dg_ = directed_core_digraph p; dapplied = None }
-
-let apply_directed_inputs c x y =
-  let p = c.dp_ in
-  (match c.dapplied with
-  | Some (px, py) ->
-      List.iter
-        (fun (u, v, _) -> Digraph.remove_arc c.dg_ u v)
-        (directed_input_arcs p px py)
-  | None -> ());
-  List.iter
-    (fun (u, v, w) -> Digraph.add_arc ~w c.dg_ u v)
-    (directed_input_arcs p x y);
-  c.dapplied <- Some (x, y);
-  c.dg_
-
-let directed_cost p x y =
-  match
-    Ch_solvers.Steiner.directed (build_directed p x y) ~root:(Ix.root p)
-      (terminals p)
-  with
-  | Some c -> c
-  | None -> max_int
-
-let directed_family p =
+(* bit i of x adds the zero-weight arcs S_i → a_j for j ∈ S_i when set,
+   bit i of y the arcs S̄_i → b_j for j ∉ S_i *)
+let arc_bits p ~mine set_vertex elt i =
   {
-    Framework.name = "directed-steiner-log-approx (Thm 4.7)";
-    params =
-      [
-        ("ell", p.collection.Covering.ell);
-        ("T", Array.length p.collection.Covering.sets);
-        ("r", p.collection.Covering.r);
-      ];
-    input_bits = Array.length p.collection.Covering.sets;
-    nvertices = Ix.n p;
-    side = side p;
-    build =
-      (fun x y ->
-        Framework.Rooted_digraph (build_directed p x y, Ix.root p, terminals p));
-    predicate =
-      (fun inst ->
-        match inst with
-        | Framework.Rooted_digraph (dg, root, terms) -> (
-            match Ch_solvers.Steiner.directed dg ~root terms with
-            | Some c -> c <= 2
-            | None -> false)
-        | _ -> invalid_arg "expected rooted digraph");
-    f = Commfn.intersecting;
+    Framework.at0 = [];
+    at1 =
+      List.filter_map
+        (fun j ->
+          if Covering.mem p.collection ~set:i j = mine then
+            Some (Framework.Edge (set_vertex p i, elt p j, 0))
+          else None)
+        (List.init p.collection.Covering.ell Fun.id);
   }
 
+let directed_family p =
+  Framework.family ~name:"directed-steiner-log-approx (Thm 4.7)" ~params:(params_of p)
+    ~side:(side p)
+    ~core:(fun () -> Framework.Rooted_digraph (directed_core_digraph p, Ix.root p, terminals p))
+    ~input_bits:(Array.length p.collection.Covering.sets)
+    ~x:(arc_bits p ~mine:true Ix.s Ix.a_elt) ~y:(arc_bits p ~mine:false Ix.s_bar Ix.b_elt)
+    ~predicate:(fun inst ->
+      match inst with
+      | Framework.Rooted_digraph (dg, root, terms) -> (
+          match Ch_solvers.Steiner.directed dg ~root terms with
+          | Some c -> c <= 2
+          | None -> false)
+      | _ -> invalid_arg "expected rooted digraph")
+    ~f:Commfn.intersecting
+
 let directed_gap_holds p x y =
-  let cost = directed_cost p x y in
+  let cost =
+    match (directed_family p).Framework.build x y with
+    | Framework.Rooted_digraph (dg, root, terms) -> (
+        match Ch_solvers.Steiner.directed dg ~root terms with Some c -> c | None -> max_int)
+    | _ -> assert false
+  in
   if Commfn.intersecting x y then cost <= 2
   else cost > p.collection.Covering.r
 
+(* The shared reversed rows snapshot the core; per-pair arcs ride in as
+   ~extra, so no pair is ever patched in. *)
 let directed_incremental p =
-  let root = Ix.root p and terms = terminals p in
-  {
-    Framework.scratch = directed_family p;
-    prepare =
-      (fun () ->
-        let c = build_directed_core p in
-        (* the shared reversed rows snapshot the pristine core; per-pair
-           arcs ride in as ~extra, so the mutable digraph is only touched
-           by pbuild *)
-        let ds =
-          Ch_solvers.Cache.dsteiner_prepare c.dg_ ~root ~terminals:terms
-        in
-        {
-          Framework.pbuild =
-            (fun x y ->
-              Framework.Rooted_digraph (apply_directed_inputs c x y, root, terms));
-          pverdict =
-            (fun x y ->
-              match
-                Ch_solvers.Cache.dsteiner_cost ~cutoff:2 ds
-                  ~extra:(directed_input_arcs p x y)
-              with
-              | Some cost -> cost <= 2
-              | None -> false);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.dsteiner_stats ds in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
-        });
-  }
+  let fam = directed_family p in
+  Framework.incremental fam (fun ~patch:_ ->
+      let ds =
+        match Framework.core fam with
+        | Framework.Rooted_digraph (dg, root, terminals) ->
+            Ch_solvers.Cache.dsteiner_prepare dg ~root ~terminals
+        | _ -> assert false
+      in
+      {
+        Framework.verdict =
+          (fun x y ->
+            match
+              Ch_solvers.Cache.dsteiner_cost ~cutoff:2 ds ~extra:(Framework.weighted_edges fam x y)
+            with
+            | Some cost -> cost <= 2
+            | None -> false);
+        stats = (fun () -> Ch_solvers.Cache.dsteiner_stats ds);
+      })
 
 (* registry scale: the k = 2 collection (ell = 4, T = 3) keeps the
    2ell-terminal Dreyfus-Wagner scratch solver exhaustive-feasible *)

@@ -15,10 +15,14 @@ val make_params : ?seed:int -> ell:int -> t_count:int -> r:int -> unit -> params
 val terminals : params -> int list
 
 val node_weighted_family : params -> Ch_core.Framework.t
-(** Theorem 4.6: node-weighted Steiner tree, predicate: cost ≤ 2. *)
+(** Theorem 4.6: node-weighted Steiner tree, predicate: cost ≤ 2.  The
+    core weighs every set vertex α; bit i of x makes S_i cheap (weight
+    1) when set, bit i of y S̄_i. *)
 
 val directed_family : params -> Ch_core.Framework.t
-(** Theorem 4.7: directed Steiner tree rooted at R, predicate: cost ≤ 2. *)
+(** Theorem 4.7: directed Steiner tree rooted at R, predicate: cost ≤ 2.
+    Bit i of x adds the zero-weight arcs S_i → a_j (j ∈ S_i) when set,
+    bit i of y the arcs S̄_i → b_j (j ∉ S_i). *)
 
 val node_weighted_gap_holds : params -> Bits.t -> Bits.t -> bool
 
@@ -33,25 +37,8 @@ val directed_gap_holds : params -> Bits.t -> Bits.t -> bool
     arcs ride in as the query delta
     ({!Ch_solvers.Cache.dsteiner_prepare}). *)
 
-type nw_core
-
-val build_node_weighted_core : params -> nw_core
-
-val apply_node_weighted_inputs : nw_core -> Bits.t -> Bits.t -> Ch_graph.Graph.t
-(** Overwrite the S_i / S̄_i weights for this pair. *)
-
 val node_weighted_incremental : params -> Ch_core.Framework.incremental
 (** Verdicts bit-identical to {!node_weighted_family}. *)
-
-type dir_core
-
-val build_directed_core : params -> dir_core
-
-val apply_directed_inputs : dir_core -> Bits.t -> Bits.t -> Ch_graph.Digraph.t
-(** Swap the previous pair's input arcs for this pair's. *)
-
-val directed_input_arcs : params -> Bits.t -> Bits.t -> (int * int * int) list
-(** The input-dependent zero-weight arcs [(u, v, w)] of a pair. *)
 
 val directed_incremental : params -> Ch_core.Framework.incremental
 (** Verdicts bit-identical to {!directed_family}. *)

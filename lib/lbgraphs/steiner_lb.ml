@@ -1,5 +1,4 @@
 open Ch_graph
-open Ch_cc
 open Ch_core
 
 let target_edges ~k = (4 * k) + (16 * Bitgadget.log2 k) + 1
@@ -10,8 +9,7 @@ let terminals ~k = List.init (Mds_lb.Ix.n ~k) Fun.id
    edge {u,v} contributes exactly (ũ,v) and (ṽ,u), everything else
    (identity edges, copy cliques, crossing edges) is base-edge
    independent.  So transform(core) + mapped input edges =
-   transform(full base graph) — the fact the incremental path relies
-   on. *)
+   transform(full base graph) — the fact [Framework.reduce] relies on. *)
 let transform_graph ~k g =
   let n = Graph.n g in
   let side = Mds_lb.side ~k in
@@ -38,60 +36,20 @@ let transform_graph ~k g =
   Graph.add_edge g' (copy t0a1) (copy t0b1);
   g'
 
-let transform ~k inst =
-  let g =
-    match inst with
-    | Framework.Undirected g -> g
-    | _ -> invalid_arg "Steiner_lb: undirected expected"
-  in
-  Framework.With_terminals (transform_graph ~k g, terminals ~k)
-
-let input_edges ~k x y =
-  let n = Mds_lb.Ix.n ~k in
-  List.concat_map
-    (fun (u, v) -> [ (n + u, v); (n + v, u) ])
-    (Mds_lb.input_edges ~k x y)
-
-(* every MDS input edge joins two row vertices, and its transform joins
-   a row to a row copy: the 4k rows and their copies are the only
-   vertices input edges touch (8k of them) *)
-let volatile ~k =
-  let n = Mds_lb.Ix.n ~k in
-  let rows =
-    List.concat_map
-      (fun s -> List.init k (fun i -> Mds_lb.Ix.row ~k s i))
-      [ Mds_lb.A1; Mds_lb.A2; Mds_lb.B1; Mds_lb.B2 ]
-  in
-  rows @ List.map (fun v -> n + v) rows
-
-type core = {
-  ck : int;
-  cg : Graph.t;
-  mutable applied : (Bits.t * Bits.t) option;
-}
-
-let build_core ~k =
-  let _ = Bitgadget.check_k "Steiner_lb.build_core" k in
-  { ck = k; cg = transform_graph ~k (Mds_lb.core_graph ~k); applied = None }
-
-let apply_inputs c x y =
-  let k = c.ck in
-  (match c.applied with
-  | Some (px, py) ->
-      List.iter (fun (u, v) -> Graph.remove_edge c.cg u v) (input_edges ~k px py)
-  | None -> ());
-  List.iter (fun (u, v) -> Graph.add_edge c.cg u v) (input_edges ~k x y);
-  c.applied <- Some (x, y);
-  c.cg
-
 let family ~k =
   let t = Bitgadget.check_k "Steiner_lb" k in
   let base = Mds_lb.family ~k in
   let n = base.Framework.nvertices in
-  let side' = Array.append base.Framework.side base.Framework.side in
   let extra_budget = (4 * t) + 2 in
   Framework.reduce ~name:"steiner-tree (Thm 2.7)"
-    ~transform:(transform ~k) ~nvertices:(2 * n) ~side:side'
+    ~transform:(fun inst ->
+      match inst with
+      | Framework.Undirected g -> Framework.With_terminals (transform_graph ~k g, terminals ~k)
+      | _ -> invalid_arg "Steiner_lb: undirected expected")
+    ~element:(function
+      | Framework.Edge (u, v, _) -> [ Framework.Edge (n + u, v, 1); Framework.Edge (n + v, u, 1) ]
+      | _ -> invalid_arg "Steiner_lb: edge elements only")
+    ~side:(Array.append base.Framework.side base.Framework.side)
     ~predicate:(fun inst ->
       match inst with
       | Framework.With_terminals (g, terms) -> (
@@ -106,38 +64,24 @@ let family ~k =
     base
 
 let incremental ~k =
-  let t = Bitgadget.check_k "Steiner_lb.incremental" k in
-  let extra_budget = (4 * t) + 2 in
-  {
-    Framework.scratch = family ~k;
-    prepare =
-      (fun () ->
-        let c = build_core ~k in
-        let sc =
-          Ch_solvers.Cache.steiner_prepare c.cg ~terminals:(terminals ~k)
-            ~volatile:(volatile ~k) ~cap:extra_budget
-        in
-        {
-          Framework.pbuild =
-            (fun x y ->
-              Framework.With_terminals (apply_inputs c x y, terminals ~k));
-          pverdict =
-            (fun x y ->
-              match
-                Ch_solvers.Cache.steiner_min_extra sc
-                  ~extra:(input_edges ~k x y)
-              with
-              | Some extra -> extra <= extra_budget
-              | None -> false);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.steiner_stats sc in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
-        });
-  }
+  let fam = family ~k in
+  let extra_budget = (4 * Bitgadget.log2 k) + 2 in
+  Framework.incremental fam (fun ~patch:_ ->
+      let sc =
+        match Framework.core fam with
+        | Framework.With_terminals (g, terminals) ->
+            Ch_solvers.Cache.steiner_prepare g ~terminals ~volatile:(Framework.volatile fam)
+              ~cap:extra_budget
+        | _ -> assert false
+      in
+      {
+        Framework.verdict =
+          (fun x y ->
+            match Ch_solvers.Cache.steiner_min_extra sc ~extra:(Framework.edges fam x y) with
+            | Some extra -> extra <= extra_budget
+            | None -> false);
+        stats = (fun () -> Ch_solvers.Cache.steiner_stats sc);
+      })
 
 let specs =
   [

@@ -9,42 +9,22 @@
     has a dominating set of size 4·log k + 2, i.e. iff DISJ(x,y) =
     FALSE. *)
 
-open Ch_graph
-open Ch_cc
-
 val target_edges : k:int -> int
 (** 4k + 16·log k + 1. *)
 
 val terminals : k:int -> int list
 (** The original vertices 0 .. n−1. *)
 
-val transform_graph : k:int -> Graph.t -> Graph.t
-(** The Theorem 2.6 vertex-doubling transform of a base MDS-family
-    graph.  Edge-local: transforming the core and then adding the mapped
-    input edges yields the same graph as transforming G_{x,y}. *)
-
-val input_edges : k:int -> Bits.t -> Bits.t -> (int * int) list
-(** The transformed input edges: each MDS input edge {u,v} becomes
-    (ũ,v) and (ṽ,u). *)
-
-val volatile : k:int -> int list
-(** The 8k vertices input edges may touch: the 4k row vertices and their
-    copies (16 at k = 2). *)
-
-type core
-
-val build_core : k:int -> core
-(** [transform_graph] applied to the MDS core. *)
-
-val apply_inputs : core -> Bits.t -> Bits.t -> Graph.t
-(** In-place patch to the transformed G_{x,y}; the result aliases the
-    core. *)
-
 val family : k:int -> Ch_core.Framework.t
+(** The Theorem 2.6 transform of the MDS family, through
+    [Framework.reduce]: the transform is edge-local, so the core is the
+    transformed MDS core and each MDS input edge {u,v} becomes the two
+    elements (ũ,v) and (ṽ,u). *)
 
 val incremental : k:int -> Ch_core.Framework.incremental
 (** Incremental descriptor backed by the conditioned connectivity table
-    of {!Ch_solvers.Cache.steiner_prepare} over {!volatile}: every
+    of {!Ch_solvers.Cache.steiner_prepare} over the 8k vertices the
+    input edges touch (the rows and their copies): every
     candidate connector set up to the budget is reduced once to the core
     component ids of its volatile vertices — sets with a component no
     input edge can reach are dropped, equal projections kept at their

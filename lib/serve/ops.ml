@@ -47,13 +47,11 @@ let with_family family ~k f =
 (* ---------------------------------------------------------------- verify *)
 
 (* Derive the cached record from a raw verdict stream: failure count
-   against f, the Definition 1.1 sidedness spot-check and the stream
-   digest. *)
+   against f and the stream digest. *)
 let derive fam ~mode verdicts =
   {
     Warm.c_verdicts = verdicts;
     c_failures = Framework.failures fam mode verdicts;
-    c_sided = Framework.check_sidedness ~seed:3 ~samples:8 fam;
     c_digest = Sweep.digest verdicts;
   }
 
@@ -71,7 +69,7 @@ let verify_body spec fam ~k ~mode ~engine_used ~source
       ("mode", Protocol.vmode_json mode);
       ("pairs", Jsonx.Int (Array.length cached.Warm.c_verdicts));
       ("failures", Jsonx.Int cached.Warm.c_failures);
-      ("sided", Jsonx.Bool cached.Warm.c_sided);
+      ("sided", Jsonx.Bool (Framework.sided fam));
       ("digest", Jsonx.Str cached.Warm.c_digest);
       ( "lb_rounds",
         Jsonx.Float
@@ -191,7 +189,7 @@ let sweep_status warm ~k ~shards ~mode spec =
 let exec ?trace warm op =
   let cold f spec = (false, f spec) in
   match (op : Protocol.op) with
-  | Catalog -> Ok (false, Registry.to_json (Families.catalog ()))
+  | Catalog -> Ok (false, Families.catalog_json ())
   | Verify { family; k; vmode; engine } ->
       with_family family ~k (verify warm ~k ~mode:vmode ~engine)
   | Reduction { family; k; exhaustive; pairs; seed } ->

@@ -12,7 +12,6 @@ let c_block_hits = Obs.counter "serve.warm.block_hits"
 type cached = {
   c_verdicts : bool array;
   c_failures : int;
-  c_sided : bool;
   c_digest : string;
 }
 

@@ -6,8 +6,8 @@ module Shard = Ch_sweep.Shard
 
     Three warmth tiers, hottest first:
 
-    - {b response cache} — the full verify result (verdict digest,
-      failure count, sidedness) held in memory under the plan key.  A
+    - {b response cache} — the full verify result (verdict digest and
+      failure count) held in memory under the plan key.  A
       repeat request is a hash lookup.
     - {b store blocks} — a single-shard verdict block written by a prior
       [hardness sweep --shards 1] run (or by this daemon's write-through)
@@ -28,7 +28,6 @@ module Shard = Ch_sweep.Shard
 type cached = {
   c_verdicts : bool array;
   c_failures : int;
-  c_sided : bool;  (** Definition 1.1 sidedness spot-check result *)
   c_digest : string;  (** {!Ch_sweep.Sweep.digest} of [c_verdicts] *)
 }
 

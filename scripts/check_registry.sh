@@ -3,7 +3,9 @@
 # families (Framework.t) or incremental descriptors must be reflected in
 # the registry catalog (`hardness list --json`).  Catches the "new family
 # compiled but never registered" drift the old hand-wired consumer lists
-# allowed.
+# allowed.  It also refuses a hand-written patcher (an exported
+# `apply_inputs`, `build_core` or core type): a construction declares
+# its input encoding and Framework derives the rest.
 #
 # Usage: scripts/check_registry.sh [catalog.json]
 # With no argument the catalog is produced by `dune exec bin/hardness.exe`.
@@ -30,6 +32,13 @@ for mli in lib/lbgraphs/*.mli; do
   exports_inc=false
   grep -q 'Framework\.incremental' "$mli" && exports_inc=true
 
+  patcher=$(grep -oE '^(val (apply_[a-z_]*inputs|build_([a-z_]*_)?core)|type ([a-z_]*_)?core)\b' "$mli" || true)
+  if [ -n "$patcher" ]; then
+    echo "FAIL: $modname ($mli) exports $(printf '%s' "$patcher" | tr '\n' ',' | sed 's/,$//; s/,/, /g')" \
+      "— declare the input encoding instead (Framework.family ~core ~x ~y);" \
+      "Framework derives the build, the patcher and the cache ~extra lists" >&2
+    fail=1
+  fi
   if $exports_family && ! $exports_specs; then
     echo "FAIL: $mli exports families (Framework.t) but no registry specs" \
       "(add: val specs : Ch_core.Registry.spec list)" >&2

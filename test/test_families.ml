@@ -17,7 +17,7 @@ let assert_family ?(samples = 12) ?(exhaustive = false) name fam =
     (name ^ " iff-predicate")
     (Printf.sprintf "0/%d" total)
     (Printf.sprintf "%d/%d" failures total);
-  check (name ^ " sidedness") true (Framework.check_sidedness ~seed:5 ~samples:5 fam)
+  check (name ^ " sidedness") true (Framework.sided fam)
 
 (* ------------------------------------------------------------------ *)
 (* Theorem 2.1: MDS                                                    *)
@@ -71,12 +71,13 @@ let test_hampath_witness_paths () =
       let kk = k * k in
       let x = Bits.of_fun kk (fun b -> b = (i * k) + j || List.mem b extra) in
       let y = Bits.of_fun kk (fun b -> b = (i * k) + j) in
-      let dg = Hampath_lb.build ~k x y in
       let p = Hampath_lb.witness_path ~k x y ~i ~j in
       check
         (Printf.sprintf "witness path valid at k=%d i=%d j=%d" k i j)
         true
-        (Ch_solvers.Hamilton.is_directed_path dg p))
+        (match (Hampath_lb.path_family ~k).Framework.build x y with
+        | Framework.Directed dg -> Ch_solvers.Hamilton.is_directed_path dg p
+        | _ -> false))
     [ (2, 0, 1, []); (2, 1, 1, [ 0 ]); (4, 1, 2, [ 3; 7 ]); (8, 5, 6, [ 1 ]);
       (16, 9, 3, [ 17; 200 ]) ]
 
@@ -212,7 +213,7 @@ let test_maxis_approx_gap () =
     (fun x ->
       List.iter
         (fun y ->
-          let g = Maxis_approx_lb.build_weighted p x y in
+          let g = Framework.graph_of ((Maxis_approx_lb.weighted_family p).Framework.build x y) in
           let w = fst (Ch_solvers.Mis.max_weight_set g) in
           if Ch_cc.Commfn.intersecting x y then begin
             seen_yes := true;
@@ -305,6 +306,19 @@ let test_bitgadget_structure () =
         (Array.length mc.Framework.mc_edges))
     [ 2; 4; 8 ]
 
+(* A partition that splits an input edge would make the multicut input
+   dependent: moving Alice's pool vertex (n − 2) into her gadget part
+   puts every pool edge across parts 0 and 1, so the partition is
+   refused. *)
+let test_bitgadget_partition_split () =
+  let k = 4 in
+  let fam = Bitgadget_lb.family ~k in
+  let partition = Array.copy (Bitgadget_lb.partition ~k) in
+  partition.(fam.Framework.nvertices - 2) <- 1;
+  Alcotest.check_raises "pool edge across parts"
+    (Invalid_argument "Framework.multicut_info: an input element crosses parts")
+    (fun () -> ignore (Framework.multicut_info fam ~partition))
+
 (* A registry reduction sweep at scale k: every decision is right, every
    transcript equals its oracle and stays within the Theorem 1.1 budget,
    and bits cross the (multi)cut on every pair. *)
@@ -365,6 +379,103 @@ let test_registry_catalog () =
   match Registry.of_specs (Families.all @ [ List.hd Families.all ]) with
   | exception Registry.Duplicate_id "mds" -> ()
   | _ -> Alcotest.fail "duplicate id should raise"
+
+(* One canonical line per instance: the kind, the vertex count, the
+   sorted weighted edges or arcs, the vertex weights, then the
+   terminals and the root when the kind has them. *)
+let render buf inst =
+  let open Ch_graph in
+  let body kind n edges vweight =
+    Printf.bprintf buf "%s n=%d e" kind n;
+    List.iter (fun (u, v, w) -> Printf.bprintf buf " %d-%d:%d" u v w) edges;
+    Buffer.add_string buf " vw";
+    for v = 0 to n - 1 do
+      Printf.bprintf buf " %d" (vweight v)
+    done
+  in
+  let terminals ts =
+    Buffer.add_string buf " t";
+    List.iter (Printf.bprintf buf " %d") ts
+  in
+  (match inst with
+  | Framework.Undirected g ->
+      body "undirected" (Graph.n g) (Graph.edges g) (Graph.vweight g)
+  | Framework.Directed dg ->
+      body "directed" (Digraph.n dg) (Digraph.arcs dg) (Digraph.vweight dg)
+  | Framework.With_terminals (g, ts) ->
+      body "terminals" (Graph.n g) (Graph.edges g) (Graph.vweight g);
+      terminals ts
+  | Framework.Rooted_digraph (dg, root, ts) ->
+      body "rooted" (Digraph.n dg) (Digraph.arcs dg) (Digraph.vweight dg);
+      terminals ts;
+      Printf.bprintf buf " r %d" root);
+  Buffer.add_char buf '\n'
+
+(* Every registered construction at its default k, pinned by n, K, the
+   cut size and one MD5 over the rendering of every pair's instance in
+   exhaustive order.  The values were recorded before the constructions
+   moved onto declared input encodings, so any change to any instance
+   of any pair fails here. *)
+let pins =
+  [
+    ("mds", 20, 4, 4, "bd2a0801f1ba470122f84cb89a5071d0");
+    ("maxis", 16, 4, 4, "02a1dc3e38ab5f75ab0fe6ffee6dc399");
+    ("mvc", 16, 4, 4, "02a1dc3e38ab5f75ab0fe6ffee6dc399");
+    ("hampath", 42, 4, 19, "0e52d6ed661a294af0302e466e7db9ab");
+    ("hamcycle", 43, 4, 20, "8722c2a6729136cd5771a7b18c9c12d4");
+    ("hamcycle-undirected", 129, 4, 20, "371d067f5acdea60553f2e779d7d073e");
+    ("hampath-undirected", 132, 4, 20, "28a3034c785241c038aed1126177907e");
+    ("2ecss", 129, 4, 20, "371d067f5acdea60553f2e779d7d073e");
+    ("steiner", 40, 4, 10, "a2ca0eafce3be81301e60dc2773dc685");
+    ("maxcut", 21, 4, 5, "d67cecaf6eb571370f1a38dc9ecfb4f2");
+    ("2spanner", 21, 4, 14, "70a6f9a2c18f528c84392ddfade582df");
+    ("maxis-78-weighted", 68, 4, 120, "6f09f9b2d0162baa38707455ff16f509");
+    ("maxis-78-unweighted", 76, 4, 120, "dc174bf1ab8b629c5fb87525e755ac63");
+    ("maxis-56", 42, 2, 60, "9f61efa054bf6db0d914184dce40af53");
+    ("2mds", 27, 6, 7, "ee1babf99a11dd6da580a07e79e6ae71");
+    ("3mds", 63, 6, 7, "01b94b4ed8b3af10be674ebfc2e75db4");
+    ("steiner-node-weighted", 17, 3, 5, "26f483772e18247bf95ef76bf74cd845");
+    ("steiner-directed", 17, 3, 5, "0b89deaaee4f8803e0e8325ce8486e7b");
+    ("mds-restricted", 21, 6, 19, "b8a905c4a3e12add531c996b2849193d");
+    ("bitgadget", 22, 4, 4, "c32ce34b1089b6b1a2ea50a6e88f0529");
+  ]
+
+let test_construction_pins () =
+  let reg = Families.catalog () in
+  let measured =
+    List.map
+      (fun s ->
+        let fam = s.Registry.scratch s.Registry.default_k in
+        let k = fam.Framework.input_bits in
+        let buf = Buffer.create (1 lsl 16) in
+        List.iter
+          (fun x -> List.iter (fun y -> render buf (fam.Framework.build x y)) (Bits.all k))
+          (Bits.all k);
+        ( s.Registry.id,
+          fam.Framework.nvertices,
+          k,
+          Framework.cut_size fam,
+          Digest.to_hex (Digest.string (Buffer.contents buf)) ))
+      (Registry.all reg)
+  in
+  Alcotest.(check (list (pair string (pair (pair int int) (pair int string)))))
+    "n, K, cut and instance digest per id"
+    (List.map (fun (id, n, k, cut, md5) -> (id, ((n, k), (cut, md5)))) pins)
+    (List.map (fun (id, n, k, cut, md5) -> (id, ((n, k), (cut, md5)))) measured)
+
+(* Definition 1.1 holds exactly for every registered family, at its
+   default scale and at every scale its bench sweeps. *)
+let test_registry_sided () =
+  List.iter
+    (fun s ->
+      List.iter
+        (fun k ->
+          check
+            (Printf.sprintf "%s k=%d sided" s.Registry.id k)
+            true
+            (Framework.sided (s.Registry.scratch k)))
+        (List.sort_uniq compare (s.Registry.default_k :: s.Registry.sweep_ks)))
+    (Registry.all (Families.catalog ()))
 
 (* Every spec with an incremental descriptor: the memoized per-pair path
    must be bit-identical to the from-scratch solvers over the whole
@@ -477,6 +588,8 @@ let () =
           Alcotest.test_case "k=2 exhaustive" `Quick test_bitgadget_k2;
           Alcotest.test_case "k=4 exhaustive" `Quick test_bitgadget_k4;
           Alcotest.test_case "structure" `Quick test_bitgadget_structure;
+          Alcotest.test_case "partition split by an input edge" `Quick
+            test_bitgadget_partition_split;
           Alcotest.test_case "t=4 simulation" `Quick test_bitgadget_t4_simulation;
         ] );
       ( "theorem 1.1",
@@ -486,5 +599,7 @@ let () =
         ] );
       ( "registry",
         Alcotest.test_case "catalog" `Quick test_registry_catalog
+        :: Alcotest.test_case "construction pins" `Quick test_construction_pins
+        :: Alcotest.test_case "every family sided" `Quick test_registry_sided
         :: registry_differential_cases );
     ]

@@ -85,29 +85,29 @@ let test_eq_fingerprint () =
 (* Framework plumbing                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let toy_family =
-  (* an intentionally broken family: P = "graph has an edge between 0 and
-     1" but f = intersecting on 2-bit inputs, where the edge appears only
-     when x₀ = 1 — so verify must catch mismatches *)
-  {
-    Framework.name = "toy";
-    params = [];
-    input_bits = 2;
-    nvertices = 4;
-    side = [| true; true; false; false |];
-    build =
-      (fun x _ ->
-        let g = Graph.create 4 in
-        Graph.add_edge g 1 2;
-        if Bits.get x 0 then Graph.add_edge g 0 1;
-        Framework.Undirected g);
-    predicate =
-      (fun inst ->
-        match inst with
-        | Framework.Undirected g -> Graph.mem_edge g 0 1
-        | _ -> false);
-    f = Commfn.intersecting;
-  }
+let no_elements = { Framework.at0 = []; at1 = [] }
+
+(* a family over the toy core {1-2} on four vertices, V_A = {0, 1},
+   whose x bit 0 adds [x0] and y bit 0 adds [y0] when set *)
+let toy ?(side = [| true; true; false; false |]) ~x0 ~y0 () =
+  let bit0 e i = if i = 0 then { Framework.at0 = []; at1 = e } else no_elements in
+  let core () =
+    let g = Graph.create 4 in
+    Graph.add_edge g 1 2;
+    Framework.Undirected g
+  in
+  Framework.family ~name:"toy" ~params:[] ~side ~core
+    ~input_bits:2 ~x:(bit0 x0) ~y:(bit0 y0)
+    ~predicate:(fun inst ->
+      match inst with
+      | Framework.Undirected g -> Graph.mem_edge g 0 1
+      | _ -> false)
+    ~f:Commfn.intersecting
+
+(* an intentionally broken family: P = "graph has an edge between 0 and
+   1" but f = intersecting on 2-bit inputs, where the edge appears only
+   when x₀ = 1 — so verify must catch mismatches *)
+let toy_family = toy ~x0:[ Framework.Edge (0, 1, 1) ] ~y0:[] ()
 
 (* [(failures, total)] of the scratch engine over the exhaustive space *)
 let exhaustive_counts fam =
@@ -124,20 +124,16 @@ let test_cut_edges () =
   check_int "cut size" 1 (Framework.cut_size toy_family)
 
 let test_sidedness_detects_violation () =
+  check "the toy is sided" true (Framework.sided toy_family);
   (* y changing Alice's side must be flagged *)
-  let bad =
-    {
-      toy_family with
-      Framework.build =
-        (fun _ y ->
-          let g = Graph.create 4 in
-          Graph.add_edge g 1 2;
-          if Bits.get y 0 then Graph.add_edge g 0 1;
-          Framework.Undirected g);
-    }
-  in
-  check "violation detected" false
-    (Framework.check_sidedness ~seed:3 ~samples:10 bad)
+  check "y-bit element inside V_A" false
+    (Framework.sided (toy ~x0:[] ~y0:[ Framework.Edge (0, 1, 1) ] ()));
+  (* so must x changing the cut *)
+  check "x-bit element across the cut" false
+    (Framework.sided (toy ~x0:[ Framework.Edge (0, 3, 1) ] ~y0:[] ()));
+  check "side of the wrong length" false
+    (Framework.sided
+       (toy ~side:[| true; true; false |] ~x0:[ Framework.Edge (0, 1, 1) ] ~y0:[] ()))
 
 let test_reduce_composes () =
   let base = Ch_lbgraphs.Mds_lb.family ~k:2 in
@@ -147,7 +143,7 @@ let test_reduce_composes () =
         match inst with
         | Framework.Undirected g -> Framework.With_terminals (g, [ 0; 1 ])
         | _ -> assert false)
-      ~nvertices:base.Framework.nvertices ~side:base.Framework.side
+      ~element:(fun e -> [ e ]) ~side:base.Framework.side
       ~predicate:(fun inst ->
         match inst with
         | Framework.With_terminals (g, _) ->

@@ -1,7 +1,8 @@
 (* Differential tests for the incremental verification engine: every
-   ported family must produce bit-identical graphs and verdicts through
-   the core + apply_inputs path, and every solver cache must agree with
-   its from-scratch solver on random graphs. *)
+   family's derived patcher must produce the instances of its scratch
+   build, every incremental family the verdicts of its scratch family,
+   and every solver cache must agree with its from-scratch solver on
+   random graphs. *)
 
 open Ch_graph
 open Ch_cc
@@ -32,60 +33,51 @@ let sample_pairs ~input_bits ~samples =
         ( Bits.random ~seed:(7000 + (2 * i)) input_bits,
           Bits.random ~seed:(7000 + (2 * i) + 1) input_bits ))
 
-(* The patched graph must equal the from-scratch build structurally at
-   every step of a pair sequence reusing one core. *)
-let check_graph_sequence name fam (apply : Bits.t -> Bits.t -> Graph.t) pairs =
-  List.iteri
-    (fun i (x, y) ->
-      let patched = apply x y in
-      let fresh = Framework.graph_of (fam.Framework.build x y) in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: graph differential at pair %d" name i)
-        true
-        (Graph.equal_structure patched fresh))
-    pairs
+(* The sample pairs, each followed by itself with one bit of x or of y
+   flipped, then the sample pairs once more: the patcher flips single
+   bits and returns to pairs it has held before. *)
+let patch_sequence ~input_bits ~samples =
+  let pairs = sample_pairs ~input_bits ~samples in
+  let flip z b = Bits.set z b (not (Bits.get z b)) in
+  List.concat
+    (List.mapi
+       (fun i (x, y) ->
+         let b = i mod input_bits in
+         [ (x, y); (if i mod 2 = 0 then (flip x b, y) else (x, flip y b)) ])
+       pairs)
+  @ pairs
 
-let test_mds_graphs () =
-  let fam = Mds_lb.family ~k:2 in
-  let c = Mds_lb.build_core ~k:2 in
-  check_graph_sequence "mds" fam
-    (Mds_lb.apply_inputs c)
-    (sample_pairs ~input_bits:4 ~samples:12)
+let same_digraph d d' =
+  let vweights d = Array.init (Digraph.n d) (Digraph.vweight d) in
+  Digraph.n d = Digraph.n d'
+  && Digraph.arcs d = Digraph.arcs d'
+  && vweights d = vweights d'
 
-let test_maxis_graphs () =
-  let fam = Maxis_lb.family ~k:2 in
-  let c = Maxis_lb.build_core ~k:2 in
-  check_graph_sequence "maxis" fam
-    (Maxis_lb.apply_inputs c)
-    (sample_pairs ~input_bits:4 ~samples:12)
+(* everything an instance carries: the kind, the weighted edges or arcs,
+   the vertex weights, the terminals and the root *)
+let same_instance a b =
+  match (a, b) with
+  | Framework.Undirected g, Framework.Undirected g' -> Graph.equal_structure g g'
+  | Framework.Directed d, Framework.Directed d' -> same_digraph d d'
+  | Framework.With_terminals (g, t), Framework.With_terminals (g', t') ->
+      Graph.equal_structure g g' && t = t'
+  | Framework.Rooted_digraph (d, r, t), Framework.Rooted_digraph (d', r', t') ->
+      same_digraph d d' && r = r' && t = t'
+  | _ -> false
 
-let test_maxcut_graphs () =
-  let fam = Maxcut_lb.family ~k:2 in
-  let c = Maxcut_lb.build_core ~k:2 in
-  check_graph_sequence "maxcut" fam
-    (Maxcut_lb.apply_inputs c)
-    (sample_pairs ~input_bits:4 ~samples:12)
-
-(* Hampath's instances are digraphs; difference the sorted arc lists. *)
-let test_hampath_graphs () =
-  let c = Hampath_lb.build_core ~k:2 in
-  List.iteri
-    (fun i (x, y) ->
-      let patched = Hampath_lb.apply_inputs c x y in
-      let fresh = Hampath_lb.build ~k:2 x y in
-      Alcotest.(check bool)
-        (Printf.sprintf "hampath: digraph differential at pair %d" i)
-        true
-        (Digraph.n patched = Digraph.n fresh
-        && Digraph.arcs patched = Digraph.arcs fresh))
-    (sample_pairs ~input_bits:4 ~samples:12)
-
-let test_steiner_graphs () =
-  let fam = Steiner_lb.family ~k:2 in
-  let c = Steiner_lb.build_core ~k:2 in
-  check_graph_sequence "steiner" fam
-    (Steiner_lb.apply_inputs c)
-    (sample_pairs ~input_bits:4 ~samples:12)
+(* Every registered family's derived patcher, one instance reused over
+   the whole sequence, must equal the from-scratch build at every
+   step. *)
+let patcher_case s =
+  Alcotest.test_case (s.Registry.id ^ " core+inputs = build") `Quick (fun () ->
+      let fam = s.Registry.scratch s.Registry.default_k in
+      let p = Framework.patcher fam in
+      List.iteri
+        (fun i (x, y) ->
+          if not (same_instance (Framework.patch p x y) (fam.Framework.build x y)) then
+            Alcotest.failf "%s: patched instance differs from build at step %d"
+              s.Registry.id i)
+        (patch_sequence ~input_bits:fam.Framework.input_bits ~samples:12))
 
 (* Cheap solvers: compare the full 2^K × 2^K verdict trace pair by
    pair.  This is the PR's acceptance differential at k = 2. *)
@@ -138,13 +130,17 @@ let check_sampled name inc pairs =
     pairs
 
 (* The transformed input edges join rows to row copies only, so the
-   volatile set the Steiner cache is keyed on covers every pair's input
-   edges. *)
+   volatile set the Steiner cache is keyed on — derived from the
+   encoding — is the 4k rows and their 4k copies, and it covers every
+   pair's input edges. *)
 let test_steiner_volatile () =
   let k = 2 in
-  let volatile = Steiner_lb.volatile ~k in
-  Alcotest.(check int) "8k distinct vertices" (8 * k)
-    (List.length (List.sort_uniq compare volatile));
+  let fam = Steiner_lb.family ~k in
+  let volatile = Framework.volatile fam in
+  let n = Mds_lb.Ix.n ~k in
+  Alcotest.(check (list int)) "the rows, then their copies"
+    (List.init (4 * k) Fun.id @ List.init (4 * k) (fun v -> n + v))
+    volatile;
   let xs = Bits.all (k * k) in
   List.iter
     (fun x ->
@@ -154,7 +150,7 @@ let test_steiner_volatile () =
             (fun (u, v) ->
               if not (List.mem u volatile && List.mem v volatile) then
                 Alcotest.failf "input edge (%d, %d) leaves the volatile set" u v)
-            (Steiner_lb.input_edges ~k x y))
+            (Framework.edges fam x y))
         xs)
     xs
 
@@ -344,16 +340,18 @@ let prop_domset_cache =
 (* Memoization behavior                                             *)
 (* ---------------------------------------------------------------- *)
 
+let mds_core () = Framework.graph_of (Framework.core (Mds_lb.family ~k:2))
+
 let test_memo_counters () =
   Cache.clear ();
-  let g = Mds_lb.core_graph ~k:2 in
+  let g = mds_core () in
   let c1 = Cache.domset_prepare g ~radius:1 in
   let s1 = Cache.domset_stats c1 in
   Alcotest.(check (pair int int))
     "first prepare is a miss" (0, 1)
     (s1.Cache.hits, s1.Cache.misses);
   (* a structurally equal but physically distinct graph must hit *)
-  let c2 = Cache.domset_prepare (Mds_lb.core_graph ~k:2) ~radius:1 in
+  let c2 = Cache.domset_prepare (mds_core ()) ~radius:1 in
   let s2 = Cache.domset_stats c2 in
   Alcotest.(check (pair int int))
     "memoized prepare is a hit" (1, 0)
@@ -370,7 +368,7 @@ let test_memo_counters () =
 
 let test_memo_aux_keying () =
   Cache.clear ();
-  let g = Mds_lb.core_graph ~k:2 in
+  let g = mds_core () in
   let volatile = List.init (Graph.n g) Fun.id in
   let _ = Cache.steiner_prepare g ~terminals:[ 0; 1 ] ~volatile ~cap:1 in
   (* same graph, different parameters: must rebuild, not hit *)
@@ -444,18 +442,11 @@ let () =
   Alcotest.run "incremental"
     [
       ( "graph differentials",
-        [
-          Alcotest.test_case "mds core+inputs = build" `Quick test_mds_graphs;
-          Alcotest.test_case "maxis core+inputs = build" `Quick test_maxis_graphs;
-          Alcotest.test_case "maxcut core+inputs = build" `Quick
-            test_maxcut_graphs;
-          Alcotest.test_case "hampath core+inputs = build" `Quick
-            test_hampath_graphs;
-          Alcotest.test_case "steiner core+inputs = build" `Quick
-            test_steiner_graphs;
-          Alcotest.test_case "steiner volatile covers inputs" `Quick
-            test_steiner_volatile;
-        ] );
+        List.map patcher_case (Registry.all (Families.catalog ()))
+        @ [
+            Alcotest.test_case "steiner volatile covers inputs" `Quick
+              test_steiner_volatile;
+          ] );
       ( "verdict differentials",
         [
           Alcotest.test_case "mds exhaustive" `Quick test_mds_exhaustive;

@@ -95,9 +95,6 @@ let incrementals () =
     Steiner_lb.incremental ~k:2;
   ]
 
-let families () =
-  [ Mds_lb.family ~k:2; Maxcut_lb.family ~k:2; Steiner_lb.family ~k:2 ]
-
 let engines inc =
   [ ("scratch", Framework.Scratch inc.Framework.scratch);
     ("incremental", Framework.Incremental inc) ]
@@ -161,19 +158,6 @@ let test_verdicts_range_concat () =
     (fun mode -> List.iter (check_mode mode) (engines inc))
     [ Pairs.Exhaustive; Pairs.Sampled { seed = 5; samples = 29 } ]
 
-let test_check_sidedness_jobs_invariant () =
-  List.iter
-    (fun fam ->
-      let r1 =
-        Framework.check_sidedness ~pool:(Lazy.force pool1) ~seed:5 ~samples:6 fam
-      in
-      let r4 =
-        Framework.check_sidedness ~pool:(Lazy.force pool4) ~seed:5 ~samples:6 fam
-      in
-      check (fam.Framework.name ^ " sidedness jobs=1 vs jobs=4") true (r1 = r4);
-      check (fam.Framework.name ^ " sidedness holds") true r1)
-    (families ())
-
 let () =
   Alcotest.run "parallel"
     [
@@ -194,7 +178,5 @@ let () =
             test_verdicts_sampled_jobs_invariant;
           Alcotest.test_case "verdicts ~range concatenation" `Quick
             test_verdicts_range_concat;
-          Alcotest.test_case "check_sidedness schedule-invariant" `Quick
-            test_check_sidedness_jobs_invariant;
         ] );
     ]

@@ -247,14 +247,28 @@ let test_exhaustive_guard () =
 let qt = QCheck_alcotest.to_alcotest
 let bits_of_int w v = Bits.of_fun w (fun b -> v land (1 lsl b) <> 0)
 
-(* a valid t-part partition of n vertices: parts 0..t-1 all inhabited
-   (vertex p pinned to part p), the rest uniform *)
-let gen_partition n =
+(* a t-part partition a family admits: every input edge inside one part
+   (the vertices its elements join share the part of their class's
+   representative), parts 0..t-1 all inhabited (the p-th vertex no
+   element touches pinned to part p), the rest uniform *)
+let gen_partition fam =
+  let n = fam.Ch_core.Framework.nvertices in
+  let classes = Union_find.create n in
+  List.iter
+    (fun (u, v) -> ignore (Union_find.union classes u v))
+    (Ch_core.Framework.candidates fam);
+  let volatile = Ch_core.Framework.volatile fam in
+  let free =
+    Array.of_list (List.filter (fun v -> not (List.mem v volatile)) (List.init n Fun.id))
+  in
   QCheck.Gen.(
     int_range 2 4 >>= fun t ->
     array_size (return n) (int_bound (t - 1)) >>= fun a ->
+    for v = 0 to n - 1 do
+      a.(v) <- a.(Union_find.find classes v)
+    done;
     for p = 0 to t - 1 do
-      a.(p) <- p
+      a.(free.(p)) <- p
     done;
     return a)
 
@@ -263,9 +277,10 @@ let print_case (partition, xi, yi) =
     (String.concat ";" (Array.to_list (Array.map string_of_int partition)))
     xi yi
 
-(* property (i): whatever the partition, the bits the simulation charges
-   through the part-pair channels are exactly the engine's cross-part
-   accounting — nothing leaks, nothing is double-charged *)
+(* property (i): whatever partition the family admits, the bits the
+   simulation charges through the part-pair channels are exactly the
+   engine's cross-part accounting — nothing leaks, nothing is
+   double-charged *)
 let prop_partition_conservation =
   let fam = Mds_lb.family ~k:2 in
   let target = Mds_lb.target_size ~k:2 in
@@ -275,7 +290,7 @@ let prop_partition_conservation =
     (QCheck.make ~print:print_case
        QCheck.Gen.(
          triple
-           (gen_partition fam.Ch_core.Framework.nvertices)
+           (gen_partition fam)
            (int_bound 15) (int_bound 15)))
     (fun (partition, xi, yi) ->
       let x = bits_of_int 4 xi and y = bits_of_int 4 yi in

@@ -1082,6 +1082,17 @@ let oversized_then_ping ~queue_depth reqs expect =
           | [ r ] -> ignore (body_exn r)
           | _ -> Alcotest.fail "expected 1 response"))
 
+(* The catalog answer is built once per process: a second request gets
+   the very same document, not an equal rebuild. *)
+let test_catalog_once () =
+  let catalog () =
+    match Ops.exec (Warm.create ~store_dir:None) Protocol.Catalog with
+    | Ok (_, doc) -> doc
+    | Error (_, msg) -> Alcotest.fail msg
+  in
+  let first = catalog () in
+  Alcotest.(check bool) "same value" true (first == catalog ())
+
 (* A catalog is about 4.3 KB, so 2 500 of them encode past 8 MiB: each
    request gets a typed error with its id. *)
 let test_oversized_response () =
@@ -1163,6 +1174,7 @@ let () =
             test_sweep_status_reads_only;
           Alcotest.test_case "same op in-process and over the socket" `Quick
             test_ops_differential;
+          Alcotest.test_case "catalog built once" `Quick test_catalog_once;
           Alcotest.test_case "one cold run per plan" `Quick
             test_one_cold_run_per_plan;
           Alcotest.test_case "oversized response batch" `Quick

@@ -26,23 +26,23 @@ let mds_fam =
 
 (* A cheap synthetic family: the verdict is pure bit arithmetic, so
    qcheck can afford hundreds of full sweeps.  It still goes through
-   build/predicate like every real family. *)
+   build/predicate like every real family; its edge depends on the
+   parity of both inputs, which no per-bit encoding declares, so it
+   replaces the derived [build] of an empty encoding. *)
 let dummy_fam k : Framework.t =
   let build x y =
     let g = Graph.create 2 in
     if (Bits.popcount x + Bits.popcount y) mod 2 = 0 then Graph.add_edge g 0 1;
     Framework.Undirected g
   in
+  let none _ = { Framework.at0 = []; at1 = [] } in
   {
-    name = "dummy";
-    params = [ ("k", k) ];
-    input_bits = k;
-    nvertices = 2;
-    side = [| true; false |];
-    build;
-    predicate =
-      (function Framework.Undirected g -> Graph.m g > 0 | _ -> false);
-    f = (fun x y -> (Bits.popcount x + Bits.popcount y) mod 2 = 0);
+    (Framework.family ~name:"dummy" ~params:[ ("k", k) ] ~side:[| true; false |]
+       ~core:(fun () -> Framework.Undirected (Graph.create 2)) ~input_bits:k ~x:none ~y:none
+       ~predicate:(function Framework.Undirected g -> Graph.m g > 0 | _ -> false)
+       ~f:(fun x y -> (Bits.popcount x + Bits.popcount y) mod 2 = 0))
+    with
+    Framework.build;
   }
 
 (* The single-process scratch stream a sweep must reproduce. *)
