@@ -125,7 +125,7 @@ let e2 () =
             let kk = k * k in
             let x = Bits.of_fun kk (fun b -> b = k + 1) in
             let p = H.witness_path ~k x x ~i:1 ~j:1 in
-            match fam.Framework.build x x with
+            match Framework.build fam x x with
             | Framework.Directed dg when Ch_solvers.Hamilton.is_directed_path dg p ->
                 "witness ok"
             | _ -> "WITNESS FAIL"
@@ -374,7 +374,7 @@ let e14 () =
   Printf.printf "  family: n=%d, verified %s\n" fam.Framework.nvertices
     (quick_verify ~samples:10 fam);
   let x = Bits.random ~seed:3 6 and y = Bits.random ~seed:4 6 in
-  let g = Framework.graph_of (fam.Framework.build x y) in
+  let g = Framework.graph_of (Framework.build fam x y) in
   let owner v =
     match Mds_restricted_lb.owner p v with
     | `Alice -> Ch_limits.Aggregate.Alice
@@ -737,11 +737,14 @@ let verify_benches ~smoke () =
    [Network.run_split] oracle, with the derived empirical
    Ω(CC(f)/(|E_cut|·log n)) figure.  The workload is the registry's
    reduction slice ([Bound.sweep_registry] at each family's default
-   scale).  Cheap solvers sweep the full (connected) 2^K × 2^K pair
-   space; the MaxCut gadget's exact solver is ~30ms per pair, so it
-   sweeps the corners plus a sample ([--smoke] shrinks only that
-   sample).  Disconnected pairs are outside the CONGEST model and
-   skipped, with the count reported. *)
+   scale), one entry per family whose objective the gather carries.
+   [exhaustive_reductions] sweep the full (connected) 2^K × 2^K pair
+   space; every other family sweeps the corners plus a sample
+   ([--smoke] shrinks only that sample): the exhaustive sweep stops at
+   K ≤ 5, max-cut's exact solver takes ~30 ms a pair and each
+   Hamiltonian family's search seconds over all pairs.  Disconnected
+   pairs are outside the CONGEST model and skipped, with the count
+   reported. *)
 type rentry = {
   rname : string;
   rskipped : int;
@@ -750,16 +753,15 @@ type rentry = {
   robs : Obs.report;  (* telemetry for this entry's sweep *)
 }
 
+let exhaustive_reductions = [ "mds"; "maxis"; "bitgadget" ]
+
 let reduction_benches ~smoke () =
   let open Ch_reduction in
-  (* exhaustive 4^K sweeps everywhere they stay cheap; maxcut's solver
-     and hampath's Hamiltonian-path search get the sampled pair set *)
-  let sampled_only = [ "maxcut"; "hampath" ] in
   List.map
     (fun s ->
       let id = s.Registry.id and k = s.Registry.default_k in
       let name = Printf.sprintf "%s-k%d-reduction" id k in
-      let exhaustive = not (List.mem id sampled_only) in
+      let exhaustive = List.mem id exhaustive_reductions in
       let samples = if smoke then 4 else 20 in
       Obs.reset ();
       let r, wall =
@@ -1136,7 +1138,7 @@ let () =
         let rep = r.rrep in
         let open Ch_reduction.Bound in
         Printf.printf
-          "  %-22s %5d pairs (%d skipped)  t=%d  %7.3fs  %8.1f pairs/s  \
+          "  %-32s %5d pairs (%d skipped)  t=%d  %7.3fs  %8.1f pairs/s  \
            %6.1f bits/round  Ω(%.2f) rounds  %s\n"
           r.rname rep.rep_pairs r.rskipped rep.rep_parties r.rwall
           (float_of_int rep.rep_pairs /. r.rwall)

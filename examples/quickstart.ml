@@ -21,7 +21,7 @@ let () =
      exactly when the input strings intersect *)
   let show x y =
     let intersects = Commfn.intersecting x y in
-    let holds = fam.Framework.predicate (fam.Framework.build x y) in
+    let holds = Framework.verdict fam x y in
     Printf.printf "  x = %s  y = %s   intersecting = %-5b  P(G_xy) = %-5b  %s\n"
       (Bits.to_string x) (Bits.to_string y) intersects holds
       (if intersects = holds then "ok" else "MISMATCH")

@@ -22,6 +22,27 @@ let graph_of = function
   | With_terminals (g, _) -> g
   | Rooted_digraph (dg, _, _) -> Digraph.to_undirected dg
 
+(* ---- objectives and goals -------------------------------------------- *)
+
+type objective =
+  | Of_graph of (Graph.t -> int)
+  | Of_digraph of (Digraph.t -> int)
+  | Of_terminals of (Graph.t -> int list -> int)
+  | Of_rooted of (Digraph.t -> root:int -> int list -> int)
+
+type goal = At_most of int | At_least of int
+
+let meets goal v = match goal with At_most t -> v <= t | At_least t -> v >= t
+
+(* The one place an instance kind meets the solver that reads it. *)
+let evaluate objective inst =
+  match (objective, inst) with
+  | Of_graph f, Undirected g -> f g
+  | Of_digraph f, Directed dg -> f dg
+  | Of_terminals f, With_terminals (g, ts) -> f g ts
+  | Of_rooted f, Rooted_digraph (dg, root, ts) -> f dg ~root ts
+  | _ -> invalid_arg "Framework.evaluate: the objective reads another instance kind"
+
 (* ---- input encodings ------------------------------------------------- *)
 
 type element =
@@ -68,8 +89,8 @@ type t = {
   nvertices : int;
   side : bool array;
   encoding : encoding;
-  build : Bits.t -> Bits.t -> instance;
-  predicate : instance -> bool;
+  objective : objective;
+  goal : goal;
   f : Bits.t -> Bits.t -> bool;
 }
 
@@ -136,7 +157,7 @@ let tables_of ~input_bits x y =
       List.concat_map (fun b -> b.edges.(0) @ b.edges.(1)) all |> List.sort_uniq compare;
   }
 
-let value x i = if Bits.get x i then 1 else 0
+let slot x i = if Bits.get x i then 1 else 0
 
 let check_inputs t x y =
   let k = Array.length t.xbits in
@@ -148,43 +169,48 @@ let collect t view x y =
   check_inputs t x y;
   let acc = ref [] in
   for b = Array.length t.xbits - 1 downto 0 do
-    acc := view t.xbits.(b) (value x b) @ view t.ybits.(b) (value y b) @ !acc
+    acc := view t.xbits.(b) (slot x b) @ view t.ybits.(b) (slot y b) @ !acc
   done;
   !acc
 
-let build_of enc x y =
+let build fam x y =
+  let enc = fam.encoding in
   let t = enc.tables () in
   check_inputs t x y;
   let core = enc.shared and inst = enc.fresh () in
   for b = 0 to Array.length t.xbits - 1 do
-    apply ~core ~add:true inst t.xbits.(b).elements.(value x b);
-    apply ~core ~add:true inst t.ybits.(b).elements.(value y b)
+    apply ~core ~add:true inst t.xbits.(b).elements.(slot x b);
+    apply ~core ~add:true inst t.ybits.(b).elements.(slot y b)
   done;
   inst
 
-let family ~name ~params ~side ~core ~input_bits ~x ~y ~predicate ~f =
-  let encoding =
-    {
-      fresh = core;
-      shared = Pool.once core;
-      xdecl = x;
-      ydecl = y;
-      tables = Pool.once (fun () -> tables_of ~input_bits x y);
-    }
-  in
+let family ~name ~params ~side ~core ~input_bits ~x ~y ~objective ~goal ~f =
   {
     name;
     params;
     input_bits;
     nvertices = Array.length side;
     side;
-    encoding;
-    build = build_of encoding;
-    predicate;
+    encoding =
+      {
+        fresh = core;
+        shared = Pool.once core;
+        xdecl = x;
+        ydecl = y;
+        tables = Pool.once (fun () -> tables_of ~input_bits x y);
+      };
+    objective;
+    goal;
     f;
   }
 
 let core fam = fam.encoding.shared ()
+
+let holds fam inst = meets fam.goal (evaluate fam.objective inst)
+
+let value fam x y = evaluate fam.objective (build fam x y)
+
+let gap_holds fam ~no x y = meets (if fam.f x y then fam.goal else no) (value fam x y)
 
 let edges fam x y = collect (fam.encoding.tables ()) (fun b v -> b.edges.(v)) x y
 
@@ -304,8 +330,8 @@ let multicut_info fam ~partition =
 let multicut_index mc u v = Hashtbl.find_opt mc.mc_index (u, v)
 
 let verdict fam x y =
-  let inst = Obs.with_span sp_apply (fun () -> fam.build x y) in
-  Obs.with_span sp_solver (fun () -> fam.predicate inst)
+  let inst = Obs.with_span sp_apply (fun () -> build fam x y) in
+  Obs.with_span sp_solver (fun () -> holds fam inst)
 
 (* CONGEST assumes a connected network: the single-rooted gather cannot
    (and no distributed algorithm could) decide a global predicate across
@@ -370,7 +396,7 @@ let patch p x y =
   check_inputs t x y;
   match p.pinst with
   | None ->
-      let inst = p.pfam.build x y in
+      let inst = build p.pfam x y in
       Array.iteri (fun b _ -> p.px.(b) <- Bits.get x b; p.py.(b) <- Bits.get y b) p.px;
       p.pinst <- Some inst;
       inst
@@ -473,7 +499,7 @@ type solver =
 
 (* The transform is edge-local, so it maps the core once and each
    declared element on its own, and the result is again an encoding. *)
-let reduce ~name ~transform ~element ~side ~predicate fam =
+let reduce ~name ~transform ~element ~side ~objective ~goal fam =
   let map decl i =
     let b = decl i in
     { at0 = List.concat_map element b.at0; at1 = List.concat_map element b.at1 }
@@ -481,4 +507,4 @@ let reduce ~name ~transform ~element ~side ~predicate fam =
   family ~name ~params:fam.params ~side
     ~core:(fun () -> transform (fam.encoding.fresh ()))
     ~input_bits:fam.input_bits ~x:(map fam.encoding.xdecl) ~y:(map fam.encoding.ydecl)
-    ~predicate ~f:fam.f
+    ~objective ~goal ~f:fam.f

@@ -19,6 +19,28 @@ type instance =
   | Rooted_digraph of Digraph.t * int * int list
       (** graph, root, terminals — the directed Steiner instances *)
 
+(** {1 Objectives and goals}
+
+    P is a threshold on an optimum: a family declares the exact solver
+    of the optimisation problem (its objective) and the side of the
+    threshold the yes-instances lie on (its goal), and P(G) is "the
+    objective of G meets the goal".  The same declaration gives the
+    Theorem 1.1 reduction its root solver and acceptance test (see
+    [Registry.spec]). *)
+
+type objective =
+  | Of_graph of (Graph.t -> int)  (** reads an [Undirected] instance *)
+  | Of_digraph of (Digraph.t -> int)  (** reads a [Directed] instance *)
+  | Of_terminals of (Graph.t -> int list -> int)
+      (** reads a [With_terminals] instance: graph, terminals *)
+  | Of_rooted of (Digraph.t -> root:int -> int list -> int)
+      (** reads a [Rooted_digraph] instance: digraph, root, terminals *)
+
+type goal = At_most of int | At_least of int
+
+val meets : goal -> int -> bool
+(** [meets (At_most t) v] is [v <= t], [meets (At_least t) v] is [v >= t]. *)
+
 (** {1 Input encodings}
 
     Every construction is a fixed core plus a few elements per input
@@ -58,10 +80,8 @@ type t = {
   nvertices : int;  (** |V|, the length of [side] *)
   side : bool array;  (** [side.(v)] iff v ∈ V_A *)
   encoding : encoding;
-  build : Bits.t -> Bits.t -> instance;
-      (** G_{x,y} from scratch: a fresh core plus the pair's elements,
-          x's before y's at each bit *)
-  predicate : instance -> bool;  (** P, decided by an exact solver *)
+  objective : objective;  (** the exact solver P thresholds *)
+  goal : goal;  (** P holds when the objective meets it *)
   f : Bits.t -> Bits.t -> bool;  (** the communication function (e.g. ¬DISJ) *)
 }
 
@@ -73,7 +93,8 @@ val family :
   input_bits:int ->
   x:(int -> bit) ->
   y:(int -> bit) ->
-  predicate:(instance -> bool) ->
+  objective:objective ->
+  goal:goal ->
   f:(Bits.t -> Bits.t -> bool) ->
   t
 (** The family of an encoding: bit i of x adds [x i] and bit i of y adds
@@ -84,6 +105,24 @@ val family :
 val core : t -> instance
 (** The declared core, built on first use — shared, so read it, never
     mutate it. *)
+
+val build : t -> Bits.t -> Bits.t -> instance
+(** G_{x,y} from scratch: a fresh core plus the pair's elements, x's
+    before y's at each bit. *)
+
+val holds : t -> instance -> bool
+(** P: the objective on the instance meets the goal.
+    @raise Invalid_argument when the objective reads another instance
+    kind. *)
+
+val value : t -> Bits.t -> Bits.t -> int
+(** The objective on G_{x,y}, built from scratch.
+    @raise Invalid_argument as {!holds}. *)
+
+val gap_holds : t -> no:goal -> Bits.t -> Bits.t -> bool
+(** A Section 4 gap at one pair: where f(x, y) holds the objective
+    meets the family's goal, elsewhere it meets [no] (e.g. a weight
+    above r). *)
 
 val sided : t -> bool
 (** Conditions 1–3 of Definition 1.1, exactly: [side] has the core's
@@ -213,8 +252,8 @@ type prepared = {
           instance aliases the core graph: it is valid until the next
           [pbuild]/[pverdict] call on this prepared value. *)
   pverdict : Bits.t -> Bits.t -> bool;
-      (** P(G_{x,y}), equal to [scratch.predicate (scratch.build x y)]
-          but answered from the core caches.
+      (** P(G_{x,y}), equal to {!verdict} on the scratch family but
+          answered from the core caches.
 
           {b Decision-bounded queries.}  Every family predicate is a
           threshold test ("optimum ≤ target" or "≥ target"), so a
@@ -309,7 +348,8 @@ val reduce :
   transform:(instance -> instance) ->
   element:(element -> element list) ->
   side:bool array ->
-  predicate:(instance -> bool) ->
+  objective:objective ->
+  goal:goal ->
   t ->
   t
 (** A new family G′_{x,y} = transform(G_{x,y}) for an edge-local

@@ -5,31 +5,6 @@ type reduction = {
   rd_accept : int -> bool;
 }
 
-let reduction2 ~solver ~accept =
-  {
-    rd_parties = 2;
-    rd_partition = None;
-    rd_solver = Framework.Graph_solver solver;
-    rd_accept = accept;
-  }
-
-let reduction_directed ~solver ~accept =
-  {
-    rd_parties = 2;
-    rd_partition = None;
-    rd_solver = Framework.Digraph_solver solver;
-    rd_accept = accept;
-  }
-
-let reduction_partitioned ~partition ~solver ~accept =
-  let parties = Ch_congest.Network.partition_parts partition in
-  {
-    rd_parties = parties;
-    rd_partition = Some partition;
-    rd_solver = Framework.Graph_solver solver;
-    rd_accept = accept;
-  }
-
 type spec = {
   id : string;
   title : string;
@@ -41,6 +16,34 @@ type spec = {
   incremental : (int -> Framework.incremental) option;
   reduction : (int -> reduction) option;
 }
+
+(* The gather uploads edges, arcs and vertex weights, so the root can
+   run any objective on a graph or a digraph; terminals and a root are
+   not uploaded yet. *)
+let gathered = function
+  | Framework.Of_graph f -> Some (Framework.Graph_solver f)
+  | Framework.Of_digraph f -> Some (Framework.Digraph_solver f)
+  | Framework.Of_terminals _ | Framework.Of_rooted _ -> None
+
+(* Only the solver and the goal outlive the family built at [k], so a
+   reduction keeps no core alive. *)
+let reduction_at ?partition scratch k =
+  let fam = scratch k in
+  let rd_partition = Option.map (fun p -> p k) partition in
+  {
+    rd_parties = Option.fold ~none:2 ~some:Ch_congest.Network.partition_parts rd_partition;
+    rd_partition;
+    rd_solver = Option.get (gathered fam.Framework.objective);
+    rd_accept = Framework.meets fam.Framework.goal;
+  }
+
+let spec ~id ~title ~paper_ref ~origin ~default_k ~sweep_ks ?incremental ?partition scratch =
+  let reduction =
+    match gathered (scratch default_k).Framework.objective with
+    | Some _ -> Some (reduction_at ?partition scratch)
+    | None -> None
+  in
+  { id; title; paper_ref; origin; default_k; sweep_ks; scratch; incremental; reduction }
 
 (* registration order matters for listings, so keep the list alongside the
    id index *)

@@ -1,13 +1,11 @@
-open Ch_graph
-
 (** The family registry: one first-class catalog of every lower-bound
     family (Definition 1.1 instances) driving the bench, the CLI, the
     reduction sweeps and the tests.
 
-    Each {!spec} packages a family's stable identity (CLI/bench id, human
-    title, paper reference), its scale constructor ([k] ↦ scratch
-    {!Framework.t}), the optional incremental descriptor, the optional
-    Theorem 1.1 reduction algorithm (exact solver + acceptance threshold)
+    Each {!type-spec} packages a family's stable identity (CLI/bench id,
+    human title, paper reference), its scale constructor ([k] ↦ scratch
+    {!Framework.t}), the optional incremental descriptor, the Theorem 1.1
+    reduction algorithm derived from the family's objective and goal,
     and its default bench sweep bounds.  Adding a family is then a
     one-file change: export a [specs] list from the construction module
     and append it to the [Families] aggregation — the bench tables, the
@@ -28,27 +26,7 @@ type reduction = {
   rd_accept : int -> bool;  (** [accept γ ⟺ f(x,y)] at this scale *)
 }
 
-val reduction2 : solver:(Graph.t -> int) -> accept:(int -> bool) -> reduction
-(** The classic 2-party reduction over the family's Alice/Bob side —
-    existing 2-party specs register through this unchanged. *)
-
-val reduction_directed :
-  solver:(Digraph.t -> int) -> accept:(int -> bool) -> reduction
-(** A 2-party reduction on a directed construction: the gather runs over
-    the underlying communication graph and the root solves on the
-    digraph itself (Hamiltonian families). *)
-
-val reduction_partitioned :
-  partition:int array ->
-  solver:(Graph.t -> int) ->
-  accept:(int -> bool) ->
-  reduction
-(** A t-party reduction over a vertex partition (t inferred from the
-    partition); every cross-part message is charged against the
-    part-pair's channel.  @raise Invalid_argument on an invalid
-    partition. *)
-
-type spec = {
+type spec = private {
   id : string;  (** stable CLI/bench id, e.g. ["mds"] — unique per registry *)
   title : string;  (** human title, e.g. ["exact MDS"] *)
   paper_ref : string;  (** figure/section reference, e.g. ["Thm 2.1, Fig 1"] *)
@@ -62,9 +40,32 @@ type spec = {
       (** [k] ↦ the incremental descriptor, when the family has a solver
           cache query ({!Framework.incremental}) *)
   reduction : (int -> reduction) option;
-      (** [k] ↦ the Theorem 1.1 reduction algorithm, when the family has a
-          gather codec (undirected instances only) *)
+      (** [k] ↦ the Theorem 1.1 reduction algorithm, derived by {!spec}
+          from the family's objective and goal *)
 }
+
+val spec :
+  id:string ->
+  title:string ->
+  paper_ref:string ->
+  origin:string ->
+  default_k:int ->
+  sweep_ks:int list ->
+  ?incremental:(int -> Framework.incremental) ->
+  ?partition:(int -> int array) ->
+  (int -> Framework.t) ->
+  spec
+(** The spec of a family constructor ([k] ↦ the scratch family).  Its
+    reduction is derived, not declared: when the family's objective
+    reads an undirected graph or a digraph — what the gather uploads —
+    the reduction at k runs that objective at the gather root
+    ([rd_solver]) and accepts when the value meets the family's goal
+    ([rd_accept]), over [partition k] when a partition is given (t
+    inferred from it) and over the Alice/Bob side otherwise.  Objectives
+    that read terminals or a root get no reduction.  The objective's
+    kind is read from the family at [default_k]; only the solver and the
+    goal outlive the family a reduction builds, so no core stays
+    alive. *)
 
 type t
 

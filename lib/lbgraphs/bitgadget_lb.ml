@@ -123,15 +123,11 @@ let partition ~k =
   p
 
 let family ~k =
-  let target = target_size ~k in
   Framework.family ~name:"bit-gadget intersection" ~params:[ ("k", k) ] ~side:(side ~k)
     ~core:(fun () -> Framework.Undirected (core_graph ~k)) ~input_bits:k
     ~x:(pool_bits (Ix.pa ~k) (Ix.a ~k)) ~y:(pool_bits (Ix.pb ~k) (Ix.b ~k))
-    ~predicate:(fun inst ->
-      match inst with
-      | Framework.Undirected g -> Ch_solvers.Domset.min_size g <= target
-      | _ -> invalid_arg "bitgadget family: undirected expected")
-    ~f:Commfn.intersecting
+    ~objective:(Framework.Of_graph Ch_solvers.Domset.min_size)
+    ~goal:(Framework.At_most (target_size ~k)) ~f:Commfn.intersecting
 
 let incremental ~k =
   let fam = family ~k and target = target_size ~k in
@@ -147,20 +143,8 @@ let incremental ~k =
 
 let specs =
   [
-    {
-      Registry.id = "bitgadget";
-      title = "bit-gadget intersection (t=4)";
-      paper_ref = "Sec 2 bit gadgets; arXiv:1901.01630";
-      origin = "Bitgadget_lb";
-      default_k = 4;
-      sweep_ks = [ 2; 4 ];
-      scratch = (fun k -> family ~k);
-      incremental = Some (fun k -> incremental ~k);
-      reduction =
-        Some
-          (fun k ->
-            Registry.reduction_partitioned ~partition:(partition ~k)
-              ~solver:(fun g -> Ch_solvers.Domset.min_size g)
-              ~accept:(fun a -> a <= target_size ~k));
-    };
+    Registry.spec ~id:"bitgadget" ~title:"bit-gadget intersection (t=4)"
+      ~paper_ref:"Sec 2 bit gadgets; arXiv:1901.01630" ~origin:"Bitgadget_lb" ~default_k:4
+      ~sweep_ks:[ 2; 4 ] ~incremental:(fun k -> incremental ~k)
+      ~partition:(fun k -> partition ~k) (fun k -> family ~k);
   ]

@@ -12,7 +12,7 @@ type instance = {
 
 let build ?(seed = 0) ~k x y =
   let fam = Maxis_lb.family ~k in
-  let base = Ch_core.Framework.graph_of (fam.Ch_core.Framework.build x y) in
+  let base = Ch_core.Framework.graph_of (Ch_core.Framework.build fam x y) in
   let base_side = fam.Ch_core.Framework.side in
   let phi = Sat_reductions.graph_to_cnf base in
   let e = Sat_reductions.expand ~seed phi in

@@ -82,3 +82,5 @@ let mem t ~set j = (t.sets.(set) lsr j) land 1 = 1
 
 let cheap_when_set vertex i =
   { Ch_core.Framework.at0 = []; at1 = [ Ch_core.Framework.Vweight (vertex i, 1) ] }
+
+let beyond_r t = Ch_core.Framework.At_least (t.r + 1)

@@ -22,3 +22,8 @@ val cheap_when_set : (int -> int) -> int -> Ch_core.Framework.bit
 (** The covering-design families' input encoding: bit i makes its set
     vertex [vertex i] cheap (weight 1) when set, and the core weighs it
     α otherwise. *)
+
+val beyond_r : t -> Ch_core.Framework.goal
+(** [At_least (r + 1)]: where the inputs are disjoint, the r-covering
+    property puts the optimum of every covering-design family above r —
+    the no side of its gap ({!Ch_core.Framework.gap_holds}). *)

@@ -197,16 +197,19 @@ let side ~k =
   done;
   side
 
+(* Every Hamiltonian objective is an indicator: 1 when the exact search
+   finds a path (or cycle), and P asks for at least 1. *)
+let found o = Bool.to_int (Option.is_some o)
+
+let hamiltonian = Framework.At_least 1
+
 let path_family ~k =
   Framework.family ~name:"directed-hamiltonian-path (Thm 2.2)" ~params:[ ("k", k) ]
     ~side:(side ~k) ~core:(fun () -> Framework.Directed (core_digraph ~k))
     ~input_bits:(k * k)
     ~x:(row_bits ~k Mds_lb.A1 Mds_lb.A2) ~y:(row_bits ~k Mds_lb.B1 Mds_lb.B2)
-    ~predicate:(fun inst ->
-      match inst with
-      | Framework.Directed dg -> Ch_solvers.Hamilton.directed_path dg <> None
-      | _ -> invalid_arg "hampath family: directed expected")
-    ~f:Commfn.intersecting
+    ~objective:(Framework.Of_digraph (fun dg -> found (Ch_solvers.Hamilton.directed_path dg)))
+    ~goal:hamiltonian ~f:Commfn.intersecting
 
 let incremental ~k =
   let fam = path_family ~k in
@@ -246,11 +249,8 @@ let cycle_family ~k =
       | _ -> invalid_arg "expected directed")
     ~element:(fun e -> [ e ])
     ~side:(Array.append base.Framework.side [| true |])
-    ~predicate:(fun inst ->
-      match inst with
-      | Framework.Directed dg -> Ch_solvers.Hamilton.directed_cycle dg <> None
-      | _ -> invalid_arg "hamcycle family: directed expected")
-    base
+    ~objective:(Framework.Of_digraph (fun dg -> found (Ch_solvers.Hamilton.directed_cycle dg)))
+    ~goal:hamiltonian base
 
 (* Theorem 2.4 via Lemma 2.2: v -> (v_in, v_mid, v_out), an arc (u, v)
    becomes the edge (u_out, v_in) *)
@@ -266,16 +266,13 @@ let undirected_cycle_family ~k =
       let u, v = edge_only "Lemma 2.2" e in
       [ Framework.Edge ((3 * u) + 2, 3 * v, 1) ])
     ~side:(Array.concat (Array.to_list (Array.map (fun s -> [| s; s; s |]) base.Framework.side)))
-    ~predicate:(fun inst ->
-      match inst with
-      | Framework.Undirected g ->
-          (* decided through the Lemma 2.2 equivalence (tested on random
-             digraphs): searching the 3n-vertex instance directly is
-             needlessly slow *)
-          Ch_solvers.Hamilton.directed_cycle (Transform.undirected_to_directed_hc g)
-          <> None
-      | _ -> invalid_arg "expected undirected")
-    base
+    ~objective:
+      (* decided through the Lemma 2.2 equivalence (tested on random
+         digraphs): searching the 3n-vertex instance directly is
+         needlessly slow *)
+      (Framework.Of_graph
+         (fun g -> found (Ch_solvers.Hamilton.directed_cycle (Transform.undirected_to_directed_hc g))))
+    ~goal:hamiltonian base
 
 (* Theorem 2.4 via Lemma 2.3 on top: split vertex 0 into 0 and v₂ = n,
    so an edge at 0 gets a twin at v₂, and add s, t *)
@@ -292,98 +289,36 @@ let undirected_path_family ~k =
       (Framework.Edge (u, v, 1) :: (if u = 0 then [ Framework.Edge (n, v, 1) ] else []))
       @ if v = 0 then [ Framework.Edge (n, u, 1) ] else [])
     ~side:(Array.append base.Framework.side [| true; true; true |])
-    ~predicate:(fun inst ->
-      match inst with
-      | Framework.Undirected g ->
-          (* Lemma 2.3 then Lemma 2.2 equivalences, both tested on random
-             instances *)
-          Ch_solvers.Hamilton.directed_cycle
-            (Transform.undirected_to_directed_hc (Transform.hp_to_hc g))
-          <> None
-      | _ -> invalid_arg "expected undirected")
-    base
+    ~objective:
+      (* Lemma 2.3 then Lemma 2.2 equivalences, both tested on random
+         instances *)
+      (Framework.Of_graph
+         (fun g ->
+           found
+             (Ch_solvers.Hamilton.directed_cycle
+                (Transform.undirected_to_directed_hc (Transform.hp_to_hc g)))))
+    ~goal:hamiltonian base
 
 (* Theorem 2.5 via Claim 2.7: the 2-ECSS predicate "has a 2-edge-connected
    spanning subgraph with exactly n edges" is equivalent to Hamiltonicity
-   (verified independently in the test suite), which is how the exact
-   decision is computed here. *)
-let ecss_family ~k =
-  let base = undirected_cycle_family ~k in
-  {
-    base with
-    Framework.name = "min-2ecss (Thm 2.5)";
-    predicate =
-      (fun inst ->
-        match inst with
-        | Framework.Undirected g ->
-            Ch_solvers.Hamilton.directed_cycle (Transform.undirected_to_directed_hc g)
-            <> None
-        | _ -> invalid_arg "expected undirected");
-  }
+   (verified independently in the test suite), so the undirected-cycle
+   objective and goal decide it exactly. *)
+let ecss_family ~k = { (undirected_cycle_family ~k) with Framework.name = "min-2ecss (Thm 2.5)" }
 
 let specs =
+  let spec ~id ~title ~paper_ref ?incremental ~sweep_ks family =
+    Registry.spec ~id ~title ~paper_ref ~origin:"Hampath_lb" ~default_k:2 ~sweep_ks ?incremental
+      (fun k -> family ~k)
+  in
   [
-    {
-      Registry.id = "hampath";
-      title = "directed Hamiltonian path";
-      paper_ref = "Thm 2.2, Fig 2";
-      origin = "Hampath_lb";
-      default_k = 2;
-      sweep_ks = [ 2; 4 ];
-      scratch = (fun k -> path_family ~k);
-      incremental = Some (fun k -> incremental ~k);
-      reduction =
-        (* the directed gather: arcs are uploaded with their orientation,
-           the root decides Hamiltonian-path existence on the digraph *)
-        Some
-          (fun _k ->
-            Registry.reduction_directed
-              ~solver:(fun dg ->
-                if Ch_solvers.Hamilton.directed_path dg <> None then 1 else 0)
-              ~accept:(fun a -> a = 1));
-    };
-    {
-      Registry.id = "hamcycle";
-      title = "directed Hamiltonian cycle";
-      paper_ref = "Thm 2.3";
-      origin = "Hampath_lb";
-      default_k = 2;
-      sweep_ks = [ 2 ];
-      scratch = (fun k -> cycle_family ~k);
-      incremental = None;
-      reduction = None;
-    };
-    {
-      Registry.id = "hamcycle-undirected";
-      title = "undirected Hamiltonian cycle";
-      paper_ref = "Thm 2.4 (Lemma 2.2)";
-      origin = "Hampath_lb";
-      default_k = 2;
-      sweep_ks = [ 2 ];
-      scratch = (fun k -> undirected_cycle_family ~k);
-      incremental = None;
-      reduction = None;
-    };
-    {
-      Registry.id = "hampath-undirected";
-      title = "undirected Hamiltonian path";
-      paper_ref = "Thm 2.4 (Lemma 2.3)";
-      origin = "Hampath_lb";
-      default_k = 2;
-      sweep_ks = [ 2 ];
-      scratch = (fun k -> undirected_path_family ~k);
-      incremental = None;
-      reduction = None;
-    };
-    {
-      Registry.id = "2ecss";
-      title = "minimum 2-ECSS";
-      paper_ref = "Thm 2.5 (Claim 2.7)";
-      origin = "Hampath_lb";
-      default_k = 2;
-      sweep_ks = [ 2 ];
-      scratch = (fun k -> ecss_family ~k);
-      incremental = None;
-      reduction = None;
-    };
+    spec ~id:"hampath" ~title:"directed Hamiltonian path" ~paper_ref:"Thm 2.2, Fig 2"
+      ~incremental:(fun k -> incremental ~k) ~sweep_ks:[ 2; 4 ] path_family;
+    spec ~id:"hamcycle" ~title:"directed Hamiltonian cycle" ~paper_ref:"Thm 2.3" ~sweep_ks:[ 2 ]
+      cycle_family;
+    spec ~id:"hamcycle-undirected" ~title:"undirected Hamiltonian cycle"
+      ~paper_ref:"Thm 2.4 (Lemma 2.2)" ~sweep_ks:[ 2 ] undirected_cycle_family;
+    spec ~id:"hampath-undirected" ~title:"undirected Hamiltonian path"
+      ~paper_ref:"Thm 2.4 (Lemma 2.3)" ~sweep_ks:[ 2 ] undirected_path_family;
+    spec ~id:"2ecss" ~title:"minimum 2-ECSS" ~paper_ref:"Thm 2.5 (Claim 2.7)" ~sweep_ks:[ 2 ]
+      ecss_family;
   ]

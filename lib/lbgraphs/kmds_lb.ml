@@ -128,17 +128,10 @@ let family p =
     ~side:(side p) ~core:(fun () -> Framework.Undirected (core_graph p))
     ~input_bits:(Array.length p.collection.Covering.sets)
     ~x:(Covering.cheap_when_set (Ix.s p)) ~y:(Covering.cheap_when_set (Ix.s_bar p))
-    ~predicate:(fun inst ->
-      match inst with
-      | Framework.Undirected g ->
-          fst (Ch_solvers.Domset.min_weight_set ~radius:p.k g) <= yes_weight
-      | _ -> invalid_arg "kmds family: undirected expected")
-    ~f:Commfn.intersecting
+    ~objective:(Framework.Of_graph (fun g -> fst (Ch_solvers.Domset.min_weight_set ~radius:p.k g)))
+    ~goal:(Framework.At_most yes_weight) ~f:Commfn.intersecting
 
-let gap_holds p x y =
-  let g = Framework.graph_of ((family p).Framework.build x y) in
-  let w = fst (Ch_solvers.Domset.min_weight_set ~radius:p.k g) in
-  if Commfn.intersecting x y then w <= yes_weight else w > no_weight_exceeds p
+let gap_holds p = Framework.gap_holds (family p) ~no:(Covering.beyond_r p.collection)
 
 (* The topology is fixed: inputs only move the S_i / S̄_i vertex weights
    between α and 1, so the radius-k balls of the core serve every pair
@@ -167,27 +160,12 @@ let registry_params ~radius k =
   make_params ~seed:1 ~k:radius ~ell ~t_count ~r:2 ()
 
 let specs =
+  let spec ~id ~title ~paper_ref ~radius =
+    Registry.spec ~id ~title ~paper_ref ~origin:"Kmds_lb" ~default_k:2 ~sweep_ks:[ 2 ]
+      ~incremental:(fun k -> incremental (registry_params ~radius k))
+      (fun k -> family (registry_params ~radius k))
+  in
   [
-    {
-      Registry.id = "2mds";
-      title = "weighted 2-MDS log-approx";
-      paper_ref = "Thm 4.4, Fig 5";
-      origin = "Kmds_lb";
-      default_k = 2;
-      sweep_ks = [ 2 ];
-      scratch = (fun k -> family (registry_params ~radius:2 k));
-      incremental = Some (fun k -> incremental (registry_params ~radius:2 k));
-      reduction = None;
-    };
-    {
-      Registry.id = "3mds";
-      title = "weighted 3-MDS log-approx";
-      paper_ref = "Thm 4.5, Fig 5";
-      origin = "Kmds_lb";
-      default_k = 2;
-      sweep_ks = [ 2 ];
-      scratch = (fun k -> family (registry_params ~radius:3 k));
-      incremental = Some (fun k -> incremental (registry_params ~radius:3 k));
-      reduction = None;
-    };
+    spec ~id:"2mds" ~title:"weighted 2-MDS log-approx" ~paper_ref:"Thm 4.4, Fig 5" ~radius:2;
+    spec ~id:"3mds" ~title:"weighted 3-MDS log-approx" ~paper_ref:"Thm 4.5, Fig 5" ~radius:3;
   ]

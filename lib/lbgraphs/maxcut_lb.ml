@@ -120,16 +120,12 @@ let side ~k =
   side
 
 let family ~k =
-  let target = target_weight ~k in
   Framework.family ~name:"weighted-max-cut (Thm 2.8)" ~params:[ ("k", k) ] ~side:(side ~k)
     ~core:(fun () -> Framework.Undirected (core_graph ~k)) ~input_bits:(k * k)
     ~x:(row_bits ~k Mds_lb.A1 Mds_lb.A2 (Ix.na ~k))
     ~y:(row_bits ~k Mds_lb.B1 Mds_lb.B2 (Ix.nb ~k))
-    ~predicate:(fun inst ->
-      match inst with
-      | Framework.Undirected g -> fst (Ch_solvers.Maxcut.max_cut g) >= target
-      | _ -> invalid_arg "maxcut family: undirected expected")
-    ~f:Commfn.intersecting
+    ~objective:(Framework.Of_graph (fun g -> fst (Ch_solvers.Maxcut.max_cut g)))
+    ~goal:(Framework.At_least (target_weight ~k)) ~f:Commfn.intersecting
 
 let incremental ~k =
   let fam = family ~k and target = target_weight ~k in
@@ -150,20 +146,7 @@ let incremental ~k =
 
 let specs =
   [
-    {
-      Registry.id = "maxcut";
-      title = "weighted max cut";
-      paper_ref = "Thm 2.8, Fig 3";
-      origin = "Maxcut_lb";
-      default_k = 2;
-      sweep_ks = [ 2; 4 ];
-      scratch = (fun k -> family ~k);
-      incremental = Some (fun k -> incremental ~k);
-      reduction =
-        Some
-          (fun k ->
-            Registry.reduction2
-              ~solver:(fun g -> fst (Ch_solvers.Maxcut.max_cut g))
-              ~accept:(fun a -> a >= target_weight ~k));
-    };
+    Registry.spec ~id:"maxcut" ~title:"weighted max cut" ~paper_ref:"Thm 2.8, Fig 3"
+      ~origin:"Maxcut_lb" ~default_k:2 ~sweep_ks:[ 2; 4 ] ~incremental:(fun k -> incremental ~k)
+      (fun k -> family ~k);
   ]

@@ -51,4 +51,4 @@ val incremental : k:int -> Ch_core.Framework.incremental
     prepare raises instead of the solve). *)
 
 val specs : Ch_core.Registry.spec list
-(** Registry entry ["maxcut"]: incremental + Theorem 1.1 reduction. *)
+(** Registry entry ["maxcut"], incremental. *)

@@ -127,7 +127,6 @@ let weighted_side p =
   side
 
 let weighted_family p =
-  let target = yes_weight p in
   let row s i = [ WIx.row p s i ] in
   Framework.family ~name:"maxis-7/8-approx weighted (Thm 4.3)"
     ~params:[ ("k", p.k); ("ell", p.ell); ("t", p.t); ("q", p.q) ]
@@ -135,11 +134,8 @@ let weighted_family p =
     ~input_bits:(p.k * p.k)
     ~x:(complement_bits p ~batch:row Mds_lb.A1 Mds_lb.A2)
     ~y:(complement_bits p ~batch:row Mds_lb.B1 Mds_lb.B2)
-    ~predicate:(fun inst ->
-      match inst with
-      | Framework.Undirected g -> fst (Ch_solvers.Mis.max_weight_set g) >= target
-      | _ -> invalid_arg "expected undirected")
-    ~f:Commfn.intersecting
+    ~objective:(Framework.Of_graph (fun g -> fst (Ch_solvers.Mis.max_weight_set g)))
+    ~goal:(Framework.At_least (yes_weight p)) ~f:Commfn.intersecting
 
 (* Each variant conditions an independent-set table on the vertices its
    inputs touch.  The inputs only add edges among the 4k row vertices
@@ -216,18 +212,14 @@ let unweighted_side p =
   side
 
 let unweighted_family p =
-  let target = yes_weight p in
   Framework.family ~name:"maxis-7/8-approx unweighted (Thm 4.1)"
     ~params:[ ("k", p.k); ("ell", p.ell); ("t", p.t); ("q", p.q) ]
     ~side:(unweighted_side p) ~core:(fun () -> Framework.Undirected (unweighted_core_graph p))
     ~input_bits:(p.k * p.k)
     ~x:(complement_bits p ~batch:(ubatch p) Mds_lb.A1 Mds_lb.A2)
     ~y:(complement_bits p ~batch:(ubatch p) Mds_lb.B1 Mds_lb.B2)
-    ~predicate:(fun inst ->
-      match inst with
-      | Framework.Undirected g -> Ch_solvers.Mis.alpha g >= target
-      | _ -> invalid_arg "unweighted: expected undirected")
-    ~f:Commfn.intersecting
+    ~objective:(Framework.Of_graph Ch_solvers.Mis.alpha)
+    ~goal:(Framework.At_least (yes_weight p)) ~f:Commfn.intersecting
 
 (* The volatile vertices are all 4kℓ batch vertices.  A core-independent
    subset picks vertices of at most one batch per set (batches of a set
@@ -347,17 +339,13 @@ let linear_bits p v side_b i =
   }
 
 let linear_family p =
-  let target = linear_yes_size p in
   Framework.family ~name:"maxis-5/6-approx (Thm 4.2)"
     ~params:[ ("k", p.k); ("ell", p.ell); ("t", p.t); ("q", p.q) ]
     ~side:(linear_side p) ~core:(fun () -> Framework.Undirected (linear_core_graph p))
     ~input_bits:p.k
     ~x:(linear_bits p (lva p) false) ~y:(linear_bits p (lvb p) true)
-    ~predicate:(fun inst ->
-      match inst with
-      | Framework.Undirected g -> Ch_solvers.Mis.alpha g >= target
-      | _ -> invalid_arg "expected undirected")
-    ~f:Commfn.intersecting
+    ~objective:(Framework.Of_graph Ch_solvers.Mis.alpha)
+    ~goal:(Framework.At_least (linear_yes_size p)) ~f:Commfn.intersecting
 
 (* The volatile vertices are v_A, v_B and the 2kℓ batch vertices.
    v_A/v_B are core-edge-free, each side's batches are pairwise fully
@@ -372,38 +360,16 @@ let linear_incremental p =
 let registry_params k = make_params ~k ()
 
 let specs =
+  let spec ~id ~title ~paper_ref ~incremental family =
+    Registry.spec ~id ~title ~paper_ref ~origin:"Maxis_approx_lb" ~default_k:2 ~sweep_ks:[ 2 ]
+      ~incremental:(fun k -> incremental (registry_params k))
+      (fun k -> family (registry_params k))
+  in
   [
-    {
-      Registry.id = "maxis-78-weighted";
-      title = "MaxIS 7/8-approx (weighted)";
-      paper_ref = "Thm 4.3, Fig 4";
-      origin = "Maxis_approx_lb";
-      default_k = 2;
-      sweep_ks = [ 2 ];
-      scratch = (fun k -> weighted_family (registry_params k));
-      incremental = Some (fun k -> weighted_incremental (registry_params k));
-      reduction = None;
-    };
-    {
-      Registry.id = "maxis-78-unweighted";
-      title = "MaxIS 7/8-approx (unweighted)";
-      paper_ref = "Thm 4.1, Fig 4";
-      origin = "Maxis_approx_lb";
-      default_k = 2;
-      sweep_ks = [ 2 ];
-      scratch = (fun k -> unweighted_family (registry_params k));
-      incremental = Some (fun k -> unweighted_incremental (registry_params k));
-      reduction = None;
-    };
-    {
-      Registry.id = "maxis-56";
-      title = "MaxIS 5/6-approx (linear variant)";
-      paper_ref = "Thm 4.2";
-      origin = "Maxis_approx_lb";
-      default_k = 2;
-      sweep_ks = [ 2 ];
-      scratch = (fun k -> linear_family (registry_params k));
-      incremental = Some (fun k -> linear_incremental (registry_params k));
-      reduction = None;
-    };
+    spec ~id:"maxis-78-weighted" ~title:"MaxIS 7/8-approx (weighted)" ~paper_ref:"Thm 4.3, Fig 4"
+      ~incremental:weighted_incremental weighted_family;
+    spec ~id:"maxis-78-unweighted" ~title:"MaxIS 7/8-approx (unweighted)"
+      ~paper_ref:"Thm 4.1, Fig 4" ~incremental:unweighted_incremental unweighted_family;
+    spec ~id:"maxis-56" ~title:"MaxIS 5/6-approx (linear variant)" ~paper_ref:"Thm 4.2"
+      ~incremental:linear_incremental linear_family;
   ]

@@ -78,16 +78,12 @@ let side ~k =
   side
 
 let family ~k =
-  let target = alpha_target ~k in
   Framework.family ~name:"maxis-exact ([10] reimplementation)" ~params:[ ("k", k) ]
     ~side:(side ~k) ~core:(fun () -> Framework.Undirected (core_graph ~k))
     ~input_bits:(k * k)
     ~x:(row_bits ~k Mds_lb.A1 Mds_lb.A2) ~y:(row_bits ~k Mds_lb.B1 Mds_lb.B2)
-    ~predicate:(fun inst ->
-      match inst with
-      | Framework.Undirected g -> Ch_solvers.Mis.alpha g >= target
-      | _ -> invalid_arg "maxis family: undirected expected")
-    ~f:Commfn.intersecting
+    ~objective:(Framework.Of_graph Ch_solvers.Mis.alpha)
+    ~goal:(Framework.At_least (alpha_target ~k)) ~f:Commfn.intersecting
 
 let incremental ~k =
   let fam = family ~k and target = alpha_target ~k in
@@ -104,45 +100,19 @@ let incremental ~k =
       })
 
 let mvc_family ~k =
-  let base = family ~k in
-  let target = Ix.n ~k - alpha_target ~k in
   {
-    base with
+    (family ~k) with
     Framework.name = "mvc-exact ([10] reimplementation)";
-    predicate =
-      (fun inst ->
-        match inst with
-        | Framework.Undirected g -> Ch_solvers.Mis.min_vertex_cover_size g <= target
-        | _ -> invalid_arg "mvc family: undirected expected");
+    objective = Framework.Of_graph Ch_solvers.Mis.min_vertex_cover_size;
+    goal = Framework.At_most (Ix.n ~k - alpha_target ~k);
   }
 
 let specs =
   [
-    {
-      Registry.id = "maxis";
-      title = "exact MaxIS";
-      paper_ref = "Sec 2 ([10] reimplementation)";
-      origin = "Maxis_lb";
-      default_k = 2;
-      sweep_ks = [ 2; 4 ];
-      scratch = (fun k -> family ~k);
-      incremental = Some (fun k -> incremental ~k);
-      reduction =
-        Some
-          (fun k ->
-            Registry.reduction2
-              ~solver:(fun g -> Ch_solvers.Mis.alpha g)
-              ~accept:(fun a -> a >= alpha_target ~k));
-    };
-    {
-      Registry.id = "mvc";
-      title = "exact MVC (MaxIS complement)";
-      paper_ref = "Sec 2 ([10] reimplementation)";
-      origin = "Maxis_lb";
-      default_k = 2;
-      sweep_ks = [ 2 ];
-      scratch = (fun k -> mvc_family ~k);
-      incremental = None;
-      reduction = None;
-    };
+    Registry.spec ~id:"maxis" ~title:"exact MaxIS" ~paper_ref:"Sec 2 ([10] reimplementation)"
+      ~origin:"Maxis_lb" ~default_k:2 ~sweep_ks:[ 2; 4 ] ~incremental:(fun k -> incremental ~k)
+      (fun k -> family ~k);
+    Registry.spec ~id:"mvc" ~title:"exact MVC (MaxIS complement)"
+      ~paper_ref:"Sec 2 ([10] reimplementation)" ~origin:"Maxis_lb" ~default_k:2 ~sweep_ks:[ 2 ]
+      (fun k -> mvc_family ~k);
   ]

@@ -44,4 +44,4 @@ val mvc_family : k:int -> Ch_core.Framework.t
 (** The complementary vertex-cover view: τ(G) ≤ n − Z. *)
 
 val specs : Ch_core.Registry.spec list
-(** Registry entries ["maxis"] (incremental + reduction) and ["mvc"]. *)
+(** Registry entries ["maxis"] (incremental) and ["mvc"]. *)

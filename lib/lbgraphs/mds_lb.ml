@@ -82,15 +82,11 @@ let side ~k =
   side
 
 let family ~k =
-  let target = target_size ~k in
   Framework.family ~name:"mds-exact (Thm 2.1)" ~params:[ ("k", k) ] ~side:(side ~k)
     ~core:(fun () -> Framework.Undirected (core_graph ~k)) ~input_bits:(k * k)
     ~x:(row_bits ~k A1 A2) ~y:(row_bits ~k B1 B2)
-    ~predicate:(fun inst ->
-      match inst with
-      | Framework.Undirected g -> Ch_solvers.Domset.min_size g <= target
-      | _ -> invalid_arg "mds family: undirected expected")
-    ~f:Commfn.intersecting
+    ~objective:(Framework.Of_graph Ch_solvers.Domset.min_size)
+    ~goal:(Framework.At_most (target_size ~k)) ~f:Commfn.intersecting
 
 let incremental ~k =
   let fam = family ~k and target = target_size ~k in
@@ -109,20 +105,6 @@ let incremental ~k =
 
 let specs =
   [
-    {
-      Registry.id = "mds";
-      title = "exact MDS";
-      paper_ref = "Thm 2.1, Fig 1";
-      origin = "Mds_lb";
-      default_k = 2;
-      sweep_ks = [ 2; 4 ];
-      scratch = (fun k -> family ~k);
-      incremental = Some (fun k -> incremental ~k);
-      reduction =
-        Some
-          (fun k ->
-            Registry.reduction2
-              ~solver:(fun g -> Ch_solvers.Domset.min_size g)
-              ~accept:(fun a -> a <= target_size ~k));
-    };
+    Registry.spec ~id:"mds" ~title:"exact MDS" ~paper_ref:"Thm 2.1, Fig 1" ~origin:"Mds_lb"
+      ~default_k:2 ~sweep_ks:[ 2; 4 ] ~incremental:(fun k -> incremental ~k) (fun k -> family ~k);
   ]

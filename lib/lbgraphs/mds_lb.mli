@@ -43,4 +43,4 @@ val incremental : k:int -> Ch_core.Framework.incremental
     edges, instead of a fresh build + BFS sweep per pair. *)
 
 val specs : Ch_core.Registry.spec list
-(** Registry entry ["mds"]: incremental + Theorem 1.1 reduction. *)
+(** Registry entry ["mds"], incremental. *)

@@ -71,16 +71,10 @@ let family p =
     ~side:(side p) ~core:(fun () -> Framework.Undirected (core_graph p))
     ~input_bits:(Array.length p.collection.Covering.sets)
     ~x:(Covering.cheap_when_set (Ix.s p)) ~y:(Covering.cheap_when_set (Ix.s_bar p))
-    ~predicate:(fun inst ->
-      match inst with
-      | Framework.Undirected g -> fst (Ch_solvers.Domset.min_weight_set g) <= 2
-      | _ -> invalid_arg "expected undirected")
-    ~f:Commfn.intersecting
+    ~objective:(Framework.Of_graph (fun g -> fst (Ch_solvers.Domset.min_weight_set g)))
+    ~goal:(Framework.At_most 2) ~f:Commfn.intersecting
 
-let gap_holds p x y =
-  let g = Framework.graph_of ((family p).Framework.build x y) in
-  let w = fst (Ch_solvers.Domset.min_weight_set g) in
-  if Commfn.intersecting x y then w <= 2 else w > p.collection.Covering.r
+let gap_holds p = Framework.gap_holds (family p) ~no:(Covering.beyond_r p.collection)
 
 (* Fixed topology, weights-only inputs — the same split as Kmds_lb. *)
 let incremental p =
@@ -103,15 +97,8 @@ let registry_params k =
 
 let specs =
   [
-    {
-      Registry.id = "mds-restricted";
-      title = "restricted weighted MDS log-approx";
-      paper_ref = "Thm 4.8, Fig 7";
-      origin = "Mds_restricted_lb";
-      default_k = 2;
-      sweep_ks = [ 2 ];
-      scratch = (fun k -> family (registry_params k));
-      incremental = Some (fun k -> incremental (registry_params k));
-      reduction = None;
-    };
+    Registry.spec ~id:"mds-restricted" ~title:"restricted weighted MDS log-approx"
+      ~paper_ref:"Thm 4.8, Fig 7" ~origin:"Mds_restricted_lb" ~default_k:2 ~sweep_ks:[ 2 ]
+      ~incremental:(fun k -> incremental (registry_params k))
+      (fun k -> family (registry_params k));
   ]

@@ -22,7 +22,6 @@ let hub_reduction g ~w =
    at weight 0 *)
 let family ~k =
   let base = Mds_lb.family ~k in
-  let target = target_cost ~k in
   Framework.reduce ~name:"weighted-2-spanner (Thm 3.4 variant)"
     ~transform:(fun inst ->
       match inst with
@@ -33,24 +32,11 @@ let family ~k =
       | Framework.Edge (u, v, _) -> [ Framework.Edge (u, v, 0) ]
       | _ -> invalid_arg "Spanner_lb: edge elements only")
     ~side:(Array.append base.Framework.side [| true |])
-    ~predicate:(fun inst ->
-      match inst with
-      | Framework.Undirected g ->
-          fst (Ch_solvers.Spanner.min_weight_2_spanner g) <= target
-      | _ -> invalid_arg "expected undirected")
-    base
+    ~objective:(Framework.Of_graph (fun g -> fst (Ch_solvers.Spanner.min_weight_2_spanner g)))
+    ~goal:(Framework.At_most (target_cost ~k)) base
 
 let specs =
   [
-    {
-      Registry.id = "2spanner";
-      title = "weighted 2-spanner";
-      paper_ref = "Thm 3.4 variant";
-      origin = "Spanner_lb";
-      default_k = 2;
-      sweep_ks = [ 2 ];
-      scratch = (fun k -> family ~k);
-      incremental = None;
-      reduction = None;
-    };
+    Registry.spec ~id:"2spanner" ~title:"weighted 2-spanner" ~paper_ref:"Thm 3.4 variant"
+      ~origin:"Spanner_lb" ~default_k:2 ~sweep_ks:[ 2 ] (fun k -> family ~k);
   ]

@@ -83,21 +83,11 @@ let node_weighted_family p =
     ~core:(fun () -> Framework.With_terminals (node_weighted_core p, terminals p))
     ~input_bits:(Array.length p.collection.Covering.sets)
     ~x:(Covering.cheap_when_set (Ix.s p)) ~y:(Covering.cheap_when_set (Ix.s_bar p))
-    ~predicate:(fun inst ->
-      match inst with
-      | Framework.With_terminals (g, terms) ->
-          Ch_solvers.Steiner.node_weighted g terms <= 2
-      | _ -> invalid_arg "expected terminals")
-    ~f:Commfn.intersecting
+    ~objective:(Framework.Of_terminals Ch_solvers.Steiner.node_weighted)
+    ~goal:(Framework.At_most 2) ~f:Commfn.intersecting
 
-let node_weighted_gap_holds p x y =
-  let cost =
-    match (node_weighted_family p).Framework.build x y with
-    | Framework.With_terminals (g, terms) -> Ch_solvers.Steiner.node_weighted g terms
-    | _ -> assert false
-  in
-  if Commfn.intersecting x y then cost <= 2
-  else cost > p.collection.Covering.r
+let node_weighted_gap_holds p =
+  Framework.gap_holds (node_weighted_family p) ~no:(Covering.beyond_r p.collection)
 
 (* Fixed topology, weights-only inputs: the same split as Kmds_lb, but
    the solve goes through the connector-feasibility table of
@@ -159,24 +149,14 @@ let directed_family p =
     ~core:(fun () -> Framework.Rooted_digraph (directed_core_digraph p, Ix.root p, terminals p))
     ~input_bits:(Array.length p.collection.Covering.sets)
     ~x:(arc_bits p ~mine:true Ix.s Ix.a_elt) ~y:(arc_bits p ~mine:false Ix.s_bar Ix.b_elt)
-    ~predicate:(fun inst ->
-      match inst with
-      | Framework.Rooted_digraph (dg, root, terms) -> (
-          match Ch_solvers.Steiner.directed dg ~root terms with
-          | Some c -> c <= 2
-          | None -> false)
-      | _ -> invalid_arg "expected rooted digraph")
-    ~f:Commfn.intersecting
+    ~objective:
+      (Framework.Of_rooted
+         (fun dg ~root terms ->
+           Option.value ~default:max_int (Ch_solvers.Steiner.directed dg ~root terms)))
+    ~goal:(Framework.At_most 2) ~f:Commfn.intersecting
 
-let directed_gap_holds p x y =
-  let cost =
-    match (directed_family p).Framework.build x y with
-    | Framework.Rooted_digraph (dg, root, terms) -> (
-        match Ch_solvers.Steiner.directed dg ~root terms with Some c -> c | None -> max_int)
-    | _ -> assert false
-  in
-  if Commfn.intersecting x y then cost <= 2
-  else cost > p.collection.Covering.r
+let directed_gap_holds p =
+  Framework.gap_holds (directed_family p) ~no:(Covering.beyond_r p.collection)
 
 (* The shared reversed rows snapshot the core; per-pair arcs ride in as
    ~extra, so no pair is ever patched in. *)
@@ -207,27 +187,14 @@ let registry_params k =
   make_params ~seed:1 ~ell ~t_count ~r:2 ()
 
 let specs =
+  let spec ~id ~title ~paper_ref ~incremental family =
+    Registry.spec ~id ~title ~paper_ref ~origin:"Steiner_approx_lb" ~default_k:2 ~sweep_ks:[ 2 ]
+      ~incremental:(fun k -> incremental (registry_params k))
+      (fun k -> family (registry_params k))
+  in
   [
-    {
-      Registry.id = "steiner-node-weighted";
-      title = "node-weighted Steiner log-approx";
-      paper_ref = "Thm 4.6, Fig 6";
-      origin = "Steiner_approx_lb";
-      default_k = 2;
-      sweep_ks = [ 2 ];
-      scratch = (fun k -> node_weighted_family (registry_params k));
-      incremental = Some (fun k -> node_weighted_incremental (registry_params k));
-      reduction = None;
-    };
-    {
-      Registry.id = "steiner-directed";
-      title = "directed Steiner log-approx";
-      paper_ref = "Thm 4.7, Fig 6";
-      origin = "Steiner_approx_lb";
-      default_k = 2;
-      sweep_ks = [ 2 ];
-      scratch = (fun k -> directed_family (registry_params k));
-      incremental = Some (fun k -> directed_incremental (registry_params k));
-      reduction = None;
-    };
+    spec ~id:"steiner-node-weighted" ~title:"node-weighted Steiner log-approx"
+      ~paper_ref:"Thm 4.6, Fig 6" ~incremental:node_weighted_incremental node_weighted_family;
+    spec ~id:"steiner-directed" ~title:"directed Steiner log-approx" ~paper_ref:"Thm 4.7, Fig 6"
+      ~incremental:directed_incremental directed_family;
   ]

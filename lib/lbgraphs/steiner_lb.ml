@@ -50,18 +50,15 @@ let family ~k =
       | Framework.Edge (u, v, _) -> [ Framework.Edge (n + u, v, 1); Framework.Edge (n + v, u, 1) ]
       | _ -> invalid_arg "Steiner_lb: edge elements only")
     ~side:(Array.append base.Framework.side base.Framework.side)
-    ~predicate:(fun inst ->
-      match inst with
-      | Framework.With_terminals (g, terms) -> (
-          (* a Steiner tree with target_edges edges = terminals plus
-             extra_budget connector copies *)
-          match
-            Ch_solvers.Steiner.min_extra_nodes ~cap:extra_budget g terms
-          with
-          | Some extra -> extra <= extra_budget
-          | None -> false)
-      | _ -> invalid_arg "steiner family: terminals expected")
-    base
+    ~objective:
+      (* a Steiner tree with target_edges edges = terminals plus
+         extra_budget connector copies; none within the budget is as
+         good as none at all *)
+      (Framework.Of_terminals
+         (fun g terms ->
+           Option.value ~default:max_int
+             (Ch_solvers.Steiner.min_extra_nodes ~cap:extra_budget g terms)))
+    ~goal:(Framework.At_most extra_budget) base
 
 let incremental ~k =
   let fam = family ~k in
@@ -85,15 +82,7 @@ let incremental ~k =
 
 let specs =
   [
-    {
-      Registry.id = "steiner";
-      title = "Steiner tree (cardinality)";
-      paper_ref = "Thm 2.7";
-      origin = "Steiner_lb";
-      default_k = 2;
-      sweep_ks = [ 2; 4 ];
-      scratch = (fun k -> family ~k);
-      incremental = Some (fun k -> incremental ~k);
-      reduction = None;
-    };
+    Registry.spec ~id:"steiner" ~title:"Steiner tree (cardinality)" ~paper_ref:"Thm 2.7"
+      ~origin:"Steiner_lb" ~default_k:2 ~sweep_ks:[ 2; 4 ] ~incremental:(fun k -> incremental ~k)
+      (fun k -> family ~k);
   ]

@@ -49,7 +49,7 @@ let sampled_pairs fam ~seed ~samples =
 let connected_pairs fam ps =
   let keep, skip =
     List.partition
-      (fun (x, y) -> Framework.connected (fam.Framework.build x y))
+      (fun (x, y) -> Framework.connected (Framework.build fam x y))
       ps
   in
   (keep, List.length skip)

@@ -23,18 +23,25 @@ exception
   Codec_mismatch of { algo : string; declared : int; encoded : int }
 
 let undirected_of name fam x y =
-  match fam.Framework.build x y with
+  match Framework.build fam x y with
   | Framework.Undirected g -> g
   | Framework.Directed _ | Framework.With_terminals _
   | Framework.Rooted_digraph _ ->
       invalid_arg (name ^ ": undirected instances only")
 
 let directed_of name fam x y =
-  match fam.Framework.build x y with
+  match Framework.build fam x y with
   | Framework.Directed dg -> dg
   | Framework.Undirected _ | Framework.With_terminals _
   | Framework.Rooted_digraph _ ->
       invalid_arg (name ^ ": directed instances only")
+
+(* The multicut descriptor depends on the family and the partition
+   alone, and building it checks the partition: its length, no empty
+   part or negative id (a party with no vertices cannot take part in the
+   simulation), no input element across parts.  A spec builds it once
+   ([Pool.once]); a direct lockstep call once per run. *)
+let multicut fam ~partition () = Framework.multicut_info fam ~partition
 
 (* The generic t-party engine.  [mk_stepper owns] builds the partial
    stepper a party runs (undirected or directed network); [g] is the
@@ -42,7 +49,7 @@ let directed_of name fam x y =
    Parts are stepped in index order every round — at t=2 with
    [partition_of_side] this is exactly the historical Alice-then-Bob
    schedule, so the old two-party transcripts replay bit-identically. *)
-let lockstep_core ?max_rounds ?(trace = Trace.null) ~name fam ~partition
+let lockstep_core ?max_rounds ?(trace = Trace.null) ~name fam ~partition ~mc
     ~(algo : ('state, 'msg) Network.algo) ~(codecs : 'msg Codec.family)
     ~accept ~g ~mk_stepper x y =
   (* the CONGEST model assumes a connected network; degenerate input pairs
@@ -50,12 +57,8 @@ let lockstep_core ?max_rounds ?(trace = Trace.null) ~name fam ~partition
      family) are outside it — Bound.connected_pairs filters them *)
   if not (Props.connected g) then
     invalid_arg (name ^ ": G_{x,y} is disconnected");
-  if Array.length partition <> Graph.n g then
-    invalid_arg (name ^ ": partition length");
-  (* rejects empty parts and negative ids — a party with no vertices
-     cannot take part in the simulation *)
-  let t = Network.partition_parts partition in
-  let mc = Framework.multicut_info fam ~partition in
+  let mc : Framework.multicut_info = mc () in
+  let t = mc.Framework.mc_parts in
   let cut_size = Array.length mc.Framework.mc_edges in
   (* Party p owns partition⁻¹(p).  By Definition 1.1 (and its multiparty
      analogue) a party's induced subgraph depends only on its own share
@@ -217,33 +220,44 @@ let lockstep_core ?max_rounds ?(trace = Trace.null) ~name fam ~partition
     within_budget = cut_bits <= budget;
   }
 
-let lockstep_partitioned ?seed ?bandwidth_factor ?max_rounds ?trace fam
-    ~partition ~(algo : ('state, 'msg) Network.algo)
-    ~(codecs : 'msg Codec.family) ~accept x y =
+let run_undirected ?seed ?bandwidth_factor ?max_rounds ?trace fam ~partition ~mc
+    ~(algo : ('state, 'msg) Network.algo) ~(codecs : 'msg Codec.family) ~accept x y =
   let name = "Simulate.lockstep_partitioned" in
   let g = undirected_of name fam x y in
-  lockstep_core ?max_rounds ?trace ~name fam ~partition ~algo ~codecs ~accept
+  lockstep_core ?max_rounds ?trace ~name fam ~partition ~mc ~algo ~codecs ~accept
     ~g
     ~mk_stepper:(fun owns -> Network.stepper ?seed ?bandwidth_factor ~owns g algo)
     x y
 
-let lockstep ?seed ?bandwidth_factor ?max_rounds ?trace fam
-    ~(algo : ('state, 'msg) Network.algo) ~(codec : 'msg Codec.t) ~accept x y =
-  lockstep_partitioned ?seed ?bandwidth_factor ?max_rounds ?trace fam
-    ~partition:(Network.partition_of_side fam.Framework.side)
-    ~algo ~codecs:(Codec.uniform codec) ~accept x y
-
-let lockstep_directed ?seed ?bandwidth_factor ?max_rounds ?trace fam
+(* the directed run: steppers on the communication graph, with the
+   orientation as local data *)
+let run_directed ?seed ?bandwidth_factor ?max_rounds ?trace fam ~partition ~mc
     ~(algo : ('state, 'msg) Network.algo) ~(codec : 'msg Codec.t) ~accept x y =
   let name = "Simulate.lockstep_directed" in
   let dg = directed_of name fam x y in
   let g = Network.comm_graph dg in
-  lockstep_core ?max_rounds ?trace ~name fam
-    ~partition:(Network.partition_of_side fam.Framework.side)
+  lockstep_core ?max_rounds ?trace ~name fam ~partition ~mc
     ~algo ~codecs:(Codec.uniform codec) ~accept ~g
     ~mk_stepper:(fun owns ->
       Network.stepper_directed ?seed ?bandwidth_factor ~owns dg algo)
     x y
+
+let lockstep_partitioned ?seed ?bandwidth_factor ?max_rounds ?trace fam
+    ~partition ~algo ~codecs ~accept x y =
+  run_undirected ?seed ?bandwidth_factor ?max_rounds ?trace fam ~partition
+    ~mc:(multicut fam ~partition) ~algo ~codecs ~accept x y
+
+let lockstep ?seed ?bandwidth_factor ?max_rounds ?trace fam ~algo
+    ~(codec : 'msg Codec.t) ~accept x y =
+  lockstep_partitioned ?seed ?bandwidth_factor ?max_rounds ?trace fam
+    ~partition:(Network.partition_of_side fam.Framework.side)
+    ~algo ~codecs:(Codec.uniform codec) ~accept x y
+
+let lockstep_directed ?seed ?bandwidth_factor ?max_rounds ?trace fam ~algo
+    ~codec ~accept x y =
+  let partition = Network.partition_of_side fam.Framework.side in
+  run_directed ?seed ?bandwidth_factor ?max_rounds ?trace fam ~partition
+    ~mc:(multicut fam ~partition) ~algo ~codec ~accept x y
 
 (* ---- monomorphic packaging ------------------------------------------ *)
 
@@ -275,6 +289,8 @@ let make_spec ~name ?(cc = `Disj) ?(parties = 2) fam ~run ~reference =
 
 let gather_spec ?seed ?bandwidth_factor ~name fam ~solver ~accept =
   let algo = Gather.algo ~root:0 ~f:solver () in
+  let partition = Network.partition_of_side fam.Framework.side in
+  let mc = Pool.once (multicut fam ~partition) in
   {
     sname = name;
     sfam = fam;
@@ -282,8 +298,8 @@ let gather_spec ?seed ?bandwidth_factor ~name fam ~solver ~accept =
     sparties = 2;
     srun =
       (fun ?trace x y ->
-        lockstep ?seed ?bandwidth_factor ?trace fam ~algo ~codec:Codec.gather
-          ~accept x y);
+        run_undirected ?seed ?bandwidth_factor ?trace fam ~partition ~mc ~algo
+          ~codecs:(Codec.uniform Codec.gather) ~accept x y);
     sref =
       (fun x y ->
         let g = undirected_of "Simulate.gather_spec" fam x y in
@@ -301,6 +317,8 @@ let gather_spec ?seed ?bandwidth_factor ~name fam ~solver ~accept =
 
 let gather_spec_directed ?seed ?bandwidth_factor ~name fam ~solver ~accept =
   let algo = Gather.directed_algo ~root:0 ~f:solver () in
+  let partition = Network.partition_of_side fam.Framework.side in
+  let mc = Pool.once (multicut fam ~partition) in
   {
     sname = name;
     sfam = fam;
@@ -308,7 +326,7 @@ let gather_spec_directed ?seed ?bandwidth_factor ~name fam ~solver ~accept =
     sparties = 2;
     srun =
       (fun ?trace x y ->
-        lockstep_directed ?seed ?bandwidth_factor ?trace fam ~algo
+        run_directed ?seed ?bandwidth_factor ?trace fam ~partition ~mc ~algo
           ~codec:Codec.gather ~accept x y);
     sref =
       (fun x y ->
@@ -328,6 +346,7 @@ let gather_spec_directed ?seed ?bandwidth_factor ~name fam ~solver ~accept =
 let gather_spec_partitioned ?seed ?bandwidth_factor ~name fam ~partition
     ~solver ~accept =
   let algo = Gather.algo ~root:0 ~f:solver () in
+  let mc = Pool.once (multicut fam ~partition) in
   {
     sname = name;
     sfam = fam;
@@ -335,10 +354,8 @@ let gather_spec_partitioned ?seed ?bandwidth_factor ~name fam ~partition
     sparties = Network.partition_parts partition;
     srun =
       (fun ?trace x y ->
-        lockstep_partitioned ?seed ?bandwidth_factor ?trace fam ~partition
-          ~algo
-          ~codecs:(Codec.uniform Codec.gather)
-          ~accept x y);
+        run_undirected ?seed ?bandwidth_factor ?trace fam ~partition ~mc ~algo
+          ~codecs:(Codec.uniform Codec.gather) ~accept x y);
     sref =
       (fun x y ->
         let g = undirected_of "Simulate.gather_spec_partitioned" fam x y in

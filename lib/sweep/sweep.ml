@@ -29,7 +29,7 @@ exception Interrupted of int
 
 let store_key fam ~mode ~shards =
   let zeros = Bits.zeros fam.Framework.input_bits in
-  let core = Framework.graph_of (fam.Framework.build zeros zeros) in
+  let core = Framework.graph_of (Framework.build fam zeros zeros) in
   let mode_tag =
     match mode with
     | Pairs.Exhaustive -> "x"

@@ -107,7 +107,8 @@ let () =
       has_fields (entry doc "verify" name)
         [ "speedup_vs_scratch"; "differential_ok" ])
     [ "steiner-k2-exhaustive-inc"; "hampath-k2-exhaustive-inc" ];
-  (* the reduction section, with the directed and multiparty entries *)
+  (* the reduction section, with the directed and multiparty entries and
+     two whose reduction is derived from a declared objective *)
   List.iter
     (fun (name, parties) ->
       let e = entry doc "reduction" name in
@@ -118,7 +119,8 @@ let () =
         fail "%s: expected parties %d" name parties)
     [ ("mds-k2-reduction", 2); ("maxis-k2-reduction", 2);
       ("maxcut-k2-reduction", 2); ("hampath-k2-reduction", 2);
-      ("bitgadget-k4-reduction", 4) ];
+      ("bitgadget-k4-reduction", 4); ("mvc-k2-reduction", 2);
+      ("hamcycle-k2-reduction", 2) ];
   (* the sharded sweep-engine section *)
   List.iter
     (fun name ->

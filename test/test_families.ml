@@ -75,7 +75,7 @@ let test_hampath_witness_paths () =
       check
         (Printf.sprintf "witness path valid at k=%d i=%d j=%d" k i j)
         true
-        (match (Hampath_lb.path_family ~k).Framework.build x y with
+        (match Framework.build (Hampath_lb.path_family ~k) x y with
         | Framework.Directed dg -> Ch_solvers.Hamilton.is_directed_path dg p
         | _ -> false))
     [ (2, 0, 1, []); (2, 1, 1, [ 0 ]); (4, 1, 2, [ 3; 7 ]); (8, 5, 6, [ 1 ]);
@@ -213,8 +213,7 @@ let test_maxis_approx_gap () =
     (fun x ->
       List.iter
         (fun y ->
-          let g = Framework.graph_of ((Maxis_approx_lb.weighted_family p).Framework.build x y) in
-          let w = fst (Ch_solvers.Mis.max_weight_set g) in
+          let w = Framework.value (Maxis_approx_lb.weighted_family p) x y in
           if Ch_cc.Commfn.intersecting x y then begin
             seen_yes := true;
             check_int "yes weight" (Maxis_approx_lb.yes_weight p) w
@@ -322,9 +321,9 @@ let test_bitgadget_partition_split () =
 (* A registry reduction sweep at scale k: every decision is right, every
    transcript equals its oracle and stays within the Theorem 1.1 budget,
    and bits cross the (multi)cut on every pair. *)
-let check_reduction_sweep id ~k =
+let check_reduction_sweep ?samples id ~k =
   match
-    Ch_reduction.Bound.sweep_registry
+    Ch_reduction.Bound.sweep_registry ?samples
       (Registry.find_exn (Families.catalog ()) id)
       ~k
   with
@@ -449,7 +448,7 @@ let test_construction_pins () =
         let k = fam.Framework.input_bits in
         let buf = Buffer.create (1 lsl 16) in
         List.iter
-          (fun x -> List.iter (fun y -> render buf (fam.Framework.build x y)) (Bits.all k))
+          (fun x -> List.iter (fun y -> render buf (Framework.build fam x y)) (Bits.all k))
           (Bits.all k);
         ( s.Registry.id,
           fam.Framework.nvertices,
@@ -509,6 +508,36 @@ let registry_differential_case s =
 let registry_differential_cases =
   List.map registry_differential_case
     (Registry.filter ~incremental:true (Families.catalog ()))
+
+(* A spec has a reduction exactly when its objective reads what the
+   gather uploads, an undirected graph or a digraph, so only the three
+   Steiner ids have none; every reduction decides f on the corners plus
+   4 draws at its family's default scale. *)
+let test_reduction_slice () =
+  let cat = Families.catalog () in
+  List.iter
+    (fun s ->
+      let gathered =
+        match (s.Registry.scratch s.Registry.default_k).Framework.objective with
+        | Framework.Of_graph _ | Framework.Of_digraph _ -> true
+        | Framework.Of_terminals _ | Framework.Of_rooted _ -> false
+      in
+      check (s.Registry.id ^ " has a reduction iff the gather carries its objective") gathered
+        (s.Registry.reduction <> None))
+    (Registry.all cat);
+  Alcotest.(check (list string))
+    "ids without a reduction"
+    [ "steiner"; "steiner-node-weighted"; "steiner-directed" ]
+    (List.map (fun s -> s.Registry.id) (Registry.filter ~reduction:false cat))
+
+let registry_reduction_cases =
+  Alcotest.test_case "reductions where the gather carries the objective" `Quick
+    test_reduction_slice
+  :: List.map
+       (fun s ->
+         Alcotest.test_case (s.Registry.id ^ " reduction at default k") `Quick (fun () ->
+             check_reduction_sweep ~samples:4 s.Registry.id ~k:s.Registry.default_k))
+       (Registry.filter ~reduction:true (Families.catalog ()))
 
 (* ------------------------------------------------------------------ *)
 (* Theorem 1.1 end-to-end: Alice and Bob solve DISJ by simulation      *)
@@ -601,5 +630,6 @@ let () =
         Alcotest.test_case "catalog" `Quick test_registry_catalog
         :: Alcotest.test_case "construction pins" `Quick test_construction_pins
         :: Alcotest.test_case "every family sided" `Quick test_registry_sided
-        :: registry_differential_cases );
+        :: registry_differential_cases
+        @ registry_reduction_cases );
     ]

@@ -98,11 +98,8 @@ let toy ?(side = [| true; true; false; false |]) ~x0 ~y0 () =
   in
   Framework.family ~name:"toy" ~params:[] ~side ~core
     ~input_bits:2 ~x:(bit0 x0) ~y:(bit0 y0)
-    ~predicate:(fun inst ->
-      match inst with
-      | Framework.Undirected g -> Graph.mem_edge g 0 1
-      | _ -> false)
-    ~f:Commfn.intersecting
+    ~objective:(Framework.Of_graph (fun g -> Bool.to_int (Graph.mem_edge g 0 1)))
+    ~goal:(Framework.At_least 1) ~f:Commfn.intersecting
 
 (* an intentionally broken family: P = "graph has an edge between 0 and
    1" but f = intersecting on 2-bit inputs, where the edge appears only
@@ -118,6 +115,22 @@ let test_verify_detects_mismatch () =
   let failures, total = exhaustive_counts toy_family in
   check_int "sixteen pairs" 16 total;
   check "mismatches found" true (failures > 0)
+
+(* P is the objective meeting the goal, and an objective reads only the
+   instance kind it is declared on *)
+let test_objective_goal () =
+  check "at most, equal" true (Framework.meets (Framework.At_most 2) 2);
+  check "at most, above" false (Framework.meets (Framework.At_most 2) 3);
+  check "at least, equal" true (Framework.meets (Framework.At_least 2) 2);
+  check "at least, below" false (Framework.meets (Framework.At_least 2) 1);
+  let x = Bits.ones 2 and y = Bits.zeros 2 in
+  check_int "value: the x edge is there" 1 (Framework.value toy_family x y);
+  check "holds on that pair" true (Framework.holds toy_family (Framework.build toy_family x y));
+  check "fails without it" false (Framework.verdict toy_family y x);
+  let on_digraphs = { toy_family with Framework.objective = Framework.Of_digraph Digraph.n } in
+  Alcotest.check_raises "an undirected instance is no digraph"
+    (Invalid_argument "Framework.evaluate: the objective reads another instance kind")
+    (fun () -> ignore (Framework.value on_digraphs x y))
 
 let test_cut_edges () =
   check "cut is the 1-2 edge" true (Framework.cut_edges toy_family = [ (1, 2) ]);
@@ -144,12 +157,8 @@ let test_reduce_composes () =
         | Framework.Undirected g -> Framework.With_terminals (g, [ 0; 1 ])
         | _ -> assert false)
       ~element:(fun e -> [ e ]) ~side:base.Framework.side
-      ~predicate:(fun inst ->
-        match inst with
-        | Framework.With_terminals (g, _) ->
-            Ch_solvers.Domset.min_size g <= Ch_lbgraphs.Mds_lb.target_size ~k:2
-        | _ -> assert false)
-      base
+      ~objective:(Framework.Of_terminals (fun g _ -> Ch_solvers.Domset.min_size g))
+      ~goal:base.Framework.goal base
   in
   let failures, total = exhaustive_counts doubled in
   check_int "reduced family still verifies" 0 failures;
@@ -224,6 +233,7 @@ let () =
         [
           Alcotest.test_case "verify catches bad families" `Quick
             test_verify_detects_mismatch;
+          Alcotest.test_case "objective and goal" `Quick test_objective_goal;
           Alcotest.test_case "cut edges" `Quick test_cut_edges;
           Alcotest.test_case "sidedness violations" `Quick
             test_sidedness_detects_violation;

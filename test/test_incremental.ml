@@ -74,7 +74,7 @@ let patcher_case s =
       let p = Framework.patcher fam in
       List.iteri
         (fun i (x, y) ->
-          if not (same_instance (Framework.patch p x y) (fam.Framework.build x y)) then
+          if not (same_instance (Framework.patch p x y) (Framework.build fam x y)) then
             Alcotest.failf "%s: patched instance differs from build at step %d"
               s.Registry.id i)
         (patch_sequence ~input_bits:fam.Framework.input_bits ~samples:12))
@@ -122,7 +122,7 @@ let check_sampled name inc pairs =
   let p = inc.Framework.prepare () in
   List.iteri
     (fun i (x, y) ->
-      let scratch = fam.Framework.predicate (fam.Framework.build x y) in
+      let scratch = Framework.verdict fam x y in
       Alcotest.(check bool)
         (Printf.sprintf "%s: verdict differential at pair %d" name i)
         scratch
@@ -392,16 +392,16 @@ let test_memo_aux_keying () =
 (* Seed derivation: the sampled mode is schedule-independent        *)
 (* ---------------------------------------------------------------- *)
 
-(* A deliberately broken family (predicate always TRUE) makes the
-   failure count non-trivial: it fails exactly on the non-intersecting
-   pairs.  The expected count is recomputed here straight from the
-   documented derivation — corners first, then sample i drawn from
-   seeds (seed + 2i, seed + 2i + 1) — and must match under any worker
-   count, pinning both the sampling-with-replacement semantics and the
-   per-index seed scheme. *)
+(* A deliberately broken family (its goal At_least 0 makes P always
+   TRUE) makes the failure count non-trivial: it fails exactly on the
+   non-intersecting pairs.  The expected count is recomputed here
+   straight from the documented derivation — corners first, then sample
+   i drawn from seeds (seed + 2i, seed + 2i + 1) — and must match under
+   any worker count, pinning both the sampling-with-replacement
+   semantics and the per-index seed scheme. *)
 let test_seed_derivation () =
   let base = Mds_lb.family ~k:2 in
-  let broken = { base with Framework.predicate = (fun _ -> true) } in
+  let broken = { base with Framework.goal = Framework.At_least 0 } in
   let seed = 1234 and samples = 200 in
   let k = broken.Framework.input_bits in
   let corners =

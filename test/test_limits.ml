@@ -184,7 +184,7 @@ let test_aggregate_simulation () =
   let p = Ch_lbgraphs.Mds_restricted_lb.make_params ~seed:1 ~ell:6 ~t_count:6 ~r:2 () in
   let x = Ch_cc.Bits.random ~seed:5 6 and y = Ch_cc.Bits.random ~seed:6 6 in
   let fam = Ch_lbgraphs.Mds_restricted_lb.family p in
-  let g = Ch_core.Framework.graph_of (fam.Ch_core.Framework.build x y) in
+  let g = Ch_core.Framework.graph_of (Ch_core.Framework.build fam x y) in
   let owner v =
     match Ch_lbgraphs.Mds_restricted_lb.owner p v with
     | `Alice -> Aggregate.Alice

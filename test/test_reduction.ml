@@ -182,7 +182,7 @@ let test_codec_gather () =
   (* the lower-bound instances themselves, where the codec must also hold *)
   List.iter
     (fun (fam : Ch_core.Framework.t) ->
-      match fam.Ch_core.Framework.build (Bits.ones 4) (Bits.random ~seed:21 4) with
+      match Ch_core.Framework.build fam (Bits.ones 4) (Bits.random ~seed:21 4) with
       | Ch_core.Framework.Undirected g ->
           check_codec_on "gather-lb"
             (Gather.algo ~root:0 ~f:Graph.m ())
@@ -201,7 +201,7 @@ let test_run_split_matches_trace () =
       let sink, events = Trace.collector () in
       let t = spec.Simulate.srun ~trace:sink x y in
       let g =
-        match fam.Ch_core.Framework.build x y with
+        match Ch_core.Framework.build fam x y with
         | Ch_core.Framework.Undirected g -> g
         | _ -> Alcotest.fail "undirected"
       in
@@ -294,7 +294,7 @@ let prop_partition_conservation =
            (int_bound 15) (int_bound 15)))
     (fun (partition, xi, yi) ->
       let x = bits_of_int 4 xi and y = bits_of_int 4 yi in
-      match fam.Ch_core.Framework.build x y with
+      match Ch_core.Framework.build fam x y with
       | Ch_core.Framework.Undirected g ->
           if not (Props.connected g) then true
           else
@@ -322,7 +322,7 @@ let test_t2_bit_identity () =
       for xi = 0 to (1 lsl kbits) - 1 do
         for yi = 0 to (1 lsl kbits) - 1 do
           let x = bits_of_int kbits xi and y = bits_of_int kbits yi in
-          match fam.Ch_core.Framework.build x y with
+          match Ch_core.Framework.build fam x y with
           | Ch_core.Framework.Undirected g when Props.connected g ->
               let t = spec.Simulate.srun x y in
               let r = spec.Simulate.sref x y in

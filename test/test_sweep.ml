@@ -24,26 +24,21 @@ let mds_fam =
     (let cat = Ch_lbgraphs.Families.catalog () in
      (Registry.find_exn cat "mds").Registry.scratch 2)
 
-(* A cheap synthetic family: the verdict is pure bit arithmetic, so
-   qcheck can afford hundreds of full sweeps.  It still goes through
-   build/predicate like every real family; its edge depends on the
-   parity of both inputs, which no per-bit encoding declares, so it
-   replaces the derived [build] of an empty encoding. *)
+(* A cheap synthetic family: its verdict is an edge count, so qcheck
+   can afford hundreds of full sweeps.  It is a declared encoding like
+   every real family: vertex 0 is Alice's hub and 1..k her leaves, k + 1
+   is Bob's hub and k + 2..2k + 1 his, and bit i of a player adds the
+   edge from the player's hub to its leaf i when set.  The objective is
+   the edge count mod 2 and the goal At_most 0, so P is "an even number
+   of set bits", which is f. *)
 let dummy_fam k : Framework.t =
-  let build x y =
-    let g = Graph.create 2 in
-    if (Bits.popcount x + Bits.popcount y) mod 2 = 0 then Graph.add_edge g 0 1;
-    Framework.Undirected g
-  in
-  let none _ = { Framework.at0 = []; at1 = [] } in
-  {
-    (Framework.family ~name:"dummy" ~params:[ ("k", k) ] ~side:[| true; false |]
-       ~core:(fun () -> Framework.Undirected (Graph.create 2)) ~input_bits:k ~x:none ~y:none
-       ~predicate:(function Framework.Undirected g -> Graph.m g > 0 | _ -> false)
-       ~f:(fun x y -> (Bits.popcount x + Bits.popcount y) mod 2 = 0))
-    with
-    Framework.build;
-  }
+  let n = 2 * (k + 1) in
+  let bit hub i = { Framework.at0 = []; at1 = [ Framework.Edge (hub, hub + 1 + i, 1) ] } in
+  Framework.family ~name:"dummy" ~params:[ ("k", k) ] ~side:(Array.init n (fun v -> v <= k))
+    ~core:(fun () -> Framework.Undirected (Graph.create n)) ~input_bits:k ~x:(bit 0)
+    ~y:(bit (k + 1))
+    ~objective:(Framework.Of_graph (fun g -> Graph.m g mod 2)) ~goal:(Framework.At_most 0)
+    ~f:(fun x y -> (Bits.popcount x + Bits.popcount y) mod 2 = 0)
 
 (* The single-process scratch stream a sweep must reproduce. *)
 let scratch_stream fam mode =
@@ -138,6 +133,7 @@ let prop_partition_cover =
 let test_partition_family_totals () =
   for k = 1 to 5 do
     let fam = dummy_fam k in
+    if not (Framework.sided fam) then Alcotest.failf "the dummy family at K=%d is not sided" k;
     List.iter
       (fun mode ->
         let total = total fam mode in
