@@ -68,3 +68,13 @@ val elements : t -> int list
 val of_list : int -> int list -> t
 
 val pp : Format.formatter -> t -> unit
+
+(** {1 Word-level bit counts} *)
+
+val popcount : int -> int
+(** The number of set bits of a word, by 16-bit table lookup. *)
+
+val ctz : int -> int
+(** The index of the lowest set bit of a non-zero word (63 for [0]), in
+    O(1): the popcount of the bits below it, one table load when it is
+    at most 16. *)

@@ -33,17 +33,13 @@ let cut_property_holds_graph g distinguished =
     Array.fold_left (fun acc v -> acc lor (1 lsl v)) 0 distinguished
   in
   let d_total = Array.length distinguished in
-  let popcount x =
-    let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
-    go 0 x
-  in
   let ok = ref true in
   (* the property is complement-symmetric: fix vertex 0 outside S *)
   let mask_limit = 1 lsl (n - 1) in
   let mask = ref 1 in
   while !ok && !mask < mask_limit do
     let s = !mask lsl 1 in
-    let inside = popcount (s land d_mask) in
+    let inside = Bitset.popcount (s land d_mask) in
     let need = min inside (d_total - inside) in
     if need > 0 then begin
       let crossing = ref 0 in

@@ -45,8 +45,10 @@ val family : k:int -> Ch_core.Framework.t
 val incremental : k:int -> Ch_core.Framework.incremental
 (** Incremental descriptor backed by the conditioned max-cut table
     ({!Ch_solvers.Cache.maxcut_prepare} over the 4k + 2 vertices the
-    inputs touch: the rows and N_A, N_B): one full
-    enumeration at prepare time, then 2^(4k+2) work per pair.  Like the
+    inputs touch: the rows and N_A, N_B): at prepare time one Gray-code
+    walk per bit-gadget 4-cycle and over the path C_A–C̄_A–C_B for each
+    assignment of their volatile neighbours, then 2^(4k+2) work per
+    pair.  Like the
     from-scratch exact solver it is limited to n ≤ 30, i.e. k = 2 (the
     prepare raises instead of the solve). *)
 

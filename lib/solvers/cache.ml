@@ -440,49 +440,38 @@ let maxcut_prepare g ~volatile =
   in
   { mt = tables; mc = Tally.make maxcut_kind ~was_hit }
 
-let trailing_zeros x =
-  let rec go i x = if x land 1 = 1 then i else go (i + 1) (x lsr 1) in
-  if x = 0 then invalid_arg "trailing_zeros 0" else go 0 x
-
 let maxcut_max ?stop_at c ~extra =
   Tally.query c.mc;
   let t = c.mt in
   let s = t.mnvol in
-  let adj = Array.make (max s 1) [] in
-  List.iter
-    (fun (u, v, w) ->
-      if u < 0 || u >= t.mn || v < 0 || v >= t.mn then
-        invalid_arg "Cache.maxcut_max: edge out of range";
-      let iu = t.mvol_index.(u) and iv = t.mvol_index.(v) in
-      if iu < 0 || iv < 0 then
-        invalid_arg "Cache.maxcut_max: extra edge endpoint not volatile";
-      adj.(iu) <- (iv, w) :: adj.(iu);
-      adj.(iv) <- (iu, w) :: adj.(iv))
-    extra;
+  let adj =
+    Maxcut.adjacency s
+      (List.map
+         (fun (u, v, w) ->
+           if u < 0 || u >= t.mn || v < 0 || v >= t.mn then
+             invalid_arg "Cache.maxcut_max: edge out of range";
+           let iu = t.mvol_index.(u) and iv = t.mvol_index.(v) in
+           if iu < 0 || iv < 0 then
+             invalid_arg "Cache.maxcut_max: extra edge endpoint not volatile";
+           (iu, iv, w))
+         extra)
+  in
   (* Gray walk over the 2^s volatile assignments: the extra-edge cut
      weight is maintained incrementally, the core contributes m.(va).
      With [stop_at] the walk ends as soon as the bound is witnessed:
      the result is then exact below the bound, and any value ≥ the
      bound certifies the true maximum is too. *)
   let stop = match stop_at with Some b -> b | None -> max_int in
-  let side = Array.make (max s 1) false in
-  let best = ref t.mtable.(0) and weight = ref 0 and va = ref 0 in
-  (try
-     if !best >= stop then raise Exit;
-     for tt = 1 to (1 lsl s) - 1 do
-       let i = trailing_zeros tt in
-       let delta =
-         List.fold_left
-           (fun acc (j, w) -> if side.(j) = side.(i) then acc + w else acc - w)
-           0 adj.(i)
-       in
-       weight := !weight + delta;
-       side.(i) <- not side.(i);
-       va := !va lxor (1 lsl i);
-       if !weight + t.mtable.(!va) > !best then best := !weight + t.mtable.(!va);
-       if !best >= stop then raise Exit
-     done
-   with Exit -> ());
+  let side = Array.make s false in
+  let best = ref t.mtable.(0) and weight = ref 0 and va = ref 0 and tt = ref 1 in
+  while !best < stop && !tt < 1 lsl s do
+    let i = Bitset.ctz !tt in
+    weight := !weight + Maxcut.flip_delta adj side i;
+    side.(i) <- not side.(i);
+    va := !va lxor (1 lsl i);
+    if !weight + t.mtable.(!va) > !best then best := !weight + t.mtable.(!va);
+    incr tt
+  done;
   !best
 
 let maxcut_stats c = Tally.stats c.mc
@@ -522,10 +511,6 @@ let hampath_memo : (hampath_key, hampath_tables) Memo.t = value_memo ()
 let hampath_kind = Tally.kind "hampath"
 let max_patterns = 4096
 
-let popcount m =
-  let rec go acc m = if m = 0 then acc else go (acc + 1) (m land (m - 1)) in
-  go 0 m
-
 let build_hampath_tables dg cands =
   let n = Digraph.n dg and m = Array.length cands in
   if m > Sys.int_size - 1 then
@@ -563,7 +548,7 @@ let build_hampath_tables dg cands =
     b
   in
   let refuted = ref [] and found = ref [] in
-  List.sort (fun a b -> compare (popcount b, a) (popcount a, b)) !patterns
+  List.sort (fun a b -> compare (Bitset.popcount b, a) (Bitset.popcount a, b)) !patterns
   |> List.iter (fun p ->
          if not (List.exists (fun r -> p land r = p) !refuted) then begin
            let succ = Array.copy succ0 and pred = Array.copy pred0 in
@@ -581,7 +566,7 @@ let build_hampath_tables dg cands =
     List.filter
       (fun (p, _) -> not (List.exists (fun (q, _) -> q <> p && q land p = q) !found))
       !found
-    |> List.sort (fun (a, _) (b, _) -> compare (popcount a, a) (popcount b, b))
+    |> List.sort (fun (a, _) (b, _) -> compare (Bitset.popcount a, a) (Bitset.popcount b, b))
   in
   {
     hn = n;
@@ -701,7 +686,7 @@ let mis_evaluator ~weighted g ~volatile =
       done;
       !wa
     end
-    else popcount mask
+    else Bitset.popcount mask
   in
   let residual_of mask =
     let nbrs = Bitset.create n in
@@ -953,7 +938,7 @@ let nwsteiner_cost c ~weights =
   if Bytes.get t.nw_feasible 0 = '\001' then best := base;
   for mask = 1 to (1 lsl m) - 1 do
     let low = mask land -mask in
-    wsum.(mask) <- wsum.(mask lxor low) + weights.(t.nw_nonterm.(trailing_zeros mask));
+    wsum.(mask) <- wsum.(mask lxor low) + weights.(t.nw_nonterm.(Bitset.ctz mask));
     if Bytes.get t.nw_feasible mask = '\001' && base + wsum.(mask) < !best then
       best := base + wsum.(mask)
   done;

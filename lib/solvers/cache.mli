@@ -73,8 +73,13 @@ type maxcut
 
 val maxcut_prepare : Graph.t -> volatile:int list -> maxcut
 (** Tabulate {!Maxcut.conditioned_max} of the core over the [volatile]
-    vertices — the only vertices input edges may touch.
-    @raise Invalid_argument when [n > 30] (the exact solver's limit). *)
+    vertices — the only vertices input edges may touch.  The build walks
+    each component of the core minus the volatile set once per
+    assignment of its volatile neighbours, so its cost follows the
+    largest component and its neighbourhood, not [2^n] (1 ms and 7 648
+    flips for the k = 2 max-cut core).
+    @raise Invalid_argument when [n > 30], the limit the table shares
+    with the from-scratch solver {!Maxcut.max_cut}. *)
 
 val maxcut_max : ?stop_at:int -> maxcut -> extra:(int * int * int) list -> int
 (** The exact maximum cut weight of [core + extra], i.e.

@@ -10,21 +10,48 @@ let cut_weight g side =
   Graph.iter_edges (fun u v w -> if side.(u) <> side.(v) then acc := !acc + w) g;
   !acc
 
-let flip_delta g side v =
-  (* change in cut weight when v switches sides *)
-  List.fold_left
-    (fun acc (u, w) -> if side.(u) = side.(v) then acc + w else acc - w)
-    0 (Graph.neighbors_w g v)
+type adjacency = { off : int array; nbr : int array; wt : int array }
 
-let trailing_zeros x =
-  let rec go i x = if x land 1 = 1 then i else go (i + 1) (x lsr 1) in
-  if x = 0 then invalid_arg "trailing_zeros 0" else go 0 x
+let adjacency n edges =
+  let off = Array.make (n + 1) 0 in
+  List.iter
+    (fun (u, v, _) ->
+      off.(u + 1) <- off.(u + 1) + 1;
+      off.(v + 1) <- off.(v + 1) + 1)
+    edges;
+  for v = 1 to n do
+    off.(v) <- off.(v) + off.(v - 1)
+  done;
+  let nbr = Array.make off.(n) 0 and wt = Array.make off.(n) 0 in
+  let next = Array.copy off in
+  let put u v w =
+    nbr.(next.(u)) <- v;
+    wt.(next.(u)) <- w;
+    next.(u) <- next.(u) + 1
+  in
+  List.iter
+    (fun (u, v, w) ->
+      put u v w;
+      put v u w)
+    edges;
+  { off; nbr; wt }
+
+(* [side] is typed so that [=] compiles to an integer compare, not the
+   polymorphic one *)
+let flip_delta adj (side : bool array) v =
+  let d = ref 0 and sv = side.(v) in
+  for e = adj.off.(v) to adj.off.(v + 1) - 1 do
+    if side.(adj.nbr.(e)) = sv then d := !d + adj.wt.(e) else d := !d - adj.wt.(e)
+  done;
+  !d
+
+let graph_adjacency g = adjacency (Graph.n g) (Graph.edges g)
 
 let max_cut g =
   Obs.with_span sp_maxcut (fun () ->
       let n = Graph.n g in
       if n > 30 then invalid_arg "Maxcut.max_cut: n > 30";
-      let adjacency = Array.init n (fun v -> Array.of_list (Graph.neighbors_w g v)) in
+      let adj = graph_adjacency g in
       let side = Array.make n false in
       let best_w = ref 0 and best = Array.make n false in
       if n > 1 then begin
@@ -34,12 +61,8 @@ let max_cut g =
         Obs.incr c_flips steps;
         Obs.observe h_flips steps;
         for t = 1 to steps do
-          let v = 1 + trailing_zeros t in
-          let delta = ref 0 in
-          Array.iter
-            (fun (u, w) -> if side.(u) = side.(v) then delta := !delta + w else delta := !delta - w)
-            adjacency.(v);
-          weight := !weight + !delta;
+          let v = 1 + Bitset.ctz t in
+          weight := !weight + flip_delta adj side v;
           side.(v) <- not side.(v);
           if !weight > !best_w then begin
             best_w := !weight;
@@ -59,19 +82,15 @@ let exists_of_weight g bound =
       if bound <= 0 then true (* the empty cut weighs 0 *)
       else if n <= 1 then false
       else begin
-        let adjacency = Array.init n (fun v -> Array.of_list (Graph.neighbors_w g v)) in
+        let adj = graph_adjacency g in
         let side = Array.make n false in
         let weight = ref 0 in
         let steps = (1 lsl (n - 1)) - 1 in
         let taken = ref 0 and found = ref false in
         let t = ref 1 in
         while (not !found) && !t <= steps do
-          let v = 1 + trailing_zeros !t in
-          let delta = ref 0 in
-          Array.iter
-            (fun (u, w) -> if side.(u) = side.(v) then delta := !delta + w else delta := !delta - w)
-            adjacency.(v);
-          weight := !weight + !delta;
+          let v = 1 + Bitset.ctz !t in
+          weight := !weight + flip_delta adj side v;
           side.(v) <- not side.(v);
           incr taken;
           if !weight >= bound then found := true;
@@ -84,74 +103,118 @@ let exists_of_weight g bound =
         !found
       end)
 
-(* One full 2^n Gray-code walk with the volatile vertices assigned to the
-   high bit positions: each of their 2^s joint assignments is then visited
-   as one contiguous block of the walk, so a single pass records the best
-   cut weight attainable over the remaining vertices for every volatile
-   assignment. *)
+(* The component of [root] in G − volatile ([bit.(v) >= 0] marks the
+   volatile vertices), and its volatile neighbours N(C) as a mask over
+   the bits of a volatile assignment. *)
+let component adj bit seen root =
+  let queue = Array.make (Array.length bit) root in
+  let len = ref 1 and head = ref 0 and near = ref 0 in
+  seen.(root) <- true;
+  while !head < !len do
+    let v = queue.(!head) in
+    incr head;
+    for e = adj.off.(v) to adj.off.(v + 1) - 1 do
+      let u = adj.nbr.(e) in
+      if bit.(u) >= 0 then near := !near lor (1 lsl bit.(u))
+      else if not seen.(u) then begin
+        seen.(u) <- true;
+        queue.(!len) <- u;
+        incr len
+      end
+    done
+  done;
+  (Array.sub queue 0 !len, !near)
+
+(* Once the volatile sides are fixed, every other vertex lies in a
+   component C of G − volatile whose edges reach only C and N(C), so
+
+     m.(a) = (cut weight of the volatile–volatile edges under a)
+             + Σ_C best_C (a land N(C))
+
+   where best_C is one Gray walk over C for each assignment of N(C):
+   Σ_C 2^|N(C)|·(2^|C| − 1) flips rather than 2^n − 1. *)
 let conditioned_max g ~volatile =
   Obs.with_span sp_maxcut (fun () ->
-  let n = Graph.n g in
-  if n > 30 then invalid_arg "Maxcut.conditioned_max: n > 30";
-  if n > 0 then begin
-    Obs.incr c_flips ((1 lsl n) - 1);
-    Obs.observe h_flips ((1 lsl n) - 1)
-  end;
-  let vol = Array.of_list volatile in
-  let s = Array.length vol in
-  let pos = Array.make n (-1) in
-  Array.iteri
-    (fun i v ->
-      if v < 0 || v >= n then invalid_arg "Maxcut.conditioned_max: bad vertex";
-      if pos.(v) >= 0 then invalid_arg "Maxcut.conditioned_max: duplicate vertex";
-      pos.(v) <- n - s + i)
-    vol;
-  let next = ref 0 in
-  for v = 0 to n - 1 do
-    if pos.(v) < 0 then begin
-      pos.(v) <- !next;
-      incr next
-    end
-  done;
-  let vertex_at = Array.make n 0 in
-  Array.iteri (fun v p -> vertex_at.(p) <- v) pos;
-  let adjacency = Array.init n (fun v -> Array.of_list (Graph.neighbors_w g v)) in
-  let side = Array.make n false in
-  let m = Array.make (1 lsl s) 0 in
-  let r = n - s in
-  let weight = ref 0 and best = ref 0 and va = ref 0 in
-  if n > 0 then
-    for t = 1 to (1 lsl n) - 1 do
-      let p = trailing_zeros t in
-      let v = vertex_at.(p) in
-      let delta = ref 0 in
-      Array.iter
-        (fun (u, w) -> if side.(u) = side.(v) then delta := !delta + w else delta := !delta - w)
-        adjacency.(v);
-      weight := !weight + !delta;
-      side.(v) <- not side.(v);
-      if p < r then begin
-        if !weight > !best then best := !weight
-      end
-      else begin
-        (* a volatile flip ends the current block: record it, start anew *)
-        m.(!va) <- !best;
-        va := !va lxor (1 lsl (p - r));
-        best := !weight
-      end
-    done;
-  m.(!va) <- !best;
-  m)
+      let n = Graph.n g in
+      if n > 30 then invalid_arg "Maxcut.conditioned_max: n > 30";
+      let vol = Array.of_list volatile in
+      let s = Array.length vol in
+      let bit = Array.make n (-1) in
+      Array.iteri
+        (fun i v ->
+          if v < 0 || v >= n then invalid_arg "Maxcut.conditioned_max: bad vertex";
+          if bit.(v) >= 0 then invalid_arg "Maxcut.conditioned_max: duplicate vertex";
+          bit.(v) <- i)
+        vol;
+      let adj = graph_adjacency g in
+      let m = Array.make (1 lsl s) 0 in
+      (* the volatile–volatile edges: a is [a land (a - 1)] with the
+         vertex of its lowest bit moved to side [true] *)
+      for a = 1 to (1 lsl s) - 1 do
+        let v = vol.(Bitset.ctz a) and rest = a land (a - 1) in
+        let d = ref 0 in
+        for e = adj.off.(v) to adj.off.(v + 1) - 1 do
+          let j = bit.(adj.nbr.(e)) in
+          if j >= 0 then
+            if rest land (1 lsl j) <> 0 then d := !d - adj.wt.(e) else d := !d + adj.wt.(e)
+        done;
+        m.(a) <- m.(rest) + !d
+      done;
+      let side = Array.make n false and seen = Array.make n false in
+      let best = Array.make (1 lsl s) 0 in
+      let flips = ref 0 in
+      for root = 0 to n - 1 do
+        if bit.(root) < 0 && not seen.(root) then begin
+          let c, near = component adj bit seen root in
+          let r = Array.length c in
+          (* every submask b of N(C), from near down to 0 *)
+          let b = ref near and more = ref true in
+          while !more do
+            for j = 0 to s - 1 do
+              side.(vol.(j)) <- !b land (1 lsl j) <> 0
+            done;
+            for i = 0 to r - 1 do
+              side.(c.(i)) <- false
+            done;
+            (* with C all on side false, its edges to N(C)'s side-true
+               vertices are the ones cut *)
+            let weight = ref 0 in
+            for i = 0 to r - 1 do
+              let v = c.(i) in
+              for e = adj.off.(v) to adj.off.(v + 1) - 1 do
+                if side.(adj.nbr.(e)) then weight := !weight + adj.wt.(e)
+              done
+            done;
+            let top = ref !weight in
+            for t = 1 to (1 lsl r) - 1 do
+              let v = c.(Bitset.ctz t) in
+              weight := !weight + flip_delta adj side v;
+              side.(v) <- not side.(v);
+              if !weight > !top then top := !weight
+            done;
+            best.(!b) <- !top;
+            flips := !flips + (1 lsl r) - 1;
+            if !b = 0 then more := false else b := (!b - 1) land near
+          done;
+          for a = 0 to (1 lsl s) - 1 do
+            m.(a) <- m.(a) + best.(a land near)
+          done
+        end
+      done;
+      Obs.incr c_flips !flips;
+      Obs.observe h_flips !flips;
+      m)
 
 let local_search ~seed g =
   let n = Graph.n g in
   let rng = Random.State.make [| seed |] in
   let side = Array.init n (fun _ -> Random.State.bool rng) in
+  let adj = graph_adjacency g in
   let improved = ref true in
   while !improved do
     improved := false;
     for v = 0 to n - 1 do
-      if flip_delta g side v > 0 then begin
+      if flip_delta adj side v > 0 then begin
         side.(v) <- not side.(v);
         improved := true
       end

@@ -298,7 +298,13 @@ let prop_maxcut_cache =
     QCheck.(pair (int_range 2 9) (int_range 0 10_000))
     (fun (n, seed) ->
       let g = Gen.random_weights ~seed (Gen.gnp ~seed n 0.4) in
-      let volatile = List.init ((n / 2) + 1) Fun.id in
+      (* any volatile subset, listed in any order *)
+      let st = Random.State.make [| seed; 3 |] in
+      let order =
+        List.init n (fun v -> (Random.State.bits st, v)) |> List.sort compare |> List.map snd
+      in
+      let s = Random.State.int st (n + 1) in
+      let volatile = List.filteri (fun i _ -> i < s) order in
       let extra =
         List.mapi
           (fun i (u, v) -> (u, v, 1 + ((seed + i) mod 7)))

@@ -260,6 +260,50 @@ let prop_maxcut_witness =
       let w, side = Maxcut.max_cut g in
       Maxcut.cut_weight g side = w)
 
+(* [volatile] as a random subset of the vertices in shuffled order: none
+   when [seed] is 0 mod 4, all of them when it is 1 mod 4 *)
+let random_volatile ~seed n =
+  let st = Random.State.make [| seed; 31 |] in
+  let order =
+    List.init n (fun v -> (Random.State.bits st, v)) |> List.sort compare |> List.map snd
+  in
+  let s = match seed mod 4 with 0 -> 0 | 1 -> n | _ -> Random.State.int st (n + 1) in
+  List.filteri (fun i _ -> i < s) order
+
+(* the best cut with the volatile sides fixed by [a], every other
+   vertex enumerated *)
+let brute_conditioned g volatile a =
+  let n = Graph.n g in
+  let free = List.filter (fun v -> not (List.mem v volatile)) (List.init n Fun.id) in
+  let best = ref min_int in
+  for mask = 0 to (1 lsl List.length free) - 1 do
+    let side = Array.make n false in
+    List.iteri (fun i v -> side.(v) <- (a lsr i) land 1 = 1) volatile;
+    List.iteri (fun j v -> side.(v) <- (mask lsr j) land 1 = 1) free;
+    best := max !best (Maxcut.cut_weight g side)
+  done;
+  !best
+
+let prop_conditioned_max =
+  QCheck.Test.make ~name:"conditioned_max matches brute force on every entry" ~count:80
+    QCheck.(pair (int_bound 10000) (int_range 0 12))
+    (fun (seed, n) ->
+      (* sparse draws leave isolated vertices; weights include 0 *)
+      let st = Random.State.make [| seed; 37 |] in
+      let density = [| 0; 15; 30; 60 |].(Random.State.int st 4) in
+      let g = Graph.create n in
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          if Random.State.int st 100 < density then
+            Graph.add_edge ~w:(Random.State.int st 5) g u v
+        done
+      done;
+      let volatile = random_volatile ~seed n in
+      let m = Maxcut.conditioned_max g ~volatile in
+      Array.length m = 1 lsl List.length volatile
+      && Array.for_all Fun.id
+           (Array.mapi (fun a w -> w = brute_conditioned g volatile a) m))
+
 let prop_local_search_half =
   QCheck.Test.make ~name:"local search cuts at least half the weight" ~count:50
     QCheck.(pair (int_bound 10000) (int_range 2 20))
@@ -648,6 +692,7 @@ let () =
           Alcotest.test_case "known values" `Quick test_maxcut_known;
           qt prop_maxcut_vs_brute;
           qt prop_maxcut_witness;
+          qt prop_conditioned_max;
           qt prop_local_search_half;
         ] );
       ( "hamilton",
