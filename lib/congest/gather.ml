@@ -14,6 +14,7 @@ type state = {
   parent : int;
   children : int list;
   queue : msg list;
+  queue_back : msg list;
   pending_children : int;
   done_sent : bool;
   collected : msg list;
@@ -28,6 +29,7 @@ let initial ~root ctx =
     parent = -1;
     children = [];
     queue = [];
+    queue_back = [];
     pending_children = 0;
     done_sent = false;
     collected = [];
@@ -135,7 +137,7 @@ let algo_gen ~records ~answer_of ~root () : (state, msg) Network.algo =
                     }
                 | Edge _ | Vweight _ ->
                     if is_root then { st with collected = msg :: st.collected }
-                    else { st with queue = st.queue @ [ msg ] }
+                    else { st with queue_back = msg :: st.queue_back }
                 | Done -> { st with pending_children = st.pending_children - 1 }
                 | Answer a -> { st with answer = Some a }
                 | Dist _ -> st)
@@ -163,6 +165,17 @@ let algo_gen ~records ~answer_of ~root () : (state, msg) Network.algo =
                   List.map (fun c -> (c, Answer a)) st.children )
             | Some _ -> (st, [])
             | None -> (
+                (* the relay queue is a two-list FIFO: records are popped
+                   from [queue], pushed onto [queue_back] (newest first),
+                   and the back is reversed into the front only when the
+                   front runs dry — the same order as appending each
+                   record to one list, at O(1) amortized per record *)
+                let st =
+                  match (st.queue, st.queue_back) with
+                  | [], (_ :: _ as back) ->
+                      { st with queue = List.rev back; queue_back = [] }
+                  | _ -> st
+                in
                 match st.queue with
                 | record :: rest -> ({ st with queue = rest }, [ (st.parent, record) ])
                 | [] ->

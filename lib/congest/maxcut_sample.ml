@@ -19,7 +19,7 @@ let run ?seed ?p g =
   let p = match p with Some p -> p | None -> sample_probability g in
   let sampled = ref 0 in
   let edge_filter ctx (_, _, _) =
-    let keep = Random.State.float ctx.Network.rng 1.0 < p in
+    let keep = Random.State.float (Lazy.force ctx.Network.rng) 1.0 < p in
     if keep then incr sampled;
     keep
   in

@@ -17,7 +17,7 @@ type ctx = {
   edge_weight : int -> int;
   vertex_weight : int;
   out_arcs : (int * int) array;
-  rng : Random.State.t;
+  rng : Random.State.t Lazy.t;
 }
 
 type ('state, 'msg) algo = {
@@ -42,17 +42,19 @@ let bandwidth_for ?(factor = 8) n =
   let rec log2_ceil acc v = if v <= 1 then max acc 1 else log2_ceil (acc + 1) ((v + 1) / 2) in
   factor * log2_ceil 0 n
 
-let make_ctxs ?(seed = 0) ?(out_arcs = fun _ -> [||]) g =
-  Array.init (Graph.n g) (fun v ->
-      {
-        id = v;
-        n = Graph.n g;
-        neighbors = Array.of_list (Graph.neighbors g v);
-        edge_weight = (fun u -> Graph.edge_weight g v u);
-        vertex_weight = Graph.vweight g v;
-        out_arcs = out_arcs v;
-        rng = Random.State.make [| seed; v |];
-      })
+(* Few algorithms draw randomness, so a vertex's generator is seeded
+   from [(seed, v)] only when first forced: every draw is the one an
+   eagerly seeded generator would give. *)
+let make_ctx ~seed ~out_arcs g v =
+  {
+    id = v;
+    n = Graph.n g;
+    neighbors = Array.of_list (Graph.neighbors g v);
+    edge_weight = (fun u -> Graph.edge_weight g v u);
+    vertex_weight = Graph.vweight g v;
+    out_arcs = out_arcs v;
+    rng = lazy (Random.State.make [| seed; v |]);
+  }
 
 (* ---- stepwise execution --------------------------------------------- *)
 
@@ -63,16 +65,21 @@ type 'msg step_log = {
   internal : 'msg transfer list;
   outbound : 'msg transfer list;
   sent : bool;
-  all_output : bool;
 }
 
+(* Per-vertex data lives at the vertex's index in [sp_owned] (ascending
+   vertex ids); [sp_slot] maps a vertex back to that index, or -1 when
+   the vertex is unowned.  Inboxes are indexed by vertex id. *)
 type ('state, 'msg) stepper = {
   sp_g : Graph.t;
   sp_algo : ('state, 'msg) algo;
-  sp_owns : bool array;
+  sp_owned : int array;
+  sp_slot : int array;
   sp_ctxs : ctx array;
-  sp_states : 'state option array;  (* Some exactly on owned vertices *)
+  sp_states : 'state array;
+  sp_outboxes : (int * 'msg) list array;  (* empty between steps *)
   sp_inboxes : (int * 'msg) list array;
+  sp_seen : int array;  (* duplicate-target marks, see [check_outbox] *)
   sp_bandwidth : int;
   mutable sp_round : int;
   mutable sp_messages : int;
@@ -80,20 +87,26 @@ type ('state, 'msg) stepper = {
   mutable sp_max_bits : int;
 }
 
-let stepper_gen ?seed ?bandwidth_factor ?owns ~out_arcs g algo =
+let stepper_gen ?(seed = 0) ?bandwidth_factor ?owns ~out_arcs g algo =
   let n = Graph.n g in
-  let owns =
-    match owns with Some f -> Array.init n f | None -> Array.make n true
+  let owned =
+    match owns with
+    | None -> Array.init n Fun.id
+    | Some f -> Array.of_list (List.filter f (List.init n Fun.id))
   in
-  let ctxs = make_ctxs ?seed ~out_arcs g in
+  let slot = Array.make n (-1) in
+  Array.iteri (fun i v -> slot.(v) <- i) owned;
+  let ctxs = Array.map (make_ctx ~seed ~out_arcs g) owned in
   {
     sp_g = g;
     sp_algo = algo;
-    sp_owns = owns;
+    sp_owned = owned;
+    sp_slot = slot;
     sp_ctxs = ctxs;
-    sp_states =
-      Array.init n (fun v -> if owns.(v) then Some (algo.init ctxs.(v)) else None);
+    sp_states = Array.map algo.init ctxs;
+    sp_outboxes = Array.make (Array.length owned) [];
     sp_inboxes = Array.make n [];
+    sp_seen = Array.make n (-1);
     sp_bandwidth = bandwidth_for ?factor:bandwidth_factor n;
     sp_round = 0;
     sp_messages = 0;
@@ -119,21 +132,17 @@ let stepper_round t = t.sp_round
 
 let stepper_bandwidth t = t.sp_bandwidth
 
-let stepper_owns t v = t.sp_owns.(v)
+let stepper_owns t v = t.sp_slot.(v) >= 0
 
 let owned_state t v =
-  match t.sp_states.(v) with
-  | Some st -> st
-  | None -> invalid_arg "Network.stepper: vertex not owned"
+  let i = t.sp_slot.(v) in
+  if i < 0 then invalid_arg "Network.stepper: vertex not owned";
+  t.sp_states.(i)
 
 let stepper_output t v = t.sp_algo.output (owned_state t v)
 
 let stepper_all_output t =
-  let ok = ref true in
-  Array.iteri
-    (fun v owned -> if owned && t.sp_algo.output (owned_state t v) = None then ok := false)
-    t.sp_owns;
-  !ok
+  Array.for_all (fun st -> t.sp_algo.output st <> None) t.sp_states
 
 let stepper_stats t =
   {
@@ -144,76 +153,105 @@ let stepper_stats t =
     bandwidth = t.sp_bandwidth;
   }
 
+(* The sender-side guards on one outbox: every target adjacent, then at
+   most one message per edge.  [distinct] marks each target with [stamp]
+   (unique to this sender and round) in [sp_seen]; an outbox of fewer
+   than two messages cannot repeat a target, so it skips that pass. *)
+let rec check_adjacent t v = function
+  | [] -> ()
+  | (target, _) :: rest ->
+      if not (Graph.mem_edge t.sp_g v target) then
+        failwith
+          (Printf.sprintf "Network.run: %S sent %d -> %d but they are not adjacent"
+             t.sp_algo.name v target);
+      check_adjacent t v rest
+
+let rec distinct t stamp = function
+  | [] -> true
+  | (target, _) :: rest ->
+      t.sp_seen.(target) <> stamp
+      && begin
+           t.sp_seen.(target) <- stamp;
+           distinct t stamp rest
+         end
+
+let check_outbox t v ~stamp outbox =
+  check_adjacent t v outbox;
+  match outbox with
+  | [] | [ _ ] -> ()
+  | _ :: _ :: _ ->
+      if not (distinct t stamp outbox) then
+        failwith
+          (Printf.sprintf "Network.run: %S sent two messages on one edge" t.sp_algo.name)
+
+(* Drain the outboxes from slot [i] on, in ascending sender order and
+   outbox order: bandwidth check and counters at the sender, delivery to
+   owned targets, the transfers accumulated in reverse. *)
+let rec dispatch t i internal outbound =
+  if i = Array.length t.sp_owned then (internal, outbound)
+  else
+    match t.sp_outboxes.(i) with
+    | [] -> dispatch t (i + 1) internal outbound
+    | (target, msg) :: rest ->
+        t.sp_outboxes.(i) <- rest;
+        let algo = t.sp_algo and sender = t.sp_owned.(i) in
+        let bits = algo.msg_bits msg in
+        if bits > t.sp_bandwidth then
+          raise (Bandwidth_exceeded { algo = algo.name; bits; bandwidth = t.sp_bandwidth });
+        t.sp_messages <- t.sp_messages + 1;
+        t.sp_total_bits <- t.sp_total_bits + bits;
+        t.sp_max_bits <- max t.sp_max_bits bits;
+        let tr = { t_sender = sender; t_target = target; t_bits = bits; t_msg = msg } in
+        if t.sp_slot.(target) >= 0 then begin
+          t.sp_inboxes.(target) <- (sender, msg) :: t.sp_inboxes.(target);
+          dispatch t i (tr :: internal) outbound
+        end
+        else dispatch t i internal (tr :: outbound)
+
+(* [List.sort] allocates its merge closures on every call, even on a
+   list too short to sort, so [step] calls it only on two messages or
+   more. *)
+let by_sender (a, _) (b, _) = compare (a : int) b
+
 let step ?(inject = []) t =
-  let algo = t.sp_algo and g = t.sp_g in
-  let n = Graph.n g in
+  let n = Graph.n t.sp_g in
   List.iter
     (fun tr ->
-      if tr.t_target < 0 || tr.t_target >= n || not t.sp_owns.(tr.t_target) then
+      if tr.t_target < 0 || tr.t_target >= n || t.sp_slot.(tr.t_target) < 0 then
         invalid_arg "Network.step: injected message targets an unowned vertex";
       t.sp_inboxes.(tr.t_target) <- (tr.t_sender, tr.t_msg) :: t.sp_inboxes.(tr.t_target))
     inject;
   let round = t.sp_round in
   let messages0 = t.sp_messages and bits0 = t.sp_total_bits in
-  let outboxes = Array.make n [] in
-  for v = 0 to n - 1 do
-    if t.sp_owns.(v) then begin
-      (* ascending sender order: at most one message per (directed) edge
-         per round, so this reproduces the full run's delivery order even
-         when injected cross messages interleave with internal ones *)
-      let inbox = List.sort (fun (a, _) (b, _) -> compare a b) t.sp_inboxes.(v) in
-      t.sp_inboxes.(v) <- [];
-      let state', outbox = algo.round t.sp_ctxs.(v) ~round (owned_state t v) inbox in
-      t.sp_states.(v) <- Some state';
-      List.iter
-        (fun (target, _) ->
-          if not (Graph.mem_edge g v target) then
-            failwith
-              (Printf.sprintf
-                 "Network.run: %S sent %d -> %d but they are not adjacent"
-                 algo.name v target))
-        outbox;
-      let targets = List.map fst outbox in
-      if List.length (List.sort_uniq compare targets) <> List.length targets then
-        failwith
-          (Printf.sprintf "Network.run: %S sent two messages on one edge" algo.name);
-      outboxes.(v) <- outbox
-    end
+  for i = 0 to Array.length t.sp_owned - 1 do
+    let v = t.sp_owned.(i) in
+    (* ascending sender order: at most one message per (directed) edge
+       per round, so this reproduces the full run's delivery order even
+       when injected cross messages interleave with internal ones *)
+    let inbox =
+      match t.sp_inboxes.(v) with
+      | ([] | [ _ ]) as inbox -> inbox
+      | inbox -> List.sort by_sender inbox
+    in
+    t.sp_inboxes.(v) <- [];
+    let st = t.sp_states.(i) in
+    let st', outbox = t.sp_algo.round t.sp_ctxs.(i) ~round st inbox in
+    if st' != st then t.sp_states.(i) <- st';
+    check_outbox t v ~stamp:((round * n) + v) outbox;
+    t.sp_outboxes.(i) <- outbox
   done;
-  let internal = ref [] and outbound = ref [] in
-  Array.iteri
-    (fun sender outbox ->
-      List.iter
-        (fun (target, msg) ->
-          let bits = algo.msg_bits msg in
-          if bits > t.sp_bandwidth then
-            raise
-              (Bandwidth_exceeded
-                 { algo = algo.name; bits; bandwidth = t.sp_bandwidth });
-          t.sp_messages <- t.sp_messages + 1;
-          t.sp_total_bits <- t.sp_total_bits + bits;
-          t.sp_max_bits <- max t.sp_max_bits bits;
-          let tr = { t_sender = sender; t_target = target; t_bits = bits; t_msg = msg } in
-          if t.sp_owns.(target) then begin
-            t.sp_inboxes.(target) <- (sender, msg) :: t.sp_inboxes.(target);
-            internal := tr :: !internal
-          end
-          else outbound := tr :: !outbound)
-        outbox)
-    outboxes;
+  let internal, outbound = dispatch t 0 [] [] in
   t.sp_round <- round + 1;
   Obs.bump c_rounds;
   Obs.incr c_messages (t.sp_messages - messages0);
   Obs.incr c_bits (t.sp_total_bits - bits0);
   Obs.observe h_round_messages (t.sp_messages - messages0);
   Obs.observe h_round_bits (t.sp_total_bits - bits0);
-  let internal = List.rev !internal and outbound = List.rev !outbound in
   {
     log_round = round;
-    internal;
-    outbound;
-    sent = internal <> [] || outbound <> [];
-    all_output = stepper_all_output t;
+    internal = List.rev internal;
+    outbound = List.rev outbound;
+    sent = t.sp_messages > messages0;
   }
 
 let default_max_rounds g = (20 * Graph.n g) + (10 * Graph.m g) + 100
@@ -237,7 +275,7 @@ let run_internal ?max_rounds ~on_message t =
       log.internal;
     quiescent := not log.sent
   done;
-  (Array.map (fun s -> Option.get s) t.sp_states, stepper_stats t)
+  (Array.init (Graph.n t.sp_g) (owned_state t), stepper_stats t)
 
 let run ?seed ?bandwidth_factor ?max_rounds g algo =
   run_internal ?max_rounds
@@ -325,7 +363,7 @@ let run_partitioned_steppers ?max_rounds ~partition steppers =
   done;
   let n = Graph.n g in
   let states =
-    Array.init n (fun v -> Option.get steppers.(partition.(v)).sp_states.(v))
+    Array.init n (fun v -> owned_state steppers.(partition.(v)) v)
   in
   let merged =
     Array.fold_left

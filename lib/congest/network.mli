@@ -19,7 +19,9 @@ type ctx = {
           out-arcs as sorted [(head, weight)] pairs — the orientation is
           local data while messages flow both ways over each arc's
           channel.  Empty on undirected networks. *)
-  rng : Random.State.t;  (** private per-vertex randomness *)
+  rng : Random.State.t Lazy.t;
+      (** private per-vertex randomness, seeded from [(seed, v)] when
+          first forced — algorithms that draw nothing never pay for it *)
 }
 
 type ('state, 'msg) algo = {
@@ -76,7 +78,6 @@ type 'msg step_log = {
       (** messages from owned vertices to unowned ones — cross traffic the
           driver must route (deliver via [step ~inject] on the peer) *)
   sent : bool;  (** some owned vertex sent this round *)
-  all_output : bool;  (** every owned vertex has produced an output *)
 }
 
 type ('state, 'msg) stepper
@@ -113,7 +114,14 @@ val step : ?inject:'msg transfer list -> ('state, 'msg) stepper -> 'msg step_log
     vertex on its inbox, validate and deliver the outboxes.  Messages to
     unowned targets are returned in [outbound] instead of delivered, but
     are validated, counted and bandwidth-checked exactly like internal
-    ones. *)
+    ones.
+
+    Cost: a step visits only the owned vertices (fixed when the stepper
+    is made) and allocates little beyond what [algo.round] returns: an
+    inbox entry and a transfer per message, a sorted copy of an inbox
+    holding two or more messages, and the log.  A vertex's state is
+    stored only when [round] returns a physically different one, so an
+    idle vertex that hands its state back costs no write. *)
 
 val stepper_round : ('state, 'msg) stepper -> int
 (** Rounds executed so far. *)
@@ -126,6 +134,7 @@ val stepper_output : ('state, 'msg) stepper -> int -> int option
 (** Output of an owned vertex.  @raise Invalid_argument when unowned. *)
 
 val stepper_all_output : ('state, 'msg) stepper -> bool
+(** Every owned vertex has produced an output. *)
 
 val stepper_stats : ('state, 'msg) stepper -> stats
 (** Counters over messages {e sent} by owned vertices (internal and

@@ -201,6 +201,74 @@ let test_non_neighbor_send () =
         && String.length msg >= 10)
   | _ -> Alcotest.fail "expected failure for non-neighbor send"
 
+(* [sends] lists, per (round, sender), the outbox that sender returns *)
+let scripted_algo ~sends : (int, int) Ch_congest.Network.algo =
+  {
+    name = "scripted";
+    init = (fun _ -> 0);
+    round =
+      (fun ctx ~round _ _ ->
+        ( 1,
+          Option.value ~default:[]
+            (List.assoc_opt (round, ctx.Ch_congest.Network.id) sends) ));
+    msg_bits = (fun _ -> 4);
+    output = (fun st -> if st > 0 then Some st else None);
+  }
+
+let test_two_messages_one_edge () =
+  let g = Gen.path 4 in
+  let expect_duplicate what sends =
+    match Ch_congest.Network.run g (scripted_algo ~sends) with
+    | exception Failure msg ->
+        Alcotest.(check string)
+          what "Network.run: \"scripted\" sent two messages on one edge" msg
+    | _ -> Alcotest.fail (what ^ ": expected failure for two messages on one edge")
+  in
+  expect_duplicate "two in a row" [ ((0, 0), [ (1, 7); (1, 8) ]) ];
+  expect_duplicate "apart in a longer outbox" [ ((0, 1), [ (0, 7); (2, 8); (0, 9) ]) ];
+  (* the adjacency check runs first *)
+  (match
+     Ch_congest.Network.run g (scripted_algo ~sends:[ ((0, 0), [ (1, 7); (1, 8); (3, 9) ]) ])
+   with
+  | exception Failure msg ->
+      Alcotest.(check string)
+        "adjacency reported before the duplicate"
+        "Network.run: \"scripted\" sent 0 -> 3 but they are not adjacent" msg
+  | _ -> Alcotest.fail "expected failure for non-neighbor send");
+  (* one message per edge and direction is allowed every round: the same
+     edge on consecutive rounds, both directions of one edge, and two
+     senders to one target *)
+  let _, stats =
+    Ch_congest.Network.run g
+      (scripted_algo
+         ~sends:
+           [
+             ((0, 1), [ (0, 7); (2, 8) ]);
+             ((1, 1), [ (0, 7); (2, 8) ]);
+             ((1, 0), [ (1, 7) ]);
+             ((1, 2), [ (1, 8); (3, 9) ]);
+           ])
+  in
+  check_int "every message delivered" 7 stats.Ch_congest.Network.messages
+
+let test_inject_unowned () =
+  let g = Gen.path 4 in
+  let sp =
+    Ch_congest.Network.stepper ~owns:(fun v -> v < 2) g (scripted_algo ~sends:[])
+  in
+  let inject target =
+    [ { Ch_congest.Network.t_sender = 1; t_target = target; t_bits = 4; t_msg = 7 } ]
+  in
+  List.iter
+    (fun target ->
+      Alcotest.check_raises
+        (Printf.sprintf "target %d" target)
+        (Invalid_argument "Network.step: injected message targets an unowned vertex")
+        (fun () -> ignore (Ch_congest.Network.step ~inject:(inject target) sp)))
+    [ 2; 3; 4; -1 ];
+  let log = Ch_congest.Network.step ~inject:(inject 0) sp in
+  check_int "an owned target is accepted" 0 log.Ch_congest.Network.log_round
+
 let test_non_terminating_algo () =
   let g = Gen.path 3 in
   let never : (int, int) Ch_congest.Network.algo =
@@ -244,6 +312,10 @@ let () =
         [
           Alcotest.test_case "bandwidth enforced" `Quick test_bandwidth_violation;
           Alcotest.test_case "adjacency enforced" `Quick test_non_neighbor_send;
+          Alcotest.test_case "one message per edge enforced" `Quick
+            test_two_messages_one_edge;
+          Alcotest.test_case "inject needs an owned target" `Quick
+            test_inject_unowned;
           Alcotest.test_case "max rounds enforced" `Quick test_non_terminating_algo;
         ] );
     ]

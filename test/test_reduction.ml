@@ -111,6 +111,52 @@ let test_trace_json () =
         (Option.bind (Jsonx.mem "type" j) Jsonx.as_str <> None))
     (events ())
 
+(* ---- transcript pins ------------------------------------------------- *)
+
+(* [srun] and [sref] both run [Network.step], so their differential
+   cannot see a change common to both, and the bench gate holds only
+   totals.  These pins hold every event: the JSONL trace of three sweeps,
+   byte for byte what [hardness reduction ID -k K ... --trace FILE]
+   writes, by event count and MD5 — two parties (mds, exhaustive), t = 4
+   (bitgadget) and the directed stepper (hampath).  The values were
+   recorded before the round loop was made allocation-light. *)
+let transcript_pins =
+  [
+    ("mds", 2, `Exhaustive, 78294, "d53532283d623dbb2c15095c036ec91a");
+    ("bitgadget", 4, `Sampled (7, 4), 1717, "322479b6c37ecaf31c55fd982a554e79");
+    ("hampath", 2, `Sampled (5, 8), 12532, "1a74d95a6bda7926d3d51b6d29475cb9");
+  ]
+
+let test_transcript_pins () =
+  let reg = Families.catalog () in
+  List.iter
+    (fun (id, k, mode, events_n, md5) ->
+      let exhaustive, seed, samples =
+        match mode with
+        | `Exhaustive -> (true, None, None)
+        | `Sampled (seed, samples) -> (false, Some seed, Some samples)
+      in
+      let sink, events = Trace.collector () in
+      match
+        Bound.sweep_registry ~trace:sink ?seed ~exhaustive ?samples
+          (Ch_core.Registry.find_exn reg id) ~k
+      with
+      | None -> Alcotest.fail (id ^ " carries a reduction")
+      | Some _ ->
+          let events = events () in
+          let buf = Buffer.create (1 lsl 20) in
+          List.iter
+            (fun e ->
+              Buffer.add_string buf (Jsonx.to_string (Trace.to_json e));
+              Buffer.add_char buf '\n')
+            events;
+          let tag what = Printf.sprintf "%s-k%d %s" id k what in
+          check_int (tag "events") events_n (List.length events);
+          Alcotest.(check string)
+            (tag "trace MD5") md5
+            (Digest.to_hex (Digest.string (Buffer.contents buf))))
+    transcript_pins
+
 (* ---- bandwidth accounting: msg_bits is honest for every algorithm ---- *)
 
 (* run [algo] on [g] through a full-graph stepper and hand every message
@@ -405,6 +451,7 @@ let () =
           Alcotest.test_case "json events" `Quick test_trace_json;
           Alcotest.test_case "run_split vs trace" `Quick
             test_run_split_matches_trace;
+          Alcotest.test_case "transcript pins" `Quick test_transcript_pins;
         ] );
       ( "bandwidth",
         [
